@@ -44,18 +44,20 @@ from .activations import Nonlinearity
 from .errors import ConvergenceError, UnsupportedActivationError
 from .quadrature import QuadratureRule, default_rule, expect1, expect2_product
 
-# Solver budgets.  q* is solved by bisection on V(q) - q: the upper bracket
-# end doubles from 1.0 at most _Q_MAX_DOUBLINGS times (2**340 > 1e100), and
-# _Q_BISECTIONS halvings shrink any such bracket to float resolution.
-# _Q_MAX_ITER caps the layer count `length_trajectory` reports.  Correlation
-# dynamics are slow near the critical line, hence the larger cap and the
-# convergence flag.
+# Solver budgets.  q* and c* are roots of V(q) - q and c_map(c) - c, each
+# bracketed by a sign change and closed by `_bracketed_root`.  For q* the
+# upper bracket end doubles from 1.0 at most _Q_MAX_DOUBLINGS times
+# (2**340 > 1e100); for c* it is 1 - delta, with delta halved from 1/2 down
+# to _C_MIN_DELTA.  q* is certified by `_residual_tol`, c* by
+# |c_map(c*) - c*| <= _C_RESIDUAL_TOL, and a q* so large that the
+# certificate is relative to it must also change sign over _Q_SIGN_STEP
+# relative.  _Q_MAX_ITER caps the layer count `length_trajectory` reports.
 _Q_MAX_DOUBLINGS = 340
-_Q_BISECTIONS = 200
+_Q_SIGN_STEP = 1e-3
 _Q_MAX_ITER = 10_000
-_C_TOL = 1e-12
-_C_MAX_ITER = 100_000
-_C_INIT = 0.999  # start just below the (possibly unstable) c* = 1
+_C_MIN_DELTA = 2.0**-50
+_C_RESIDUAL_TOL = 1e-12
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -138,53 +140,61 @@ def length_fixed_point(
     params: EnsembleParams,
     rule: QuadratureRule | None = None,
 ) -> float:
-    """Stable fixed point q* of the length map, by bracketed bisection.
+    """Stable fixed point q* of the length map, by a bracketed root solve.
 
     With sigma_b = 0 and V(0) = 0 the origin is a fixed point; it is
-    returned (exactly 0.0) when the map contracts there.  Otherwise the
-    upper bracket end starts at 1.0 and doubles until V(q) <= q, and
-    bisection on the sign of V(q) - q runs to floating-point resolution.
+    returned (exactly 0.0) when the map contracts there.  Otherwise
+    V(q) - q > 0 at the lower bracket end (0, or just above the unstable
+    origin), the upper end starts at 1.0 and doubles until V(q) <= q, and
+    `_bracketed_root` closes the bracket to floating-point resolution.
     The result is certified by its residual: |V(q*) - q*| < 1e-10, or
     64 eps q* for fixed points so large that rounding noise in V itself
-    (~eps q*) dominates.  Raises `ConvergenceError` when the bracket
-    cannot be closed below ~1e100 (an expansive map) or the residual
-    certificate fails.
+    (~eps q*) dominates.  A root in that large-q* regime must also show a
+    definite sign change: V(q) - q must exceed 64 eps q* in magnitude, with
+    opposite signs, at q*(1 -+ 1e-3), which refuses roots where
+    |V'(q*) - 1| < ~1.4e-11.  Quadrature error alone can satisfy the
+    relative residual where V(q) - q has no root (the critical line of a
+    positively homogeneous activation with bias, where the rule's E[z^2]
+    misses 1 by ~1e-14), and this refuses such roots.  Raises
+    `ConvergenceError` when the bracket cannot be closed below ~1e100 (an
+    expansive map) or either certificate fails.
     """
     rule = rule or default_rule()
     g = lambda q: length_map(q, params, rule) - q
     eps_q = 1e-18
-    if params.sigma_b == 0.0 and length_map(0.0, params, rule) == 0.0:
+    lo, g_lo = 0.0, length_map(0.0, params, rule)
+    if params.sigma_b == 0.0 and g_lo == 0.0:
         # V(0) = 0; the origin is a fixed point.  It is the stable one
         # iff the map is contracting there.
-        if g(eps_q) <= 0.0:
+        lo, g_lo = eps_q, g(eps_q)
+        if g_lo <= 0.0:
             return 0.0
-        lo = eps_q
-    else:
-        lo = 0.0
-    hi = 1.0
+    hi, g_hi = 1.0, g(1.0)
     doubles = 0
-    while g(hi) > 0.0:
+    while g_hi > 0.0:
         if doubles == _Q_MAX_DOUBLINGS:
             raise ConvergenceError(
                 f"length map has no finite fixed point for sigma_w={params.sigma_w}, "
                 f"sigma_b={params.sigma_b} (expansive map); V(q) > q up to q={hi!r}",
                 iterations=doubles, last_value=hi,
             )
+        lo, g_lo = hi, g_hi
         hi *= 2.0
+        g_hi = g(hi)
         doubles += 1
-    for _ in range(_Q_BISECTIONS):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if g(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    q_star = 0.5 * (lo + hi)
-    residual = abs(g(q_star))
-    if residual >= _residual_tol(q_star):
+    q_star, residual = _bracketed_root(g, lo, hi, g_lo, g_hi, 0.0)
+    if abs(residual) >= _residual_tol(q_star):
         raise ConvergenceError(
-            f"fixed-point residual {residual:.3e} exceeds tolerance at q={q_star!r}",
+            f"fixed-point residual {abs(residual):.3e} exceeds tolerance at q={q_star!r}",
+            last_value=q_star,
+        )
+    noise = 64.0 * _EPS * q_star
+    if noise > 1e-10 and not (g(q_star * (1.0 - _Q_SIGN_STEP)) > noise
+                              and g(q_star * (1.0 + _Q_SIGN_STEP)) < -noise):
+        raise ConvergenceError(
+            f"ill-conditioned fixed point at q={q_star!r}: V(q) - q does not change "
+            f"sign beyond rounding noise within {_Q_SIGN_STEP:g} relative (no finite "
+            f"fixed point for sigma_w={params.sigma_w}, sigma_b={params.sigma_b})",
             last_value=q_star,
         )
     return q_star
@@ -193,7 +203,50 @@ def length_fixed_point(
 def _residual_tol(q: float) -> float:
     # 1e-10 in the theory's operating regime; scaled by q where rounding
     # noise in V(q) itself (~eps * q) makes an absolute bound meaningless
-    return max(1e-10, 64.0 * np.finfo(float).eps * abs(q))
+    return max(1e-10, 64.0 * _EPS * abs(q))
+
+
+def _bracketed_root(g, lo: float, hi: float, g_lo: float, g_hi: float,
+                    xtol: float) -> tuple[float, float]:
+    """Root of g on [lo, hi], given g_lo = g(lo) and g_hi = g(hi) of opposite sign.
+
+    Illinois false position: each step evaluates g where the secant through
+    the bracket ends crosses zero, and when one end is kept twice in a row
+    its value is halved in the secant, so the iterates cannot stall on one
+    side.  Whenever two steps have not halved the bracket, the next step
+    bisects, so the bracket at least halves every three steps.  Stops when
+    g is exactly zero at an end or the bracket is no wider than
+    xtol + 4 eps max(|lo|, |hi|).  Returns (x, g(x)) for the bracket end
+    with the smaller |g|.
+    """
+    w_lo, w_hi = g_lo, g_hi     # secant weights; Illinois halves a stale one
+    moved = 0                   # +1: the last step moved lo, -1: it moved hi
+    width, stalls = hi - lo, 0  # width when the bracket last halved
+    while (g_lo != 0.0 and g_hi != 0.0
+           and hi - lo > xtol + 4.0 * _EPS * max(abs(lo), abs(hi))):
+        x = 0.5 * (lo + hi)
+        if stalls < 2:
+            secant = lo - w_lo * (hi - lo) / (w_hi - w_lo)
+            if lo < secant < hi:
+                x = secant
+        if not lo < x < hi:
+            break               # the bracket is two adjacent floats
+        gx = g(x)
+        if (gx > 0.0) == (g_lo > 0.0):
+            lo, g_lo, w_lo = x, gx, gx
+            if moved == 1:
+                w_hi *= 0.5
+            moved = 1
+        else:
+            hi, g_hi, w_hi = x, gx, gx
+            if moved == -1:
+                w_lo *= 0.5
+            moved = -1
+        if hi - lo <= 0.5 * width:
+            width, stalls = hi - lo, 0
+        else:
+            stalls += 1
+    return (lo, g_lo) if abs(g_lo) <= abs(g_hi) else (hi, g_hi)
 
 
 def length_trajectory(
@@ -331,36 +384,49 @@ def _c_star(
     params: EnsembleParams,
     rule: QuadratureRule,
     q_star: float,
-    *,
-    c_init: float = _C_INIT,
-    tol: float = _C_TOL,
-    max_iter: int = _C_MAX_ITER,
+    chi1: float,
 ) -> tuple[float, bool, int]:
-    """Iterate the c-map to its stable fixed point.
+    """Stable fixed point c* of the c-map, by a bracketed root solve.
 
-    Returns (c_star, converged, iterations).  Near the critical line the
-    map is marginally stable; if the observed contraction rate proves the
-    budget insufficient, stops early with converged=False.
+    Returns (c_star, converged, c-map evaluations); `chi1` is the c-map's
+    slope at c = 1 for this q*.  By Mehler's expansion the c-map at equal
+    variances q* is a power series in c with nonnegative coefficients, so
+    g(c) = c_map(c) - c is convex on [0, 1], with g(1) = 0,
+    g'(1) = chi1 - 1 and g(0) = (sigma_w^2 E[phi]^2 + sigma_b^2) / q* >= 0.
+    If chi1 <= 1, g >= 0 on [0, 1] and c* = 1.  Otherwise g has exactly one
+    root in [0, 1), and g < 0 just below 1: delta is halved from 1/2 until
+    g(1 - delta) < 0, the root then lies between 1 - delta and the last
+    point with g >= 0 (0 or 1 - 2 delta), and `_bracketed_root` closes that
+    bracket.  `converged` means the bracket closed and |g(c*)| <= 1e-12.
+    When no delta >= 2**-50 makes g(1 - delta) negative (chi1 within
+    quadrature noise of 1) there is no bracket, and c* is returned as NaN
+    with converged=False.  Raises ValueError at q* = 0, where the c-map is
+    undefined.
     """
-    c = c_init
-    prev_delta = math.inf
-    for i in range(max_iter):
-        c_next = c_map(c, params, rule, q_star=q_star)
-        c_next = min(1.0, max(-1.0, c_next))
-        delta = abs(c_next - c)
-        c = c_next
-        if delta <= tol:
-            return c, True, i + 1
-        if i % 512 == 511:
-            if np.isfinite(prev_delta) and prev_delta > 0:
-                rate = (delta / prev_delta) ** (1.0 / 512.0)
-                if rate >= 1.0:
-                    return c, False, i + 1
-                remaining = max_iter - i
-                if delta * rate**remaining > 8.0 * tol:
-                    return c, False, i + 1
-            prev_delta = delta
-    return c, False, max_iter
+    if q_star <= 0.0:
+        raise ValueError("c-map is undefined at q* = 0 (zero fixed-point length)")
+    if chi1 <= 1.0:
+        return 1.0, True, 0
+    evals = 0
+
+    def g(c: float) -> float:
+        nonlocal evals
+        evals += 1
+        return c_map(c, params, rule, q_star=q_star) - c
+
+    lo, g_lo = 0.0, g(0.0)
+    if g_lo <= 0.0:
+        # g(0) >= 0 in exact arithmetic (e.g. 0 for odd phi without bias),
+        # so the root is c* = 0 and any negative value is rounding
+        return 0.0, abs(g_lo) <= _C_RESIDUAL_TOL, evals
+    delta = 0.5
+    while (g_hi := g(1.0 - delta)) >= 0.0:
+        if delta <= _C_MIN_DELTA:
+            return math.nan, False, evals
+        lo, g_lo = 1.0 - delta, g_hi
+        delta *= 0.5
+    c, residual = _bracketed_root(g, lo, 1.0 - delta, g_lo, g_hi, _EPS)
+    return c, abs(residual) <= _C_RESIDUAL_TOL, evals
 
 
 def correlation_trajectory(
@@ -380,8 +446,8 @@ def correlation_trajectory(
     values[0] = c0
     for l in range(1, depth):
         values[l] = c_map(values[l - 1], params, rule, q_star=q_star)
-    c_star, converged, _ = _c_star(params, rule, q_star)
     chi = chi_factors(params, rule, q_star=q_star)
+    c_star, converged, _ = _c_star(params, rule, q_star, chi.chi1)
     return CorrelationTrajectory(values=values, c_star=c_star,
                                  c_star_converged=converged, chi=chi)
 
@@ -542,7 +608,7 @@ def phase_grid(
             return idx, (np.nan, np.nan, np.nan, False, str(exc))
         if qs <= 0.0:
             return idx, (qs, np.nan, x1, False, "c-map undefined at q* = 0")
-        cs, ok, _ = _c_star(params, rule, qs)
+        cs, ok, _ = _c_star(params, rule, qs, x1)
         return idx, (qs, cs, x1, ok, None)
 
     cells = [(i, j) for i in range(n_w) for j in range(n_b)]

@@ -80,6 +80,15 @@ def test_fixed_point_error_for_expansive_map():
         mf.length_fixed_point(mf.EnsembleParams(1.5, 0.0, LINEAR), RULE)
 
 
+@pytest.mark.parametrize("name, sigma_w", [("linear", 1.0), ("relu", math.sqrt(2.0))])
+def test_fixed_point_refused_on_homogeneous_critical_line(name, sigma_w):
+    # V(q) - q = sigma_b^2 > 0 for every q here; quadrature rounding makes
+    # it cross zero near q ~ 1e13, a root the residual alone would accept
+    params = mf.EnsembleParams(sigma_w, 0.3, mf.builtin(name))
+    with pytest.raises(ConvergenceError, match="ill-conditioned"):
+        mf.length_fixed_point(params, RULE)
+
+
 @pytest.mark.parametrize("sigma_w", [0.999, 1.001])
 def test_fixed_point_cost_bounded_at_criticality(monkeypatch, sigma_w):
     # At sigma_w = 1, sigma_b = 0 the slope of V(q) - q vanishes at the
@@ -393,7 +402,95 @@ def test_phase_grid_threading_matches_serial():
 
 def test_c_star_helper_reports_convergence():
     q_star = mf.length_fixed_point(CHAOTIC, RULE)
-    value, converged, iters = _c_star(CHAOTIC, RULE, q_star)
-    assert converged and 0.0 < value < 0.1 and iters < 1000
+    x1 = mf.chi1(CHAOTIC, RULE, q_star=q_star)
+    value, converged, evals = _c_star(CHAOTIC, RULE, q_star, x1)
+    assert converged and 0.0 < value < 0.1 and evals < 1000
     residual = abs(mf.c_map(value, CHAOTIC, RULE, q_star=q_star) - value)
     assert residual < 1e-10
+
+
+def test_c_star_is_one_in_ordered_phase():
+    q_star = mf.length_fixed_point(ORDERED, RULE)
+    x1 = mf.chi1(ORDERED, RULE, q_star=q_star)
+    assert x1 < 1.0
+    assert _c_star(ORDERED, RULE, q_star, x1) == (1.0, True, 0)
+
+
+def test_c_star_refuses_zero_length():
+    with pytest.raises(ValueError, match="q\\* = 0"):
+        mf.correlation_trajectory(0.5, 1, mf.EnsembleParams(0.5, 0.0, TANH), RULE)
+
+
+def _counted_c_star(monkeypatch, params, rule):
+    calls = 0
+    c_map = meanfield.c_map
+
+    def counting_c_map(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return c_map(*args, **kwargs)
+
+    q_star = mf.length_fixed_point(params, rule)
+    x1 = mf.chi1(params, rule, q_star=q_star)
+    monkeypatch.setattr(meanfield, "c_map", counting_c_map)
+    value, converged, evals = _c_star(params, rule, q_star, x1)
+    monkeypatch.undo()
+    assert evals == calls
+    return value, converged, calls, q_star
+
+
+@pytest.mark.parametrize("sigma_w, sigma_b", [
+    (1.0413793103448277, 0.0),
+    (1.4448275862068964, 0.35714285714285715),
+])
+def test_c_star_settles_near_critical_cells(monkeypatch, sigma_w, sigma_b):
+    # Iterating the c-map slows down critically near chi1 = 1; both cells
+    # of the CLI-default grid used to end unconverged on a stale iterate.
+    params = mf.EnsembleParams(sigma_w, sigma_b, TANH)
+    value, converged, calls, q_star = _counted_c_star(monkeypatch, params, RULE)
+    assert converged
+    assert 0 < calls <= 100
+    if sigma_b == 0.0:
+        assert abs(value) <= 1e-12  # odd phi without bias: c* = 0 exactly
+    else:
+        assert abs(mf.c_map(value, params, RULE, q_star=q_star) - value) <= 1e-12
+
+
+def test_c_star_hard_tanh_matches_iteration():
+    # chi1 = 1.17 here, so c* < 1; iterating the discretized map from just
+    # below 1 stalls near 1, but from 0.9 it reaches the true c*
+    params = mf.EnsembleParams(1.3103448275862069, 0.21428571428571427,
+                               mf.builtin("hard_tanh"))
+    q_star = mf.length_fixed_point(params, RULE)
+    x1 = mf.chi1(params, RULE, q_star=q_star)
+    value, converged, _ = _c_star(params, RULE, q_star, x1)
+    c = 0.9
+    for _ in range(3000):
+        c = mf.c_map(c, params, RULE, q_star=q_star)
+    assert converged
+    assert value == pytest.approx(c, abs=1e-10)
+
+
+def test_c_star_without_bracket_is_unconverged_nan():
+    # chi1 = 1.075 > 1, but the order-201 hard_tanh c-map stays above c on
+    # [0, 1 - 2**-51], so there is no bracket; no value near 1 is made up
+    params = mf.EnsembleParams(1.1758620689655173, 0.2857142857142857,
+                               mf.builtin("hard_tanh"))
+    q_star = mf.length_fixed_point(params, RULE)
+    x1 = mf.chi1(params, RULE, q_star=q_star)
+    assert x1 > 1.0
+    value, converged, _ = _c_star(params, RULE, q_star, x1)
+    assert math.isnan(value) and not converged
+
+
+def test_c_star_certified_on_default_grid():
+    grid = mf.phase_grid(np.linspace(0.1, 4.0, 30), np.linspace(0.0, 1.0, 15),
+                         TANH, RULE, with_boundary=False)
+    chaotic = grid.chi1 > 1.0
+    assert chaotic.sum() > 100
+    assert np.all(grid.c_converged[chaotic])
+    for i, j in zip(*np.nonzero(chaotic)):
+        params = mf.EnsembleParams(grid.sigma_w_axis[i], grid.sigma_b_axis[j], TANH)
+        c = grid.c_star[i, j]
+        assert c < 1.0
+        assert abs(mf.c_map(c, params, RULE, q_star=grid.q_star[i, j]) - c) <= 1e-12
