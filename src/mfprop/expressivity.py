@@ -30,7 +30,13 @@ from .errors import UnsupportedActivationError
 from .geometry import periodic_trapezoid
 from .meanfield import EnsembleParams, c_map, length_fixed_point
 from .quadrature import QuadratureRule, default_rule, expect1
-from .simulator import CircleManifold, NetworkRealization, forward_from_first, sample_network
+from .simulator import (
+    CircleManifold,
+    NetworkRealization,
+    _parallel_map,
+    forward_from_first,
+    sample_network,
+)
 
 
 @dataclass(frozen=True)
@@ -87,16 +93,25 @@ def verify_shallow_bound(
     spec = ShallowBoundSpec(n_hidden=n_hidden, sign_changes=1,
                             dynamic_range=nl.dynamic_range)
     bound = shallow_length_bound(spec)
-    x0 = circle.h1()
-    v0 = circle.v1()
     scale = params.sigma_w / math.sqrt(circle.width)
+    basis = np.stack([circle.u0, circle.u1], axis=1)
     children = np.random.SeedSequence(seed).spawn(n_trials)
-    lengths = np.empty(n_trials)
-    for t in range(n_trials):
-        rng = np.random.default_rng(children[t])
+
+    def project(child: np.random.SeedSequence) -> np.ndarray:
+        rng = np.random.default_rng(child)
         w = rng.normal(0.0, scale, size=(n_hidden, circle.width))
-        h = x0 @ w.T
-        v_hidden = nl.deriv1(h) * (v0 @ w.T)
+        return w @ basis
+
+    # The circle lies in span(u0, u1), so W x0(theta) and W v0(theta) need
+    # only W u0 and W u1; each trial's W is drawn and freed in a worker.
+    r = math.sqrt(circle.width * circle.q)
+    cos = np.cos(circle.thetas)[:, None]
+    sin = np.sin(circle.thetas)[:, None]
+    lengths = np.empty(n_trials)
+    for t, wu in enumerate(_parallel_map(project, children)):
+        wu0, wu1 = wu[:, 0][None, :], wu[:, 1][None, :]
+        h = r * (cos * wu0 + sin * wu1)
+        v_hidden = nl.deriv1(h) * (r * (cos * wu1 - sin * wu0))
         speed = np.sqrt(np.einsum("ij,ij->i", v_hidden, v_hidden))
         lengths[t] = periodic_trapezoid(speed, circle.thetas)
     violations = int(np.sum(lengths > bound))

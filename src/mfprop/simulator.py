@@ -13,19 +13,23 @@ rule layer by layer:
     a^l = W^l ( phi''(h^{l-1}) . v^{l-1} . v^{l-1} + phi'(h^{l-1}) . a^{l-1} )
 
 Each layer draws from an independent child of the realization seed, so
-truncating the depth never changes shallower layers.
+truncating the depth never changes shallower layers.  Layers are drawn
+concurrently on a process-wide thread pool with one worker per available
+core; the bytes are identical to drawing them one after another.
 """
 
 from __future__ import annotations
 
-import csv
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .activations import Nonlinearity, builtin
+from .activations import Nonlinearity
 from .errors import UnsupportedActivationError
 from .meanfield import EnsembleParams
 
@@ -132,8 +136,57 @@ class CircleManifold:
         return -self.h1()
 
 
+_POOL: Optional[ThreadPoolExecutor] = None
+_POOL_LOCK = threading.Lock()
+
+
+def _parallel_map(fn: Callable, items: Iterable) -> list:
+    """[fn(item) for item in items], run on the process-wide draw pool.
+
+    The pool is created on first use with one worker per core this process
+    may run on; numpy's Generator fills arrays without holding the GIL, so
+    independent streams are drawn in parallel.  Results keep the order of
+    `items`.
+
+    Rules for `fn`:
+    * it must not submit work to this pool itself: a task waiting on a
+      nested task can deadlock a pool with as few workers as cores;
+    * it calls only numpy, never a public function of quadrature,
+      meanfield, simulator, geometry, boundary or expressivity, whose
+      callers may trace them on a single per-process span stack that
+      worker threads would corrupt.
+    """
+    global _POOL
+    if _POOL is None:
+        with _POOL_LOCK:
+            if _POOL is None:
+                if hasattr(os, "sched_getaffinity"):
+                    cores = len(os.sched_getaffinity(0))
+                else:
+                    cores = os.cpu_count() or 1
+                _POOL = ThreadPoolExecutor(max_workers=cores,
+                                           thread_name_prefix="mfprop-draw")
+    return list(_POOL.map(fn, items))
+
+
+def _forget_pool() -> None:
+    # A forked child inherits the pool object but none of its threads; it
+    # would wait forever on its first task, so it starts a pool of its own.
+    global _POOL, _POOL_LOCK
+    _POOL = None
+    _POOL_LOCK = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
 def sample_network(widths: Sequence[int], params: EnsembleParams, seed: int) -> NetworkRealization:
-    """Draw one realization; deterministic for a given seed."""
+    """Draw one realization; deterministic for a given seed.
+
+    Layer l draws W^l then b^l from child l of SeedSequence(seed); the
+    layers are drawn concurrently, with bytes identical to a serial loop.
+    """
     widths = tuple(int(n) for n in widths)
     if len(widths) < 2:
         raise ValueError("widths must list N_0..N_D with depth >= 1")
@@ -141,18 +194,19 @@ def sample_network(widths: Sequence[int], params: EnsembleParams, seed: int) -> 
         raise ValueError(f"all widths must be >= 1, got {widths}")
     depth = len(widths) - 1
     children = np.random.SeedSequence(seed).spawn(depth)
-    weights = []
-    biases = []
-    for l in range(1, depth + 1):
+
+    def draw_layer(l: int) -> tuple[np.ndarray, np.ndarray]:
         rng = np.random.default_rng(children[l - 1])
         fan_in = widths[l - 1]
-        weights.append(rng.normal(0.0, params.sigma_w / math.sqrt(fan_in),
-                                  size=(widths[l], fan_in)))
-        biases.append(rng.normal(0.0, params.sigma_b, size=widths[l]))
+        w = rng.normal(0.0, params.sigma_w / math.sqrt(fan_in), size=(widths[l], fan_in))
+        b = rng.normal(0.0, params.sigma_b, size=widths[l])
+        return w, b
+
+    weights, biases = zip(*_parallel_map(draw_layer, range(1, depth + 1)))
     return NetworkRealization(
         widths=widths,
-        weights=tuple(weights),
-        biases=tuple(biases),
+        weights=weights,
+        biases=biases,
         nonlinearity=params.nonlinearity,
         seed=int(seed),
         sigma_w=params.sigma_w,
@@ -326,62 +380,3 @@ def singular_spectrum(h: np.ndarray, top_k: int = 5) -> SpectrumResult:
         top_k_fraction=top_fraction,
         degenerate=degenerate,
     )
-
-
-# ---------------------------------------------------------------------------
-# export
-
-
-def records_to_csv(
-    records: Sequence[LayerRecord],
-    path: str,
-    *,
-    thetas: np.ndarray | None = None,
-    block_size: int = 100,
-) -> None:
-    """Write per-layer, per-point, per-neuron-block statistics as CSV."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["layer", "point", "theta", "block", "block_mean", "block_sq_mean"])
-        for rec in records:
-            H = np.atleast_2d(rec.h)
-            for p in range(H.shape[0]):
-                theta = "" if thetas is None else f"{float(thetas[p]):.17g}"
-                row_vals = H[p]
-                for b0 in range(0, row_vals.size, block_size):
-                    block = row_vals[b0:b0 + block_size]
-                    writer.writerow([
-                        rec.layer, p, theta, b0 // block_size,
-                        f"{float(block.mean()):.17g}",
-                        f"{float(np.mean(block * block)):.17g}",
-                    ])
-
-
-def save_network(net: NetworkRealization, path: str) -> None:
-    """Compact binary dump (npz) of a realization."""
-    payload = {
-        "widths": np.asarray(net.widths, dtype=np.int64),
-        "seed": np.asarray(net.seed, dtype=np.int64),
-        "sigma_w": np.asarray(net.sigma_w),
-        "sigma_b": np.asarray(net.sigma_b),
-        "nonlinearity": np.asarray(net.nonlinearity.name),
-    }
-    for l, (w, b) in enumerate(zip(net.weights, net.biases), start=1):
-        payload[f"W{l}"] = w
-        payload[f"b{l}"] = b
-    np.savez_compressed(path, **payload)
-
-
-def load_network(path: str) -> NetworkRealization:
-    with np.load(path) as data:
-        widths = tuple(int(n) for n in data["widths"])
-        depth = len(widths) - 1
-        return NetworkRealization(
-            widths=widths,
-            weights=tuple(data[f"W{l}"] for l in range(1, depth + 1)),
-            biases=tuple(data[f"b{l}"] for l in range(1, depth + 1)),
-            nonlinearity=builtin(str(data["nonlinearity"])),
-            seed=int(data["seed"]),
-            sigma_w=float(data["sigma_w"]),
-            sigma_b=float(data["sigma_b"]),
-        )

@@ -83,3 +83,19 @@ def fd_second_derivative_at_one(f, h=2.5e-5):
     """One-sided second-order estimate of f''(1)."""
     return (2.0 * f(1.0) - 5.0 * f(1.0 - h) + 4.0 * f(1.0 - 2.0 * h)
             - f(1.0 - 3.0 * h)) / h**2
+
+
+def shallow_lengths_dense(deriv1, sigma_w, n_hidden, n_trials, h1, v1, seed):
+    """Per-trial length of phi(W x0(theta)) from the dense products h1 @ W.T
+    and v1 @ W.T, with each trial's W drawn from child t of
+    SeedSequence(seed) as N(0, sigma_w^2 / width), integrated by a plain
+    rectangle sum over the uniform theta grid of the rows of h1."""
+    n_theta, width = h1.shape
+    lengths = np.empty(n_trials)
+    for t, child in enumerate(np.random.SeedSequence(seed).spawn(n_trials)):
+        w = np.random.default_rng(child).normal(0.0, sigma_w / np.sqrt(width),
+                                                size=(n_hidden, width))
+        v_hidden = deriv1(h1 @ w.T) * (v1 @ w.T)
+        speed = np.sqrt(np.sum(v_hidden * v_hidden, axis=1))
+        lengths[t] = np.sum(speed) * 2.0 * np.pi / n_theta
+    return lengths

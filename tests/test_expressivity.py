@@ -9,6 +9,8 @@ from mfprop import expressivity as ex
 from mfprop import simulator as sim
 from mfprop.errors import UnsupportedActivationError
 
+from oracles import shallow_lengths_dense
+
 TANH = mf.builtin("tanh")
 CHAOTIC = mf.EnsembleParams(4.0, 0.3, TANH)
 RULE = mf.build_rule(201)
@@ -48,6 +50,17 @@ def test_bound_holds_on_random_shallow_nets():
     assert report.bound == 200 * 2 * 2.0
     assert report.violations == 0
     assert report.max_length < report.bound
+
+
+@pytest.mark.parametrize("name", ["tanh", "hard_tanh"])
+def test_shallow_bound_span_projection_matches_dense_reference(name):
+    nl = mf.builtin(name)
+    circle = sim.CircleManifold.sample(300, 1.0, 128, seed=8)
+    params = mf.EnsembleParams(2.0, 0.0, nl)
+    report = ex.verify_shallow_bound(5, 200, params, circle, seed=9)
+    dense = shallow_lengths_dense(nl.deriv1, 2.0, 200, 5, circle.h1(), circle.v1(), seed=9)
+    assert np.all(dense > 0.0)
+    assert np.allclose(report.lengths, dense, rtol=1e-12, atol=0.0)
 
 
 def test_unbounded_range_unsupported():

@@ -342,6 +342,18 @@ def test_phase_boundary_linear(sigma_b):
     assert mf.phase_boundary(sigma_b, LINEAR, RULE) == pytest.approx(1.0, abs=1e-6)
 
 
+def _sign_crossings(values):
+    """Indices i where values changes sign between i and i + 1.  An exact
+    zero sides with the positive values, so it makes one crossing, not two."""
+    return np.nonzero(np.diff(np.asarray(values) >= 0.0))[0]
+
+
+def test_sign_crossings_count_an_exact_zero_once():
+    assert _sign_crossings([-1e-3, 0.0, 1e-3]).tolist() == [0]
+    assert _sign_crossings([1e-3, 0.0, -1e-3]).tolist() == [1]
+    assert _sign_crossings([-2e-3, -1e-3, 1e-3]).tolist() == [1]
+
+
 def test_phase_boundary_tanh_dense_scan_crosscheck():
     boundary = mf.phase_boundary(0.3, TANH, RULE)
     assert 1.0 < boundary < 1.5
@@ -349,7 +361,7 @@ def test_phase_boundary_tanh_dense_scan_crosscheck():
     chis = np.array([
         mf.chi1(mf.EnsembleParams(sw, 0.3, TANH), RULE) for sw in grid
     ])
-    crossings = np.nonzero(np.diff(np.sign(chis - 1.0)))[0]
+    crossings = _sign_crossings(chis - 1.0)
     assert crossings.size == 1
     assert abs(grid[crossings[0]] - boundary) <= 1e-4
 
