@@ -260,7 +260,7 @@ def criterion_7() -> CriterionResult:
         def value_and_grad(x):
             return float(x @ x - r * r), 2.0 * x
         return bd.ScalarField(dim=dim, layer=-1, value_and_grad=value_and_grad,
-                              tol_scale=1.0)
+                              hessian=lambda x: 2.0 * np.eye(dim), tol_scale=1.0)
 
     rng = np.random.default_rng(1)
     for r in (0.5, 2.0):

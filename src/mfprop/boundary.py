@@ -15,6 +15,16 @@ with n the unit normal grad G / |grad G|.  The N-1 nontrivial eigenvalues
 of H, sorted descending, are the signed principal curvatures; positive
 values bend the boundary toward the side where G decreases (a sphere
 |x|^2 - r^2 = 0 has all curvatures +1/r).
+
+The Hessian of a network suffix is exact, by forward-over-reverse through
+the layers j = l+1..D with preactivations h^j:
+
+    d^2 G / dx dx^T = sum_j  J_j^T diag(phi''(h^j) . s_j) J_j,
+
+where J_j = dh^j/dx is carried forward as a matrix (J_{l+1} = W^{l+1},
+J_j = W^j diag(phi'(h^{j-1})) J_{j-1}) and s_j = dG/dphi(h^j) comes from
+the reverse pass of the gradient (s_D = beta).  Activations without a
+smooth phi'' are refused.
 """
 
 from __future__ import annotations
@@ -24,7 +34,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConvergenceError, DegenerateGeometryError
+from .errors import ConvergenceError, DegenerateGeometryError, UnsupportedActivationError
 from .simulator import NetworkRealization
 
 # Boundary membership: |G| below this multiple of |beta| counts as "on the
@@ -62,21 +72,57 @@ class PrincipalCurvatureReport:
     kappas: np.ndarray           # N-1 values, sorted descending
     removed_eigenvalue: float
     normal_alignment: float      # |cos| between removed eigenvector and the normal
-    hessian_asymmetry: float     # ||H - H^T|| / ||H|| before symmetrization
 
 
 @dataclass(frozen=True)
 class ScalarField:
-    """A differentiable scalar function of layer-l activity.
+    """A twice-differentiable scalar function of layer-l activity.
 
-    `value_and_grad` maps x -> (G(x), grad G(x)).  `tol_scale` sets the
-    boundary tolerance (the readout norm for network suffixes).
+    `value_and_grad` maps x -> (G(x), grad G(x)) and `hessian` maps x to
+    the dim x dim matrix d^2 G / dx dx^T.  `tol_scale` sets the boundary
+    tolerance (the readout norm for network suffixes).
     """
 
     dim: int
     layer: int
     value_and_grad: Callable[[np.ndarray], tuple[float, np.ndarray]]
+    hessian: Callable[[np.ndarray], np.ndarray]
     tol_scale: float = 1.0
+
+
+def _suffix_pass(
+    net: NetworkRealization,
+    readout: LinearReadout,
+    layer: int,
+    x: np.ndarray,
+) -> tuple[float, np.ndarray, list[np.ndarray], list[np.ndarray], list[np.ndarray]]:
+    """One forward and one reverse pass of the suffix at layer-l activity x.
+
+    Returns G(x), grad G(x) and, for j = l+1..D, the preactivations h^j,
+    phi'(h^j) and the sensitivities s_j = dG/dphi(h^j).
+    """
+    if not 0 <= layer <= net.depth:
+        raise ValueError(f"layer must be in 0..{net.depth}, got {layer}")
+    x = np.asarray(x, dtype=float)
+    if x.shape != (net.widths[layer],):
+        raise ValueError(f"x has shape {x.shape}, expected ({net.widths[layer]},)")
+    if readout.beta.shape != (net.widths[net.depth],):
+        raise ValueError("readout dimension does not match the last layer")
+    nl = net.nonlinearity
+    hs, d1 = [], []
+    activity = x
+    for w, b in zip(net.weights[layer:], net.biases[layer:]):
+        h = w @ activity + b
+        hs.append(h)
+        d1.append(nl.deriv1(h))
+        activity = nl.value(h)
+    value = float(readout.beta @ activity) - readout.beta0
+    sens = []
+    grad = readout.beta.copy()
+    for w, d in zip(reversed(net.weights[layer:]), reversed(d1)):
+        sens.append(grad)
+        grad = w.T @ (d * grad)
+    return value, grad, hs, d1, sens[::-1]
 
 
 def readout_value_and_gradient(
@@ -86,25 +132,35 @@ def readout_value_and_gradient(
     x: np.ndarray,
 ) -> tuple[float, np.ndarray]:
     """G and its exact gradient for the suffix starting at layer-l activity."""
-    if not 0 <= layer <= net.depth:
-        raise ValueError(f"layer must be in 0..{net.depth}, got {layer}")
-    x = np.asarray(x, dtype=float)
-    if x.shape != (net.widths[layer],):
-        raise ValueError(f"x has shape {x.shape}, expected ({net.widths[layer]},)")
-    if readout.beta.shape != (net.widths[net.depth],):
-        raise ValueError("readout dimension does not match the last layer")
-    nl = net.nonlinearity
-    hs = []
-    activity = x
-    for j in range(layer + 1, net.depth + 1):
-        h = net.weights[j - 1] @ activity + net.biases[j - 1]
-        hs.append(h)
-        activity = nl.value(h)
-    value = float(readout.beta @ activity) - readout.beta0
-    grad = readout.beta.copy()
-    for j in range(net.depth, layer, -1):
-        grad = net.weights[j - 1].T @ (nl.deriv1(hs[j - layer - 1]) * grad)
+    value, grad, _, _, _ = _suffix_pass(net, readout, layer, x)
     return value, grad
+
+
+def readout_hessian(
+    net: NetworkRealization,
+    readout: LinearReadout,
+    layer: int,
+    x: np.ndarray,
+) -> np.ndarray:
+    """Exact Hessian of G for the suffix starting at layer-l activity.
+
+    Zero at layer == depth, where the suffix is affine.  A suffix through
+    an activation without a smooth phi'' (relu, hard_tanh) is refused with
+    UnsupportedActivationError rather than given phi'' = 0.
+    """
+    _, _, hs, d1, sens = _suffix_pass(net, readout, layer, x)
+    nl = net.nonlinearity
+    if hs and not nl.has_smooth_second_derivative:
+        raise UnsupportedActivationError(
+            f"the boundary Hessian needs a smooth phi''; {nl.name!r} lacks one"
+        )
+    n = net.widths[layer]
+    hessian = np.zeros((n, n))
+    jac = None  # dh^j/dx, an N_j x N_l matrix carried forward
+    for k, (w, h, s) in enumerate(zip(net.weights[layer:], hs, sens)):
+        jac = w if jac is None else w @ (d1[k - 1][:, None] * jac)
+        hessian += jac.T @ ((nl.deriv2(h) * s)[:, None] * jac)
+    return hessian
 
 
 def readout_field(net: NetworkRealization, readout: LinearReadout, layer: int) -> ScalarField:
@@ -112,6 +168,7 @@ def readout_field(net: NetworkRealization, readout: LinearReadout, layer: int) -
         dim=net.widths[layer],
         layer=layer,
         value_and_grad=lambda x: readout_value_and_gradient(net, readout, layer, x),
+        hessian=lambda x: readout_hessian(net, readout, layer, x),
         tol_scale=readout.norm,
     )
 
@@ -175,28 +232,13 @@ def find_boundary_point(
     )
 
 
-def find_network_boundary_point(
-    net: NetworkRealization,
-    readout: LinearReadout,
-    layer: int,
-    x_init: np.ndarray,
-    max_iters: int = 10_000,
-) -> BoundaryPoint:
-    return find_boundary_point(readout_field(net, readout, layer), x_init, max_iters)
-
-
-def principal_curvatures(
-    field: ScalarField,
-    point: BoundaryPoint,
-    *,
-    fd_step_scale: float = 1e-4,
-) -> PrincipalCurvatureReport:
+def principal_curvatures(field: ScalarField, point: BoundaryPoint) -> PrincipalCurvatureReport:
     """Signed principal curvatures of the level set at a boundary point.
 
-    The Hessian is assembled column-by-column from central finite
-    differences of the exact gradient, symmetrized, projected onto the
-    tangent plane and normalized by |grad G|; the single eigenvalue along
-    the normal direction is removed after verifying it is numerically zero.
+    The field's exact Hessian (for a network suffix, the forward-over-reverse
+    sum in the module docstring) is projected onto the tangent plane and
+    normalized by |grad G|; the single eigenvalue along the normal direction
+    is removed after verifying it is numerically zero.
     """
     x = np.asarray(point.x_star, dtype=float)
     tol = BOUNDARY_TOL_FACTOR * field.tol_scale
@@ -207,16 +249,9 @@ def principal_curvatures(
     if grad_norm == 0.0:
         raise DegenerateGeometryError("gradient vanishes at the boundary point")
     n = x.size
-    delta = fd_step_scale * (1.0 + float(np.linalg.norm(x)))
-    hessian = np.empty((n, n))
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = delta
-        _, g_plus = field.value_and_grad(x + e)
-        _, g_minus = field.value_and_grad(x - e)
-        hessian[:, i] = (g_plus - g_minus) / (2.0 * delta)
-    h_norm = float(np.linalg.norm(hessian))
-    asymmetry = 0.0 if h_norm == 0.0 else float(np.linalg.norm(hessian - hessian.T)) / h_norm
+    hessian = np.asarray(field.hessian(x), dtype=float)
+    if hessian.shape != (n, n):
+        raise ValueError(f"hessian has shape {hessian.shape}, expected ({n}, {n})")
     hessian = 0.5 * (hessian + hessian.T)
     normal = grad / grad_norm
     projected = hessian - np.outer(normal, normal @ hessian)
@@ -241,7 +276,6 @@ def principal_curvatures(
         kappas=np.sort(kappas)[::-1],
         removed_eigenvalue=float(eigvals[drop]),
         normal_alignment=float(alignments[drop]),
-        hessian_asymmetry=asymmetry,
     )
 
 

@@ -233,7 +233,9 @@ def _run_c_map(cfg):
 
 def _run_phase_grid(cfg):
     rule = build_rule(cfg["order"])
-    threads = cfg["threads"]
+    # the worker count changes no result, so it stays out of the artifacts
+    cfg = dict(cfg)
+    threads = cfg.pop("threads")
     if threads is None:
         threads = int(os.environ.get("MFPROP_THREADS", 0)) or (os.cpu_count() or 1)
     grid = phase_grid(

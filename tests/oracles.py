@@ -99,3 +99,20 @@ def shallow_lengths_dense(deriv1, sigma_w, n_hidden, n_trials, h1, v1, seed):
         speed = np.sqrt(np.sum(v_hidden * v_hidden, axis=1))
         lengths[t] = np.sum(speed) * 2.0 * np.pi / n_theta
     return lengths
+
+
+def readout_hessian_fd(grad, x, step):
+    """Hessian of a scalar field from central differences of its gradient
+    `grad` at steps h and h/2, Richardson-extrapolated to O(h^4)."""
+    x = np.asarray(x, dtype=float)
+    n = x.size
+
+    def central(h):
+        cols = np.empty((n, n))
+        for i in range(n):
+            e = np.zeros(n)
+            e[i] = h
+            cols[:, i] = (grad(x + e) - grad(x - e)) / (2.0 * h)
+        return cols
+
+    return (4.0 * central(step / 2.0) - central(step)) / 3.0

@@ -4,7 +4,9 @@ import pytest
 import mfprop as mf
 from mfprop import boundary as bd
 from mfprop import simulator as sim
-from mfprop.errors import ConvergenceError, DegenerateGeometryError
+from mfprop.errors import ConvergenceError, DegenerateGeometryError, UnsupportedActivationError
+
+from oracles import readout_hessian_fd
 
 TANH = mf.builtin("tanh")
 LINEAR = mf.builtin("linear")
@@ -15,7 +17,8 @@ def sphere_field(r, dim):
     def value_and_grad(x):
         return float(x @ x - r * r), 2.0 * x
 
-    return bd.ScalarField(dim=dim, layer=-1, value_and_grad=value_and_grad, tol_scale=1.0)
+    return bd.ScalarField(dim=dim, layer=-1, value_and_grad=value_and_grad,
+                          hessian=lambda x: 2.0 * np.eye(dim), tol_scale=1.0)
 
 
 def small_net(params=CHAOTIC, widths=(12, 12, 12, 12), seed=0):
@@ -112,7 +115,6 @@ def test_sphere_principal_curvatures():
         assert report.kappas.shape == (19,)
         assert np.allclose(report.kappas, 1.0 / r, atol=1e-4)
         assert report.normal_alignment > 0.99
-        assert report.hessian_asymmetry < 1e-4
 
 
 def test_linear_network_has_flat_boundary():
@@ -143,9 +145,77 @@ def test_hessian_symmetry_before_symmetrization():
     readout = bd.LinearReadout(beta=np.random.default_rng(20).normal(size=12))
     field = bd.readout_field(net, readout, 1)
     point = bd.find_boundary_point(field, np.random.default_rng(21).normal(size=12))
+    hessian = field.hessian(point.x_star)
+    assert np.linalg.norm(hessian - hessian.T) <= 1e-12 * np.linalg.norm(hessian)
     report = bd.principal_curvatures(field, point)
-    assert report.hessian_asymmetry < 1e-4
     assert abs(report.removed_eigenvalue) <= 1e-6 * np.max(np.abs(report.kappas)) + 1e-12
+
+
+@pytest.mark.parametrize("layer", [0, 1, 2, 3])
+def test_exact_hessian_matches_finite_difference_oracle(layer):
+    # uneven widths, so a transposed Jacobian cannot pass
+    net = small_net(widths=(12, 9, 14, 11, 10), seed=40)
+    readout = bd.LinearReadout(beta=np.random.default_rng(41).normal(size=10), beta0=0.3)
+    field = bd.readout_field(net, readout, layer)
+    x = np.random.default_rng(42 + layer).normal(size=field.dim)
+    hessian = field.hessian(x)
+    norm = np.linalg.norm(hessian)
+    assert hessian.shape == (field.dim, field.dim) and norm > 0.0
+    assert np.linalg.norm(hessian - hessian.T) <= 1e-12 * norm
+    oracle = readout_hessian_fd(lambda y: field.value_and_grad(y)[1], x,
+                                1e-3 * (1.0 + np.linalg.norm(x)))
+    assert np.linalg.norm(hessian - oracle) <= 1e-6 * norm
+
+
+def test_exact_hessian_of_linear_net_is_zero():
+    net = small_net(mf.EnsembleParams(1.2, 0.3, LINEAR), widths=(15, 15, 15), seed=43)
+    readout = bd.LinearReadout(beta=np.random.default_rng(44).normal(size=15))
+    for layer in (0, 1, 2):
+        hessian = bd.readout_field(net, readout, layer).hessian(np.linspace(-2, 2, 15))
+        assert hessian.shape == (15, 15)
+        assert np.all(hessian == 0.0)
+
+
+@pytest.mark.parametrize("name", ["tanh", "relu"])
+def test_last_layer_suffix_is_flat(name):
+    # at layer == depth the suffix is affine: no phi'' enters, even for relu
+    net = small_net(mf.EnsembleParams(2.0, 0.3, mf.builtin(name)), seed=45)
+    readout = bd.LinearReadout(beta=np.random.default_rng(46).normal(size=12), beta0=0.5)
+    field = bd.readout_field(net, readout, net.depth)
+    assert np.all(field.hessian(np.ones(12)) == 0.0)
+    point = bd.find_boundary_point(field, np.random.default_rng(47).normal(size=12))
+    report = bd.principal_curvatures(field, point)
+    assert report.kappas.shape == (11,)
+    assert np.all(report.kappas == 0.0)
+
+
+@pytest.mark.parametrize("name", ["relu", "hard_tanh"])
+def test_hessian_refused_without_smooth_second_derivative(name):
+    net = small_net(mf.EnsembleParams(2.0, 0.3, mf.builtin(name)), seed=48)
+    readout = bd.LinearReadout(beta=np.random.default_rng(49).normal(size=12))
+    field = bd.readout_field(net, readout, 0)
+    x = np.random.default_rng(50).normal(size=12)
+    field.value_and_grad(x)  # the gradient needs only phi'
+    with pytest.raises(UnsupportedActivationError, match="phi''"):
+        field.hessian(x)
+
+
+def test_principal_curvatures_makes_at_most_two_gradient_calls(monkeypatch):
+    net = sim.sample_network((100,) * 7, CHAOTIC, seed=51)
+    readout = bd.LinearReadout(beta=np.random.default_rng(52).normal(size=100))
+    field = bd.readout_field(net, readout, 0)
+    point = bd.find_boundary_point(field, np.random.default_rng(53).normal(size=100))
+    calls = []
+    exact = bd.readout_value_and_gradient
+
+    def counted(*args):
+        calls.append(1)
+        return exact(*args)
+
+    monkeypatch.setattr(bd, "readout_value_and_gradient", counted)
+    report = bd.principal_curvatures(field, point)
+    assert report.kappas.shape == (99,)
+    assert len(calls) <= 2
 
 
 def test_eigenvalues_match_known_spectrum_oracle():

@@ -88,6 +88,20 @@ def test_phase_grid_emits_boundary_file(tmp_path):
     assert float(brows[0][1]) == pytest.approx(1.0, abs=1e-6)
 
 
+def test_phase_grid_artifacts_identical_across_thread_counts(tmp_path, monkeypatch):
+    texts = {}
+    for threads in (1, 2):
+        workdir = tmp_path / f"t{threads}"
+        workdir.mkdir()
+        monkeypatch.chdir(workdir)
+        assert run(["phase-grid", "--sw", "0.5:4:4", "--sb", "0:0.6:3",
+                    "--threads", str(threads), "-o", "grid.csv"]) == 0
+        texts[threads] = [(workdir / name).read_bytes()
+                          for name in ("grid.csv", "grid.csv.boundary.csv")]
+        assert "threads" not in read_embedded_config(str(workdir / "grid.csv"))
+    assert texts[1] == texts[2]
+
+
 def test_simulate_pair_mode(tmp_path):
     out = tmp_path / "pair.csv"
     assert run(["simulate", "--sw", "2.5", "--sb", "0.3", "--depth", "4",
@@ -137,6 +151,14 @@ def test_boundary_command_kappa_ranks(tmp_path):
     assert columns == ["layer", "point_id", "kappa_rank", "kappa_value"]
     ranks = {r[2] for r in rows}
     assert ranks == {"1", "2", "3", "4", "-1", "-2", "-3", "-4"}
+
+
+def test_boundary_refuses_activation_without_smooth_second_derivative(tmp_path, capsys):
+    out = tmp_path / "bd.csv"
+    assert run(["boundary", "--nl", "relu", "--sw", "2", "--sb", "0.3", "--depth", "3",
+                "--width", "20", "--n-points", "2", "--seed", "1", "-o", str(out)]) == 2
+    assert "phi''" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_autocorr_and_spectrum_run(tmp_path):
