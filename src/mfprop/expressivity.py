@@ -34,7 +34,6 @@ from .simulator import (
     CircleManifold,
     NetworkRealization,
     _parallel_map,
-    forward_from_first,
     sample_network,
 )
 
@@ -229,17 +228,6 @@ def fourier_error_profile(activations: np.ndarray, probe: FourierProbe) -> Fouri
     )
 
 
-def random_fourier_function(probe: FourierProbe, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """A random band-limited target: i.i.d. standard-normal coefficients.
-
-    Returns (coefficients, values on the probe grid).
-    """
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    basis = probe.basis()
-    coeffs = rng.normal(size=basis.shape[1])
-    return coeffs, basis @ coeffs
-
-
 # ---------------------------------------------------------------------------
 # weight chaos
 
@@ -305,6 +293,12 @@ def weight_chaos_empirical(
     The circle is injected at the first layer, so the interpolated matrix
     is W^2; the base network, the perturbation, and the circle draw from
     independent child seeds of `seed`.
+
+    The whole family runs as one batch.  Layer 2 is linear in its weights,
+    so h^2(Delta) = sqrt(1-|Delta|) x^1 W^T + sqrt(|Delta|) x^1 dW^T + b^2
+    for every Delta comes from two products; each deeper layer is one
+    product on the stacked (n_Delta * n_theta, N) block.  The reference
+    network (Delta = 0) is one more block when the grid lacks it.
     """
     delta_grid = np.asarray(delta_grid, dtype=float)
     if np.any(np.abs(delta_grid) > 1.0):
@@ -325,27 +319,33 @@ def weight_chaos_empirical(
     w2_shape = base.weights[1].shape
     d_weights = dw_rng.normal(0.0, params.sigma_w / math.sqrt(widths[1]), size=w2_shape)
     circle = CircleManifold.sample(widths[1], q_star, n_theta, circle_seed)
-    h1 = circle.h1()
+
+    deltas = delta_grid if np.any(delta_grid == 0.0) else np.append(delta_grid, 0.0)
+    ref = int(np.flatnonzero(deltas == 0.0)[0])
+    phi = params.nonlinearity.value
+    x1 = phi(circle.h1())
+    x1_w = x1 @ base.weights[1].T
+    x1_dw = x1 @ d_weights.T
+    h = np.empty((deltas.size * n_theta, widths[2]))
+    for k, delta in enumerate(deltas):
+        block = h[k * n_theta:(k + 1) * n_theta]
+        np.multiply(math.sqrt(1.0 - abs(delta)), x1_w, out=block)
+        block += math.sqrt(abs(delta)) * x1_dw
+        block += base.biases[1]
+    for w, b in zip(base.weights[2:], base.biases[2:]):
+        if w.shape[0] == h.shape[1]:
+            h = np.matmul(phi(h), w.T, out=h)
+        else:
+            h = phi(h) @ w.T
+        h += b
+
+    width_last = widths[-1]
+    outputs = h.reshape(deltas.size, n_theta, width_last)
+    q_self = np.einsum("kij,kij->ki", outputs, outputs).mean(axis=1) / width_last
+    q_cross = np.einsum("kij,ij->ki", outputs, outputs[ref]).mean(axis=1) / width_last
+    c_emp = (q_cross / np.sqrt(q_self[ref] * q_self))[:delta_grid.size]
 
     depth = base.depth
-    width_last = widths[-1]
-    outputs = []
-    for delta in delta_grid:
-        w2 = math.sqrt(1.0 - abs(delta)) * base.weights[1] + math.sqrt(abs(delta)) * d_weights
-        net = base.with_layer_weights(2, w2)
-        outputs.append(forward_from_first(net, h1)[-1].h)
-    h_ref = outputs[delta_grid.tolist().index(0.0)] if 0.0 in delta_grid else None
-    if h_ref is None:
-        base_out = forward_from_first(base, h1)[-1].h
-        h_ref = base_out
-
-    q_ref = float(np.mean(np.einsum("ij,ij->i", h_ref, h_ref))) / width_last
-    c_emp = np.empty(delta_grid.size)
-    for k, h_out in enumerate(outputs):
-        q_cross = float(np.mean(np.einsum("ij,ij->i", h_ref, h_out))) / width_last
-        q_self = float(np.mean(np.einsum("ij,ij->i", h_out, h_out))) / width_last
-        c_emp[k] = q_cross / math.sqrt(q_ref * q_self)
-
     c_theory = np.array([
         weight_chaos_theory(params, d, depth, rule, q_star=q_star)[-1]
         for d in delta_grid

@@ -58,16 +58,6 @@ class NetworkRealization:
     def depth(self) -> int:
         return len(self.weights)
 
-    def with_layer_weights(self, layer: int, matrix: np.ndarray) -> "NetworkRealization":
-        """Copy of this realization with W^layer replaced (1-based layer)."""
-        if not 1 <= layer <= self.depth:
-            raise ValueError(f"layer must be in 1..{self.depth}, got {layer}")
-        if matrix.shape != self.weights[layer - 1].shape:
-            raise ValueError("replacement weight shape mismatch")
-        ws = list(self.weights)
-        ws[layer - 1] = matrix
-        return replace(self, weights=tuple(ws))
-
 
 @dataclass(frozen=True)
 class LayerRecord:
@@ -260,6 +250,9 @@ def forward_jet(
 
     Acceleration propagation needs phi''; for activations without a smooth
     second derivative pass acceleration=False to propagate velocities only.
+    Each layer is one product of W with the stacked rows
+    [phi(h); phi'(h) v; phi''(h) v v + phi'(h) a], so the records of a layer
+    are row blocks of one array.
     """
     nl = net.nonlinearity
     if acceleration and not nl.has_smooth_second_derivative:
@@ -273,16 +266,19 @@ def forward_jet(
     V = manifold.v1()
     A = manifold.a1() if acceleration else None
     records = [LayerRecord(layer=1, h=H, v=V, a=A)]
+    n = H.shape[0]
     for l in range(2, net.depth + 1):
         W, b = net.weights[l - 1], net.biases[l - 1]
+        stacked = np.empty(((3 if acceleration else 2) * n, H.shape[1]))
         d1 = nl.deriv1(H)
-        X = nl.value(H)
-        Vx = d1 * V
+        stacked[:n] = nl.value(H)
+        np.multiply(d1, V, out=stacked[n:2 * n])
         if acceleration:
-            Ax = nl.deriv2(H) * V * V + d1 * A
-            A = Ax @ W.T
-        H = X @ W.T + b
-        V = Vx @ W.T
+            stacked[2 * n:] = nl.deriv2(H) * V * V + d1 * A
+        out = stacked @ W.T
+        H, V = out[:n], out[n:2 * n]
+        H += b
+        A = out[2 * n:] if acceleration else None
         records.append(LayerRecord(layer=l, h=H, v=V, a=A))
     return records
 
@@ -357,12 +353,20 @@ class SpectrumResult:
 
 
 def singular_spectrum(h: np.ndarray, top_k: int = 5) -> SpectrumResult:
-    """Singular values of mean-centered manifold activity (n_theta, N)."""
+    """Singular values of mean-centered manifold activity (n_theta, N).
+
+    LAPACK is handed the orientation with at least as many rows as columns
+    (the transpose when n_theta < N); the singular values are the same, and
+    its wide-matrix path is the slower one.
+    """
+    if top_k < 1:
+        raise ValueError(f"top_k must be >= 1, got {top_k!r}")
     h = np.asarray(h, dtype=float)
     if h.ndim != 2 or h.shape[0] < 2:
         raise ValueError("need at least 2 theta samples")
     centered = h - h.mean(axis=0)
-    s = np.linalg.svd(centered, compute_uv=False)
+    tall = centered if centered.shape[0] >= centered.shape[1] else centered.T
+    s = np.linalg.svd(tall, compute_uv=False)
     total = float(np.sum(s * s))
     scale = float(np.abs(h).max())
     degenerate = total <= (1e-12 * max(scale, 1.0)) ** 2

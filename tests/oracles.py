@@ -67,6 +67,36 @@ def naive_matmul(a, b):
     return out
 
 
+def weight_chaos_outputs_loop(weights, biases, phi, h1, d_weights, deltas):
+    """Per-Delta network outputs of the weight-chaos family, one network at
+    a time: W^2(Delta) = sqrt(1-|Delta|) W^2 + sqrt(|Delta|) dW is built
+    explicitly and h1 is pushed through layers 2..D of that network.
+    Returns (outputs for each Delta, output of the Delta = 0 network)."""
+
+    def output_of(w2):
+        h = h1
+        for l, (w, b) in enumerate(zip(weights[1:], biases[1:])):
+            h = phi(h) @ (w2 if l == 0 else w).T + b
+        return h
+
+    outputs = [output_of(np.sqrt(1.0 - abs(d)) * weights[1]
+                         + np.sqrt(abs(d)) * d_weights) for d in deltas]
+    return outputs, output_of(weights[1])
+
+
+def jet_three_gemm(weights, biases, value, deriv1, deriv2, h, v, a=None):
+    """(h, v, a) at every layer from h^1, v^1 and optionally a^1, with three
+    separate products per layer (two without a)."""
+    out = [(h, v, a)]
+    for w, b in zip(weights[1:], biases[1:]):
+        d1 = deriv1(h)
+        if a is not None:
+            a = (deriv2(h) * v * v + d1 * a) @ w.T
+        h, v = value(h) @ w.T + b, (d1 * v) @ w.T
+        out.append((h, v, a))
+    return out
+
+
 def gram_singular_values(m):
     """Singular values via eigendecomposition of the Gram matrix."""
     gram = m @ m.T

@@ -177,6 +177,16 @@ def test_autocorr_and_spectrum_run(tmp_path):
     assert columns == ["layer", "rank", "singular_value", "variance_fraction"]
 
 
+@pytest.mark.parametrize("top_k", ["0", "-1"])
+def test_spectrum_nonpositive_top_k_exits_2(tmp_path, capsys, top_k):
+    out = tmp_path / "sp.csv"
+    assert run(["spectrum", "--sw", "4", "--sb", "0.3", "--depth", "2",
+                "--width", "30", "--theta-samples", "16", "--seed", "1",
+                "--top-k", top_k, "-o", str(out)]) == 2
+    assert "top_k" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_json_format(tmp_path):
     out = tmp_path / "lm.json"
     assert run(["length-map", "--sw", "2.0", "--depth", "3", "--format", "json",

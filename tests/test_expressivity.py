@@ -9,7 +9,7 @@ from mfprop import expressivity as ex
 from mfprop import simulator as sim
 from mfprop.errors import UnsupportedActivationError
 
-from oracles import shallow_lengths_dense
+from oracles import shallow_lengths_dense, weight_chaos_outputs_loop
 
 TANH = mf.builtin("tanh")
 CHAOTIC = mf.EnsembleParams(4.0, 0.3, TANH)
@@ -136,14 +136,6 @@ def test_errors_lie_in_unit_interval():
     assert profile.column_errors.shape == (25,)
 
 
-def test_random_fourier_function_is_deterministic():
-    probe = ex.uniform_probe(5, 64)
-    c1, v1 = ex.random_fourier_function(probe, seed=10)
-    c2, v2 = ex.random_fourier_function(probe, seed=10)
-    assert np.array_equal(c1, c2) and np.array_equal(v1, v2)
-    assert v1.shape == (64,)
-
-
 def test_depth_one_tanh_has_no_even_harmonics():
     # tanh of a centered circle is odd around the circle: even frequencies
     # are absent no matter the width
@@ -216,6 +208,25 @@ def test_weight_chaos_empirical_tracks_theory_at_small_scale():
         CHAOTIC, (600,) * 7, np.array([0.0, 0.1, 0.3]), seed=14, n_theta=128, rule=RULE
     )
     assert np.max(np.abs(family.c_empirical - family.c_theory)) < 0.08
+
+
+@pytest.mark.parametrize("widths", [(12, 9, 14, 11, 10), (12, 9, 14, 14, 10), (12, 9, 14)])
+@pytest.mark.parametrize("deltas", [(0.0, 0.1, 0.4), (0.1, 0.25, 0.9), (-0.3, 0.2, 0.0, 0.6)])
+def test_weight_chaos_batch_matches_per_delta_loop(widths, deltas):
+    seed, n_theta = 16, 24
+    family = ex.weight_chaos_empirical(CHAOTIC, widths, np.array(deltas), seed=seed,
+                                       n_theta=n_theta, rule=RULE)
+    circle_seed = int(np.random.SeedSequence(seed).generate_state(3)[2])
+    circle = sim.CircleManifold.sample(widths[1], mf.length_fixed_point(CHAOTIC, RULE),
+                                       n_theta, circle_seed)
+    outputs, ref = weight_chaos_outputs_loop(family.base.weights, family.base.biases,
+                                             np.tanh, circle.h1(), family.d_weights, deltas)
+
+    def q(a, b):
+        return float(np.mean(np.einsum("ij,ij->i", a, b))) / widths[-1]
+
+    expected = [q(ref, out) / math.sqrt(q(ref, ref) * q(out, out)) for out in outputs]
+    assert np.max(np.abs(family.c_empirical - expected)) < 1e-13
 
 
 def test_weight_chaos_rejects_bad_delta():

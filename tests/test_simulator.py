@@ -14,7 +14,7 @@ import mfprop as mf
 from mfprop import simulator as sim
 from mfprop.errors import UnsupportedActivationError
 
-from oracles import gram_singular_values, naive_matmul
+from oracles import gram_singular_values, jet_three_gemm, naive_matmul
 
 TANH = mf.builtin("tanh")
 LINEAR = mf.builtin("linear")
@@ -237,6 +237,24 @@ def test_jet_curvature_matches_finite_difference_jets():
             assert approx == pytest.approx(exact, rel=1e-4)
 
 
+@pytest.mark.parametrize("name, acceleration",
+                         [("tanh", True), ("tanh", False), ("relu", False)])
+def test_jet_matches_unstacked_oracle_on_uneven_widths(name, acceleration):
+    nl = mf.builtin(name)
+    net = sim.sample_network((12, 9, 14, 11, 10), mf.EnsembleParams(2.0, 0.3, nl), seed=42)
+    circle = sim.CircleManifold.sample(9, 1.5, 16, seed=43)
+    records = sim.forward_jet(net, circle, acceleration=acceleration)
+    expected = jet_three_gemm(net.weights, net.biases, nl.value, nl.deriv1, nl.deriv2,
+                              circle.h1(), circle.v1(),
+                              circle.a1() if acceleration else None)
+    assert len(records) == len(expected)
+    for rec, (h, v, a) in zip(records, expected):
+        assert (rec.a is None) == (a is None)
+        pairs = [(rec.h, h), (rec.v, v)] + ([(rec.a, a)] if acceleration else [])
+        for got, want in pairs:
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
 def test_jet_acceleration_requires_smooth_activation():
     params = mf.EnsembleParams(1.0, 0.1, mf.builtin("hard_tanh"))
     net = sim.sample_network((20, 20), params, seed=17)
@@ -317,6 +335,23 @@ def test_singular_spectrum_matches_gram_oracle():
     centered = h - h.mean(axis=0)
     oracle = gram_singular_values(centered)
     assert np.allclose(spec.singular_values, oracle, atol=1e-8)
+
+
+def test_singular_spectrum_tall_input_matches_gram_oracle():
+    rng = np.random.default_rng(28)
+    h = rng.normal(size=(60, 25))
+    spec = sim.singular_spectrum(h)
+    centered = h - h.mean(axis=0)
+    oracle = gram_singular_values(centered.T)
+    assert spec.singular_values.shape == (25,)
+    assert np.allclose(spec.singular_values, oracle, atol=1e-8)
+
+
+@pytest.mark.parametrize("top_k", [0, -1])
+def test_singular_spectrum_rejects_nonpositive_top_k(top_k):
+    h = np.random.default_rng(29).normal(size=(8, 5))
+    with pytest.raises(ValueError, match="top_k"):
+        sim.singular_spectrum(h, top_k=top_k)
 
 
 def test_singular_spectrum_flags_degenerate_records():
