@@ -11,10 +11,8 @@ import argparse
 import pathlib
 import sys
 
-import numpy as np
-
 import mfprop as mf
-from mfprop import geometry, simulator
+from mfprop import experiments
 from mfprop.cli import run
 from mfprop.output import write_csv
 
@@ -30,23 +28,17 @@ def main() -> int:
     args.outdir.mkdir(parents=True, exist_ok=True)
 
     params = mf.EnsembleParams(4.0, 0.3, mf.builtin("tanh"))
-    rule = mf.build_rule(1601)
-    theory = mf.curvature_trajectory(args.depth, params, rule)
-    net = simulator.sample_network((args.width,) * (args.depth + 1), params, args.seed)
-    circle = simulator.CircleManifold.sample(
-        args.width, theory.chi.q_star, args.theta_samples, args.seed + 50)
-    records = simulator.forward_jet(net, circle)
-
-    rows = []
-    for l, rec in enumerate(records):
-        geom = geometry.curve_geometry(
-            geometry.CurveJet(circle.thetas, rec.h, rec.v, rec.a))
-        rows.append((
-            l + 1,
-            float(theory.gE[l]), float(np.mean(geom.gE_norm)),
-            float(theory.kappa_sq[l]), float(np.mean(geom.kappa_norm**2)),
-            float(theory.LG[l]), float(geom.LG),
-        ))
+    result = experiments.curvature_agreement(params, args.depth, args.width,
+                                             args.theta_samples, args.seed,
+                                             mf.build_rule(1601))
+    theory = result.theory
+    rows = [
+        (l + 1,
+         float(theory.gE[l]), float(result.gE_bar[l]),
+         float(theory.kappa_sq[l]), float(result.kappa_sq[l]),
+         float(theory.LG[l]), float(result.LG[l]))
+        for l in range(args.depth)
+    ]
     write_csv(
         str(args.outdir / "curvature_layers.csv"),
         ["layer", "gE_theory", "gE_emp", "kappa_sq_theory", "kappa_sq_emp",

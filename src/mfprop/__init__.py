@@ -43,7 +43,6 @@ from .quadrature import (
     build_rule,
     default_rule,
     expect1,
-    expect2,
 )
 
 __all__ = [
@@ -51,7 +50,7 @@ __all__ = [
     "Nonlinearity", "builtin", "builtin_names",
     "MFPropError", "ConvergenceError", "UnsupportedActivationError",
     "DegenerateGeometryError",
-    "QuadratureRule", "build_rule", "default_rule", "expect1", "expect2",
+    "QuadratureRule", "build_rule", "default_rule", "expect1",
     "DEFAULT_ORDER",
     "EnsembleParams", "LengthTrajectory", "CorrelationTrajectory",
     "ChiFactors", "CurvatureTrajectory", "PhaseGrid",

@@ -15,19 +15,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import boundary as bd
+from . import experiments as xp
 from . import expressivity as ex
 from . import simulator as sim
 from .activations import builtin
 from .meanfield import (
     EnsembleParams,
-    correlation_trajectory,
     curvature_trajectory,
     length_fixed_point,
-    length_trajectory,
     phase_boundary,
     phase_grid,
 )
-from .geometry import CurveJet, curve_geometry
 from .quadrature import build_rule, expect1
 
 TANH = builtin("tanh")
@@ -114,25 +112,13 @@ def criterion_3() -> CriterionResult:
     t0 = time.perf_counter()
     c = _Checker()
     rule = build_rule(401)
-    n, depth = 1000, 10
-    widths = (n,) * (depth + 1)
-    seeds = [SEED + k for k in range(5)]
     for sw in (0.5, 2.5, 4.0):
         params = EnsembleParams(sw, 0.3, TANH)
         q_star = length_fixed_point(params, rule)
         for q0 in (0.1, q_star, 5.0):
-            traj = length_trajectory(q0, depth, params, rule)
-            acc = np.zeros(depth)
-            for seed in seeds:
-                net = sim.sample_network(widths, params, seed)
-                rng = np.random.default_rng(
-                    np.random.SeedSequence(entropy=seed, spawn_key=(101,)))
-                x0 = rng.normal(size=n)
-                x0 *= math.sqrt(n * q0) / np.linalg.norm(x0)
-                records = sim.forward(net, x0)
-                acc += np.array([sim.empirical_length(r.h) for r in records])
-            acc /= len(seeds)
-            rel = float(np.max(np.abs(acc - traj.values) / traj.values))
+            run = xp.length_agreement(params, q0, 10, 1000, SEED, 5, rule)
+            traj = run.theory
+            rel = float(np.max(np.abs(run.q_emp - traj.values) / traj.values))
             c.check(rel <= 0.05,
                     f"sigma_w={sw}, q0={q0:.4g}: max rel deviation {rel:.3f} <= 0.05")
             c.check(traj.iterations_to_1pct <= 10,
@@ -146,31 +132,12 @@ def criterion_4() -> CriterionResult:
     t0 = time.perf_counter()
     c = _Checker()
     rule = build_rule(201)
-    n, depth = 1000, 20
-    widths = (n,) * (depth + 1)
-    # empirical correlations carry ~0.06 per-pair noise through the chaotic
-    # transient at this width, so each realization averages 8 independent
-    # pair orientations; seeds stay fixed at 5
-    n_orientations = 8
+    # 5 realizations, each averaging 8 pair orientations
     for sw in (0.5, 2.5, 4.0):
         params = EnsembleParams(sw, 0.3, TANH)
         for c0 in (0.3, 0.9):
-            traj = correlation_trajectory(c0, depth, params, rule)
-            acc = np.zeros(depth)
-            count = 0
-            for k in range(5):
-                seed = SEED + k
-                net = sim.sample_network(widths, params, seed)
-                for orient in range(n_orientations):
-                    hA, hB = sim.pair_at_correlation(
-                        n, traj.chi.q_star, c0, seed=1_000_000 * (orient + 1) + seed)
-                    records = sim.forward_from_first(net, np.stack([hA, hB]))
-                    acc += np.array([
-                        sim.empirical_correlation(r.h[0], r.h[1])[3] for r in records
-                    ])
-                    count += 1
-            acc /= count
-            dev = float(np.max(np.abs(acc - traj.values)))
+            run = xp.correlation_agreement(params, c0, 20, 1000, SEED, 5, rule)
+            dev = float(np.max(np.abs(run.c_emp - run.theory.values)))
             c.check(dev <= 0.05,
                     f"sigma_w={sw}, c0={c0}: max |c_emp - c_theory| = {dev:.3f} <= 0.05")
     grid = phase_grid(np.linspace(0.5, 4.0, 20), np.linspace(0.05, 1.0, 20),
@@ -197,20 +164,9 @@ def criterion_5() -> CriterionResult:
     c.check(abs(deep.kappa_sq[29] - deep.kappa_star_sq) <= 1e-6,
             f"theory kappa^2 at layer 30 within "
             f"{abs(deep.kappa_sq[29] - deep.kappa_star_sq):.1e} of closed form")
-    depth, n, n_theta = 10, 1000, 1024
-    traj = curvature_trajectory(depth, params, rule)
+    run = xp.curvature_agreement(params, 10, 1000, 1024, SEED, rule)
+    traj, gE_bar, kappa_sq, lg = run.theory, run.gE_bar, run.kappa_sq, run.LG
     x1 = traj.chi.chi1
-    net = sim.sample_network((n,) * (depth + 1), params, SEED)
-    circle = sim.CircleManifold.sample(n, traj.chi.q_star, n_theta, SEED + 50)
-    records = sim.forward_jet(net, circle)
-    gE_bar = np.empty(depth)
-    kappa_sq = np.empty(depth)
-    lg = np.empty(depth)
-    for l, rec in enumerate(records):
-        geom = curve_geometry(CurveJet(circle.thetas, rec.h, rec.v, rec.a))
-        gE_bar[l] = geom.gE_norm.mean()
-        kappa_sq[l] = (geom.kappa_norm**2).mean()
-        lg[l] = geom.LG
     ratio_dev = float(np.max(np.abs(gE_bar[1:] / gE_bar[:-1] - x1) / x1))
     c.check(ratio_dev <= 0.10,
             f"empirical gE ratio vs chi1: max rel deviation {ratio_dev:.3f} <= 0.10")
@@ -283,19 +239,8 @@ def criterion_7() -> CriterionResult:
     # chaotic tanh net; mean kappa_1 at 10 points per layer is a very noisy
     # statistic (std ~ mean), so the seed is pinned to a realization whose
     # 10-point ordering matches the 40-point one
-    net_seed = 42
     params = EnsembleParams(4.0, 0.3, TANH)
-    rule = build_rule(401)
-    q_star = length_fixed_point(params, rule)
-    activity_scale = math.sqrt((q_star - params.sigma_b**2) / params.sigma_w**2)
-    net = sim.sample_network((100,) * 7, params, seed=net_seed)
-    beta_rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=net_seed, spawn_key=(202,)))
-    readout = bd.LinearReadout(beta=beta_rng.normal(size=100))
-    summaries = bd.curvature_vs_depth(
-        net, readout, 10, net_seed + 5,
-        init_scale=activity_scale, propagate_inits=True,
-    )
+    summaries = xp.boundary_curvature(params, 6, 100, 10, 42, build_rule(401))
     converged = {s.layer: s.n_converged for s in summaries}
     c.check(all(v == 10 for v in converged.values()),
             f"boundary points converged per layer: {converged}")
@@ -314,7 +259,6 @@ def criterion_8() -> CriterionResult:
     # structure still resolvable by width 200 at depth 8
     params = EnsembleParams(2.5, 0.3, TANH)
     rule = build_rule(401)
-    q_star = length_fixed_point(params, rule)
     probe = ex.uniform_probe(50, 512)
     phi = params.nonlinearity.value
 
@@ -323,17 +267,13 @@ def criterion_8() -> CriterionResult:
         mask = (profile.frequencies >= 40) & (profile.frequencies <= 50)
         return float(profile.errors[mask].mean())
 
-    net = sim.sample_network((200,) * 9, params, seed=SEED)
-    circle = sim.CircleManifold.sample(200, q_star, 512, SEED + 50)
-    records = sim.forward_from_first(net, circle.h1())
+    records = xp.circle_at_fixed_point(params, 8, 200, 512, rule, SEED, SEED + 50).records
     errors = {d: band_error(phi(records[d - 1].h)) for d in (1, 4, 8)}
     c.check(errors[1] > errors[4] > errors[8],
             f"width 200 band error strictly decreases with depth: "
             f"{errors[1]:.3f} > {errors[4]:.3f} > {errors[8]:.3f}")
-    wide_net = sim.sample_network((2000, 2000), params, seed=SEED + 1)
-    wide_circle = sim.CircleManifold.sample(2000, q_star, 512, SEED + 51)
-    wide_acts = phi(sim.forward_from_first(wide_net, wide_circle.h1())[0].h)
-    wide_error = band_error(wide_acts)
+    wide = xp.circle_at_fixed_point(params, 1, 2000, 512, rule, SEED + 1, SEED + 51)
+    wide_error = band_error(phi(wide.records[0].h))
     c.check(wide_error >= errors[8],
             f"depth-1 width-2000 error {wide_error:.3f} does not beat "
             f"depth-8 width-200 error {errors[8]:.3f}")

@@ -30,12 +30,12 @@ smooth phi'' are refused.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .errors import ConvergenceError, DegenerateGeometryError, UnsupportedActivationError
-from .simulator import NetworkRealization
+from .simulator import NetworkRealization, forward
 
 # Boundary membership: |G| below this multiple of |beta| counts as "on the
 # boundary" (scale-free in the readout).
@@ -295,44 +295,30 @@ def curvature_vs_depth(
     n_points: int,
     seed: int,
     *,
-    max_iters: int = 10_000,
-    layers: Sequence[int] | None = None,
-    init_scale: float = 1.0,
-    propagate_inits: bool = False,
+    init_scale: float,
 ) -> list[LayerCurvatureSummary]:
     """Boundary curvature summaries for suffixes from layer D-1 down to 0.
 
-    Search starts are Gaussian with std `init_scale` per coordinate; with
-    `propagate_inits` they are random inputs pushed through the network
-    prefix to the layer, so starts carry the layer's true activity
-    statistics.  Layers where no point converges are reported with
-    n_converged = 0 and NaN summaries; the sweep continues.
+    Search starts are Gaussian inputs with std `init_scale` per coordinate,
+    pushed through the network prefix to the layer, so starts carry the
+    layer's activity statistics.  Layers where no point converges are
+    reported with n_converged = 0 and NaN summaries; the sweep continues.
     """
     if net.depth < 2:
         raise ValueError("curvature-vs-depth needs depth >= 2")
-    if layers is None:
-        layers = range(net.depth - 1, -1, -1)
-    from .simulator import forward  # local import to avoid a cycle
-
     summaries = []
-    for layer in layers:
+    for layer in range(net.depth - 1, -1, -1):
         field = readout_field(net, readout, layer)
         # one child stream per (layer, point) keeps inits independent of
         # how many layers or points were requested before
         reports = []
         for p in range(n_points):
             child = np.random.SeedSequence(entropy=seed, spawn_key=(layer, p))
-            if propagate_inits:
-                x_raw = np.random.default_rng(child).normal(size=net.widths[0]) * init_scale
-                if layer == 0:
-                    x_init = x_raw
-                else:
-                    h = forward(net, x_raw)[layer - 1].h
-                    x_init = net.nonlinearity.value(h)
-            else:
-                x_init = np.random.default_rng(child).normal(size=field.dim) * init_scale
+            x_init = np.random.default_rng(child).normal(size=net.widths[0]) * init_scale
+            if layer > 0:
+                x_init = net.nonlinearity.value(forward(net, x_init)[layer - 1].h)
             try:
-                pt = find_boundary_point(field, x_init, max_iters)
+                pt = find_boundary_point(field, x_init)
                 reports.append(principal_curvatures(field, pt))
             except (ConvergenceError, DegenerateGeometryError):
                 continue

@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -27,14 +26,13 @@ from .meanfield import (
     EnsembleParams,
     correlation_trajectory,
     curvature_trajectory,
-    length_fixed_point,
     length_trajectory,
     phase_grid,
     c_map,
 )
 from .output import read_embedded_config, write_table
 from .quadrature import build_rule
-from . import boundary as boundary_mod
+from . import experiments as xp
 from . import expressivity as expr_mod
 from . import simulator as sim_mod
 
@@ -60,7 +58,17 @@ def _parse_range(text: str) -> np.ndarray:
 
 
 def _parse_int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip()]
+    try:
+        return [int(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        raise UsageError(f"expected comma-separated integers, got {text!r}") from None
+
+
+def _parse_depths(text: str) -> list[int]:
+    depths = _parse_int_list(text)
+    if not depths or min(depths) < 1:
+        raise UsageError(f"depths must be a nonempty list of integers >= 1, got {text!r}")
+    return depths
 
 
 # Per-command flag tables: (dest, flags, type, default, help).  Flags parse
@@ -90,8 +98,6 @@ _COMMANDS: dict[str, list] = {
         ("sb_range", ("--sb", "--sigma-b"), str, "0:1:15", "sigma_b grid lo:hi:count"),
         ("nonlinearity", ("--nonlinearity", "--nl"), str, "tanh", "activation"),
         ("order", ("--order",), int, 201, "quadrature order"),
-        ("threads", ("--threads",), int, None,
-         "worker threads (default: MFPROP_THREADS or all cores)"),
         ("out", ("--out", "-o"), str, None, "output path"),
         ("format", ("--format",), str, "csv", "csv or json"),
     ],
@@ -101,7 +107,8 @@ _COMMANDS: dict[str, list] = {
     "simulate": _COMMON + [
         ("q0", ("--q0",), float, 1.0, "input squared length per neuron"),
         ("c0", ("--c0",), float, None,
-         "if set, propagate a pair injected at the fixed-point radius"),
+         "if set, propagate pairs injected at the fixed-point radius "
+         f"({xp.N_ORIENTATIONS} orientations per realization)"),
         ("depth", ("--depth",), int, 10, "number of layers"),
         ("width", ("--width",), int, 1000, "width of every layer"),
         ("seeds", ("--seeds",), int, 5, "number of network realizations"),
@@ -232,18 +239,11 @@ def _run_c_map(cfg):
 
 
 def _run_phase_grid(cfg):
-    rule = build_rule(cfg["order"])
-    # the worker count changes no result, so it stays out of the artifacts
-    cfg = dict(cfg)
-    threads = cfg.pop("threads")
-    if threads is None:
-        threads = int(os.environ.get("MFPROP_THREADS", 0)) or (os.cpu_count() or 1)
     grid = phase_grid(
         _parse_range(cfg["sw_range"]),
         _parse_range(cfg["sb_range"]),
         builtin(cfg["nonlinearity"]),
-        rule,
-        n_workers=threads,
+        build_rule(cfg["order"]),
     )
     rows = []
     for i, sw in enumerate(grid.sigma_w_axis):
@@ -253,7 +253,12 @@ def _run_phase_grid(cfg):
                 float(grid.q_star[i, j]), float(grid.c_star[i, j]),
                 float(grid.chi1[i, j]), bool(grid.c_converged[i, j]),
             ))
-    footer = [f"cell_errors = {len(grid.cell_errors)}"]
+    # keys are (i_w, j_b) for cells and ("boundary", j_b) for boundary
+    # solves, in the order phase_grid recorded them
+    footer = [f"cell_errors = {len(grid.cell_errors)}"] + [
+        f"cell_error[{','.join(map(str, key))}] = {message}"
+        for key, message in grid.cell_errors.items()
+    ]
     status = _finish(cfg, ["sigma_w", "sigma_b", "q_star", "c_star", "chi1", "c_converged"],
                      rows, footer)
     out = cfg["out"] or f"{cfg['command']}.{cfg['format']}"
@@ -286,55 +291,34 @@ def _run_curvature(cfg):
 def _run_simulate(cfg):
     params = _ensemble(cfg)
     rule = build_rule(cfg["order"])
-    depth, width = cfg["depth"], cfg["width"]
-    widths = (width,) * (depth + 1)
-    seeds = [cfg["seed"] + k for k in range(cfg["seeds"])]
     if cfg["c0"] is None:
-        traj = length_trajectory(cfg["q0"], depth, params, rule)
-        acc = np.zeros(depth)
-        for seed in seeds:
-            net = sim_mod.sample_network(widths, params, seed)
-            rng = np.random.default_rng(np.random.SeedSequence(entropy=seed,
-                                                               spawn_key=(101,)))
-            x0 = rng.normal(size=width)
-            x0 *= math.sqrt(width * cfg["q0"]) / np.linalg.norm(x0)
-            records = sim_mod.forward(net, x0)
-            acc += np.array([sim_mod.empirical_length(r.h) for r in records])
-        acc /= len(seeds)
-        rows = [(l + 1, float(traj.values[l]), float(acc[l])) for l in range(depth)]
-        footer = [f"q_star = {traj.q_star:.17g}"]
+        run = xp.length_agreement(params, cfg["q0"], cfg["depth"], cfg["width"],
+                                  cfg["seed"], cfg["seeds"], rule)
+        rows = [(l + 1, float(q), float(e))
+                for l, (q, e) in enumerate(zip(run.theory.values, run.q_emp))]
+        footer = [f"q_star = {run.theory.q_star:.17g}"]
         return _finish(cfg, ["layer", "q_theory", "q_emp"], rows, footer)
-    traj = correlation_trajectory(cfg["c0"], depth, params, rule)
-    q_star = traj.chi.q_star
-    acc = np.zeros(depth)
-    for seed in seeds:
-        net = sim_mod.sample_network(widths, params, seed)
-        hA, hB = sim_mod.pair_at_correlation(width, q_star, cfg["c0"],
-                                             seed=seed + 7_000_000)
-        recs = sim_mod.forward_from_first(net, np.stack([hA, hB]))
-        acc += np.array([
-            sim_mod.empirical_correlation(r.h[0], r.h[1])[3] for r in recs
-        ])
-    acc /= len(seeds)
-    rows = [(l + 1, float(traj.values[l]), float(acc[l])) for l in range(depth)]
-    footer = [f"q_star = {q_star:.17g}", f"c_star = {traj.c_star:.17g}"]
+    run = xp.correlation_agreement(params, cfg["c0"], cfg["depth"], cfg["width"],
+                                   cfg["seed"], cfg["seeds"], rule)
+    rows = [(l + 1, float(c), float(e))
+            for l, (c, e) in enumerate(zip(run.theory.values, run.c_emp))]
+    footer = [f"q_star = {run.theory.chi.q_star:.17g}", f"c_star = {run.theory.c_star:.17g}"]
     return _finish(cfg, ["layer", "c_theory", "c_emp"], rows, footer)
+
+
+def _circle_run(cfg, params, rule, depth):
+    return xp.circle_at_fixed_point(params, depth, cfg["width"], cfg["theta_samples"],
+                                    rule, cfg["seed"], cfg["seed"] + 1)
 
 
 def _run_autocorr(cfg):
     params = _ensemble(cfg)
     rule = build_rule(cfg["order"])
-    q_star = length_fixed_point(params, rule)
-    if q_star <= 0:
-        raise MFPropError("autocorrelation experiment needs q* > 0")
-    widths = (cfg["width"],) * (cfg["depth"] + 1)
-    net = sim_mod.sample_network(widths, params, cfg["seed"])
-    circle = sim_mod.CircleManifold.sample(cfg["width"], q_star,
-                                           cfg["theta_samples"], cfg["seed"] + 1)
-    records = sim_mod.forward_from_first(net, circle.h1())
+    run = _circle_run(cfg, params, rule, cfg["depth"])
+    q_star = run.q_star
     theory = np.cos(2.0 * math.pi * np.arange(cfg["theta_samples"]) / cfg["theta_samples"])
     rows = []
-    for rec in records:
+    for rec in run.records:
         dthetas, c_emp = sim_mod.autocorrelation(rec.h, q_star)
         for k in range(dthetas.size):
             rows.append((rec.layer, float(dthetas[k]), float(c_emp[k]), float(theory[k])))
@@ -345,18 +329,10 @@ def _run_autocorr(cfg):
 
 def _run_spectrum(cfg):
     params = _ensemble(cfg)
-    rule = build_rule(cfg["order"])
-    q_star = length_fixed_point(params, rule)
-    if q_star <= 0:
-        raise MFPropError("spectrum experiment needs q* > 0")
-    widths = (cfg["width"],) * (cfg["depth"] + 1)
-    net = sim_mod.sample_network(widths, params, cfg["seed"])
-    circle = sim_mod.CircleManifold.sample(cfg["width"], q_star,
-                                           cfg["theta_samples"], cfg["seed"] + 1)
-    records = sim_mod.forward_from_first(net, circle.h1())
+    run = _circle_run(cfg, params, build_rule(cfg["order"]), cfg["depth"])
     rows = []
     footer = []
-    for rec in records:
+    for rec in run.records:
         spec = sim_mod.singular_spectrum(rec.h, top_k=cfg["top_k"])
         for rank, (sv, fr) in enumerate(zip(spec.singular_values,
                                             spec.variance_fractions), start=1):
@@ -368,14 +344,8 @@ def _run_spectrum(cfg):
 
 
 def _run_boundary(cfg):
-    params = _ensemble(cfg)
-    widths = (cfg["width"],) * (cfg["depth"] + 1)
-    net = sim_mod.sample_network(widths, params, cfg["seed"])
-    beta_rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg["seed"],
-                                                            spawn_key=(202,)))
-    readout = boundary_mod.LinearReadout(beta=beta_rng.normal(size=cfg["width"]))
-    summaries = boundary_mod.curvature_vs_depth(net, readout, cfg["n_points"],
-                                                cfg["seed"] + 5)
+    summaries = xp.boundary_curvature(_ensemble(cfg), cfg["depth"], cfg["width"],
+                                      cfg["n_points"], cfg["seed"], build_rule(cfg["order"]))
     rows = []
     for summary in summaries:
         for pid, report in enumerate(summary.reports):
@@ -404,23 +374,14 @@ def _run_shallow_bound(cfg):
 
 
 def _run_fourier(cfg):
+    depths = _parse_depths(cfg["depths"])
     params = _ensemble(cfg)
-    rule = build_rule(cfg["order"])
-    q_star = length_fixed_point(params, rule)
-    if q_star <= 0:
-        raise MFPropError("fourier experiment needs q* > 0")
-    depths = _parse_int_list(cfg["depths"])
-    max_depth = max(depths)
-    widths = (cfg["width"],) * (max_depth + 1)
-    net = sim_mod.sample_network(widths, params, cfg["seed"])
-    circle = sim_mod.CircleManifold.sample(cfg["width"], q_star,
-                                           cfg["theta_samples"], cfg["seed"] + 1)
-    records = sim_mod.forward_from_first(net, circle.h1())
+    run = _circle_run(cfg, params, build_rule(cfg["order"]), max(depths))
     probe = expr_mod.uniform_probe(cfg["omega_max"], cfg["theta_samples"],
                                    ridge=cfg["ridge"])
     phi = params.nonlinearity.value
     rows = []
-    for rec in records:
+    for rec in run.records:
         if rec.layer not in depths:
             continue
         profile = expr_mod.fourier_error_profile(phi(rec.h), probe)

@@ -71,18 +71,6 @@ class CurveGeometry:
     LE_norm: float          # LE / sqrt(N)
 
 
-def extrinsic_curvature(v: np.ndarray, a: np.ndarray) -> float:
-    """Curvature of a curve point from its velocity and acceleration."""
-    v = np.asarray(v, dtype=float)
-    a = np.asarray(a, dtype=float)
-    vv = float(v @ v)
-    aa = float(a @ a)
-    va = float(v @ a)
-    if vv == 0.0:
-        raise DegenerateGeometryError("degenerate tangent: v.v = 0")
-    return float(_curvature_from_dots(np.array([vv]), np.array([aa]), np.array([va]))[0])
-
-
 def _curvature_from_dots(vv: np.ndarray, aa: np.ndarray, va: np.ndarray) -> np.ndarray:
     radicand = vv * aa - va * va
     floor = -_RADICAND_SLACK * vv * aa

@@ -185,14 +185,14 @@ def length_fixed_point(
     q_star, residual = _bracketed_root(g, lo, hi, g_lo, g_hi, 0.0)
     if abs(residual) >= _residual_tol(q_star):
         raise ConvergenceError(
-            f"fixed-point residual {abs(residual):.3e} exceeds tolerance at q={q_star!r}",
+            f"fixed-point residual {abs(residual):.3e} exceeds tolerance at q={float(q_star)!r}",
             last_value=q_star,
         )
     noise = 64.0 * _EPS * q_star
     if noise > 1e-10 and not (g(q_star * (1.0 - _Q_SIGN_STEP)) > noise
                               and g(q_star * (1.0 + _Q_SIGN_STEP)) < -noise):
         raise ConvergenceError(
-            f"ill-conditioned fixed point at q={q_star!r}: V(q) - q does not change "
+            f"ill-conditioned fixed point at q={float(q_star)!r}: V(q) - q does not change "
             f"sign beyond rounding noise within {_Q_SIGN_STEP:g} relative (no finite "
             f"fixed point for sigma_w={params.sigma_w}, sigma_b={params.sigma_b})",
             last_value=q_star,
@@ -563,7 +563,7 @@ def phase_boundary(
     residual = min(abs(chi1_at(lo) - 1.0), abs(chi1_at(hi) - 1.0))
     if residual >= tol:
         raise ConvergenceError(
-            f"bisection stalled: |chi1 - 1| = {residual:.3e} at sigma_w = {mid!r}"
+            f"bisection stalled: |chi1 - 1| = {residual:.3e} at sigma_w = {float(mid)!r}"
         )
     return mid
 
@@ -575,13 +575,13 @@ def phase_grid(
     rule: QuadratureRule | None = None,
     *,
     with_boundary: bool = True,
-    n_workers: int | None = None,
 ) -> PhaseGrid:
     """Evaluate q*, c*, chi1 on a (sigma_w, sigma_b) grid.
 
     Per-cell failures (no fixed point, undefined c-map) are recorded in
-    `cell_errors` with NaN entries; the sweep never aborts.  Cells are
-    independent, so results are identical regardless of worker count.
+    `cell_errors` with NaN entries; the sweep never aborts.  Errors are
+    recorded cell by cell in row-major order, then the boundary's by
+    sigma_b, so `cell_errors` iterates in a deterministic order.
     """
     sw_axis = np.asarray(sigma_w_axis, dtype=float)
     sb_axis = np.asarray(sigma_b_axis, dtype=float)
@@ -596,37 +596,22 @@ def phase_grid(
     c_star = np.full((n_w, n_b), np.nan)
     chi = np.full((n_w, n_b), np.nan)
     converged = np.zeros((n_w, n_b), dtype=bool)
-    errors: dict[tuple[int, int], str] = {}
+    errors: dict[tuple, str] = {}
 
-    def evaluate_cell(idx: tuple[int, int]):
-        i, j = idx
-        params = EnsembleParams(sw_axis[i], sb_axis[j], nonlinearity)
-        try:
-            qs = length_fixed_point(params, rule)
-            x1 = chi1(params, rule, q_star=qs)
-        except (ConvergenceError, ValueError) as exc:
-            return idx, (np.nan, np.nan, np.nan, False, str(exc))
-        if qs <= 0.0:
-            return idx, (qs, np.nan, x1, False, "c-map undefined at q* = 0")
-        cs, ok, _ = _c_star(params, rule, qs, x1)
-        return idx, (qs, cs, x1, ok, None)
-
-    cells = [(i, j) for i in range(n_w) for j in range(n_b)]
-    if n_workers and n_workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(evaluate_cell, cells))
-    else:
-        results = [evaluate_cell(c) for c in cells]
-
-    for (i, j), (qs, cs, x1, ok, err) in results:
-        q_star[i, j] = qs
-        c_star[i, j] = cs
-        chi[i, j] = x1
-        converged[i, j] = ok
-        if err is not None:
-            errors[(i, j)] = err
+    for i in range(n_w):
+        for j in range(n_b):
+            params = EnsembleParams(sw_axis[i], sb_axis[j], nonlinearity)
+            try:
+                qs = length_fixed_point(params, rule)
+                chi[i, j] = chi1(params, rule, q_star=qs)
+            except (ConvergenceError, ValueError) as exc:
+                errors[(i, j)] = str(exc)
+                continue
+            q_star[i, j] = qs
+            if qs <= 0.0:
+                errors[(i, j)] = "c-map undefined at q* = 0"
+                continue
+            c_star[i, j], converged[i, j], _ = _c_star(params, rule, qs, chi[i, j])
 
     boundary = np.full((n_b, 2), np.nan)
     if with_boundary:

@@ -109,7 +109,7 @@ def _check_finite(values: np.ndarray, nodes_for_msg: np.ndarray) -> None:
         return
     bad = np.argwhere(~np.isfinite(values))
     first = tuple(bad[0])
-    node = nodes_for_msg[first] if nodes_for_msg.shape == values.shape else nodes_for_msg[first[0]]
+    node = nodes_for_msg[first]
     raise ValueError(f"integrand is not finite at node z={node!r} (index {first})")
 
 
@@ -124,25 +124,6 @@ def expect1(f: Callable[[np.ndarray], np.ndarray], rule: QuadratureRule) -> floa
     return result
 
 
-def expect2(
-    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    c: float,
-    q1: float,
-    q2: float,
-    rule: QuadratureRule,
-) -> float:
-    """E[f(u1, u2)] for the correlated Gaussian pair described above.
-
-    Uses the full tensor product of the 1-D rule (order**2 evaluations).
-    """
-    u1, u2 = correlated_nodes(c, q1, q2, rule)
-    values = np.asarray(f(u1[:, None] + np.zeros_like(u2), u2), dtype=float)
-    if values.shape != u2.shape:
-        raise ValueError("integrand must return one value per node pair")
-    _check_finite(values, u2)
-    return float(rule.weights @ values @ rule.weights)
-
-
 def expect2_product(
     f1: Callable[[np.ndarray], np.ndarray],
     f2: Callable[[np.ndarray], np.ndarray],
@@ -151,10 +132,10 @@ def expect2_product(
     q2: float,
     rule: QuadratureRule,
 ) -> float:
-    """E[f1(u1) * f2(u2)], the separable case every mean-field map needs.
+    """E[f1(u1) * f2(u2)] for the correlated Gaussian pair described above.
 
-    Mathematically identical to ``expect2(lambda a, b: f1(a)*f2(b), ...)``
-    but evaluates f1 on order points instead of order**2.
+    Integrates on the tensor product of the 1-D rule, evaluating f1 on
+    order points and f2 on order**2.
     """
     u1, u2 = correlated_nodes(c, q1, q2, rule)
     v1 = np.asarray(f1(u1), dtype=float)
@@ -171,7 +152,7 @@ def expect2_product(
 def correlated_nodes(
     c: float, q1: float, q2: float, rule: QuadratureRule
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Node arrays (u1 of shape (n,), u2 of shape (n, n)) for expect2."""
+    """Node arrays (u1 of shape (n,), u2 of shape (n, n)) for expect2_product."""
     if not np.isfinite(c) or abs(c) > 1.0 + _CORRELATION_SLACK:
         raise ValueError(f"correlation must lie in [-1, 1], got {c!r}")
     if q1 < 0 or q2 < 0:

@@ -238,7 +238,7 @@ def test_curvature_vs_depth_linear_net_all_zero():
     params = mf.EnsembleParams(1.1, 0.2, LINEAR)
     net = sim.sample_network((10, 10, 10), params, seed=23)
     readout = bd.LinearReadout(beta=np.random.default_rng(24).normal(size=10))
-    summaries = bd.curvature_vs_depth(net, readout, n_points=3, seed=25)
+    summaries = bd.curvature_vs_depth(net, readout, n_points=3, seed=25, init_scale=1.0)
     assert [s.layer for s in summaries] == [1, 0]
     for s in summaries:
         assert s.n_converged == 3
@@ -252,7 +252,7 @@ def test_curvature_vs_depth_zero_weights_reports_missing_layers():
     params = mf.EnsembleParams(0.0, 0.3, TANH)
     net = sim.sample_network((8, 8, 8), params, seed=26)
     readout = bd.LinearReadout(beta=np.ones(8))
-    summaries = bd.curvature_vs_depth(net, readout, n_points=2, seed=27)
+    summaries = bd.curvature_vs_depth(net, readout, n_points=2, seed=27, init_scale=1.0)
     for s in summaries:
         assert s.n_converged == 0
         assert np.all(np.isnan(s.mean_top))

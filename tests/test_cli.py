@@ -1,10 +1,15 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
+from mfprop import simulator as sim
+from mfprop.activations import builtin
 from mfprop.cli import run
+from mfprop.meanfield import EnsembleParams, correlation_trajectory
 from mfprop.output import read_embedded_config
+from mfprop.quadrature import build_rule
 
 
 def invoke(tmp_path, *argv):
@@ -76,7 +81,7 @@ def test_flags_override_config_file(tmp_path):
 def test_phase_grid_emits_boundary_file(tmp_path):
     out = tmp_path / "grid.csv"
     status = run(["phase-grid", "--sw", "0.5:4:4", "--sb", "0:0.6:3",
-                  "-o", str(out), "--threads", "2"])
+                  "-o", str(out)])
     assert status == 0
     columns, rows = read_rows(out)
     assert columns == ["sigma_w", "sigma_b", "q_star", "c_star", "chi1", "c_converged"]
@@ -86,20 +91,6 @@ def test_phase_grid_emits_boundary_file(tmp_path):
     assert bcols == ["sigma_b", "sigma_w_star"]
     assert len(brows) == 3
     assert float(brows[0][1]) == pytest.approx(1.0, abs=1e-6)
-
-
-def test_phase_grid_artifacts_identical_across_thread_counts(tmp_path, monkeypatch):
-    texts = {}
-    for threads in (1, 2):
-        workdir = tmp_path / f"t{threads}"
-        workdir.mkdir()
-        monkeypatch.chdir(workdir)
-        assert run(["phase-grid", "--sw", "0.5:4:4", "--sb", "0:0.6:3",
-                    "--threads", str(threads), "-o", "grid.csv"]) == 0
-        texts[threads] = [(workdir / name).read_bytes()
-                          for name in ("grid.csv", "grid.csv.boundary.csv")]
-        assert "threads" not in read_embedded_config(str(workdir / "grid.csv"))
-    assert texts[1] == texts[2]
 
 
 def test_simulate_pair_mode(tmp_path):
@@ -226,3 +217,67 @@ def test_floats_printed_with_17_significant_digits(tmp_path):
                 "--q0", "2", "-o", str(out)]) == 0
     _, rows = read_rows(out)
     assert rows[0][1] == "32.090000000000003"
+
+
+def test_phase_grid_footer_lists_each_cell_error(tmp_path):
+    # linear activation: sigma_w = 1.5 is expansive, so both of its cells fail
+    out = tmp_path / "grid.csv"
+    assert run(["phase-grid", "--nl", "linear", "--sw", "0.5:1.5:2", "--sb", "0.1:0.4:2",
+                "-o", str(out)]) == 0
+    footer = [line for line in out.read_text().splitlines() if line.startswith("# cell_error")]
+    assert footer[0] == "# cell_errors = 2"
+    assert [line.split(" = ")[0] for line in footer[1:]] == [
+        "# cell_error[1,0]", "# cell_error[1,1]"]
+    assert all("no finite fixed point" in line for line in footer[1:])
+    _, rows = read_rows(out)
+    assert [r[2] for r in rows[2:]] == ["nan", "nan"]
+
+
+def test_simulate_refuses_zero_seeds(tmp_path, capsys):
+    out = tmp_path / "sim.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["simulate", "--sw", "2", "--sb", "0.3", "--depth", "2",
+                    "--width", "20", "--seeds", "0", "-o", str(out)]) == 2
+    assert "realization" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("depths", [",", "0,2", "-1"])
+def test_fourier_refuses_empty_or_nonpositive_depths(tmp_path, capsys, depths):
+    out = tmp_path / "fourier.csv"
+    assert run(["fourier", "--sw", "2.5", "--sb", "0.3", "--depths", depths,
+                "--width", "40", "--omega-max", "8", "--theta-samples", "64",
+                "-o", str(out)]) == 1
+    assert "depths" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--sw", "0", "--sb", "0.3"], "sigma_w > 0"),
+    ([], "q* > 0"),  # CLI defaults sigma_w = 1, sigma_b = 0: q* = 0
+])
+def test_boundary_refuses_degenerate_ensembles(tmp_path, capsys, argv, message):
+    out = tmp_path / "bd.csv"
+    assert run(["boundary", *argv, "--depth", "3", "--width", "20", "--n-points", "2",
+                "-o", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_pair_mode_averages_eight_orientations(tmp_path):
+    out = tmp_path / "pair.csv"
+    assert run(["simulate", "--sw", "2.5", "--sb", "0.3", "--depth", "3",
+                "--width", "50", "--seeds", "2", "--seed", "7", "--c0", "0.6",
+                "-o", str(out)]) == 0
+    params = EnsembleParams(2.5, 0.3, builtin("tanh"))
+    q_star = correlation_trajectory(0.6, 3, params, build_rule(201)).chi.q_star
+    acc = np.zeros(3)
+    for seed in (7, 8):
+        net = sim.sample_network((50,) * 4, params, seed)
+        for orient in range(8):
+            hA, hB = sim.pair_at_correlation(50, q_star, 0.6, seed=1_000_000 * (orient + 1) + seed)
+            records = sim.forward_from_first(net, np.stack([hA, hB]))
+            acc += [sim.empirical_correlation(r.h[0], r.h[1])[3] for r in records]
+    _, rows = read_rows(out)
+    assert [float(r[2]) for r in rows] == pytest.approx(acc / 16, abs=1e-15)

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from scipy.special import ellipe
 
 from mfprop.errors import DegenerateGeometryError
-from mfprop.geometry import CurveJet, curve_geometry, extrinsic_curvature, periodic_trapezoid
+from mfprop.geometry import CurveJet, _curvature_from_dots, curve_geometry, periodic_trapezoid
 
 
 def circle_jet(width, q, n_theta, seed=0):
@@ -34,33 +34,40 @@ def ellipse_jet(a, b, n_theta):
 # extrinsic curvature
 
 
+def point_curvature(v, a):
+    return float(_curvature_from_dots(np.array([v @ v]), np.array([a @ a]),
+                                      np.array([v @ a]))[0])
+
+
 def test_straight_line_has_zero_curvature():
-    assert extrinsic_curvature(np.array([1.0, 2.0, 0.5]), np.zeros(3)) == 0.0
+    assert point_curvature(np.array([1.0, 2.0, 0.5]), np.zeros(3)) == 0.0
 
 
 def test_unit_speed_curvature_is_acceleration_norm():
     v = np.array([1.0, 0.0, 0.0])
     a = np.array([0.0, 0.7, -0.3])
-    assert extrinsic_curvature(v, a) == pytest.approx(np.linalg.norm(a), rel=1e-14)
+    assert point_curvature(v, a) == pytest.approx(np.linalg.norm(a), rel=1e-14)
 
 
 def test_circle_curvature_matches_inverse_radius():
     jet = circle_jet(width=64, q=2.5, n_theta=16)
     expected = 1.0 / math.sqrt(64 * 2.5)
+    kappa = curve_geometry(jet).kappa
     for i in range(16):
-        assert extrinsic_curvature(jet.v[i], jet.a[i]) == pytest.approx(expected, rel=1e-12)
+        assert kappa[i] == pytest.approx(expected, rel=1e-12)
 
 
 def test_degenerate_tangent_raises():
-    with pytest.raises(DegenerateGeometryError):
-        extrinsic_curvature(np.zeros(3), np.ones(3))
+    jet = circle_jet(width=8, q=1.0, n_theta=16)
+    v = jet.v.copy()
+    v[5] = 0.0
+    with pytest.raises(DegenerateGeometryError, match="degenerate tangent"):
+        curve_geometry(CurveJet(jet.thetas, jet.h, v, jet.a))
 
 
 def test_substantially_negative_radicand_raises():
-    # fabricate dots violating Cauchy-Schwarz far beyond roundoff by calling
-    # the internal with v almost parallel to a but longer than allowed
-    from mfprop.geometry import _curvature_from_dots
-
+    # fabricate dots violating Cauchy-Schwarz far beyond roundoff: v almost
+    # parallel to a but longer than allowed
     with pytest.raises(DegenerateGeometryError):
         _curvature_from_dots(np.array([1.0]), np.array([1.0]), np.array([1.1]))
 
@@ -68,7 +75,7 @@ def test_substantially_negative_radicand_raises():
 def test_roundoff_radicand_clamped_to_zero():
     v = np.array([1.0, 0.0])
     a = 3.0 * v  # exactly parallel: radicand is a tiny negative after roundoff
-    assert extrinsic_curvature(v, a * (1 + 1e-16)) == pytest.approx(0.0, abs=1e-7)
+    assert point_curvature(v, a * (1 + 1e-16)) == pytest.approx(0.0, abs=1e-7)
 
 
 # ---------------------------------------------------------------------------

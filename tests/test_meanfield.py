@@ -402,16 +402,6 @@ def test_phase_grid_linear_boundary_column():
     assert np.allclose(grid.boundary[:, 1], 1.0, atol=1e-6)
 
 
-def test_phase_grid_threading_matches_serial():
-    sw = np.array([0.5, 2.0, 4.0])
-    sb = np.array([0.2, 0.6])
-    serial = mf.phase_grid(sw, sb, TANH, RULE, with_boundary=False)
-    threaded = mf.phase_grid(sw, sb, TANH, RULE, with_boundary=False, n_workers=4)
-    assert np.array_equal(serial.q_star, threaded.q_star)
-    assert np.array_equal(serial.c_star, threaded.c_star)
-    assert np.array_equal(serial.chi1, threaded.chi1)
-
-
 def test_c_star_helper_reports_convergence():
     q_star = mf.length_fixed_point(CHAOTIC, RULE)
     x1 = mf.chi1(CHAOTIC, RULE, q_star=q_star)

@@ -9,7 +9,6 @@ from mfprop.quadrature import (
     build_rule,
     default_rule,
     expect1,
-    expect2,
     expect2_product,
 )
 
@@ -85,30 +84,36 @@ def test_expect2_product_nonfinite_names_node(factor):
             expect2_product(*fs, 0.5, 1.0, 1.0, rule)
 
 
+def identity(u):
+    return u
+
+
 def test_expect2_independent_product():
     rule = build_rule(101)
-    assert expect2(lambda a, b: a * b, 0.0, 1.0, 1.0, rule) == pytest.approx(0.0, abs=1e-14)
+    assert expect2_product(identity, identity, 0.0, 1.0, 1.0, rule) == pytest.approx(
+        0.0, abs=1e-14)
 
 
 def test_expect2_perfectly_correlated():
     rule = build_rule(101)
-    assert expect2(lambda a, b: a * b, 1.0, 1.0, 1.0, rule) == pytest.approx(1.0, abs=1e-12)
+    assert expect2_product(identity, identity, 1.0, 1.0, 1.0, rule) == pytest.approx(
+        1.0, abs=1e-12)
 
 
 def test_expect2_covariance_structure():
     rule = build_rule(101)
     c, q1, q2 = 0.37, 1.7, 0.4
-    cov = expect2(lambda a, b: a * b, c, q1, q2, rule)
+    cov = expect2_product(identity, identity, c, q1, q2, rule)
     assert cov == pytest.approx(c * math.sqrt(q1 * q2), abs=1e-12)
-    assert expect2(lambda a, b: a * a, c, q1, q2, rule) == pytest.approx(q1, abs=1e-12)
-    assert expect2(lambda a, b: b * b, c, q1, q2, rule) == pytest.approx(q2, abs=1e-12)
+    assert expect2_product(np.square, np.ones_like, c, q1, q2, rule) == pytest.approx(
+        q1, abs=1e-12)
+    assert expect2_product(np.ones_like, np.square, c, q1, q2, rule) == pytest.approx(
+        q2, abs=1e-12)
 
 
 def test_expect2_tanh_against_dense_grid():
     rule = build_rule(201)
-    f = lambda a, b: np.tanh(a) * np.tanh(b)
-    truth = gauss_expect2_grid(f, 0.5, 1.0, 1.0)
-    assert expect2(f, 0.5, 1.0, 1.0, rule) == pytest.approx(truth, abs=1e-8)
+    truth = gauss_expect2_grid(lambda a, b: np.tanh(a) * np.tanh(b), 0.5, 1.0, 1.0)
     assert expect2_product(np.tanh, np.tanh, 0.5, 1.0, 1.0, rule) == pytest.approx(
         truth, abs=1e-8
     )
@@ -117,9 +122,9 @@ def test_expect2_tanh_against_dense_grid():
 def test_expect2_rejects_bad_correlation():
     rule = build_rule(11)
     with pytest.raises(ValueError, match="correlation"):
-        expect2(lambda a, b: a * b, 1.5, 1.0, 1.0, rule)
+        expect2_product(identity, identity, 1.5, 1.0, 1.0, rule)
     with pytest.raises(ValueError, match="nonneg"):
-        expect2(lambda a, b: a * b, 0.5, -1.0, 1.0, rule)
+        expect2_product(identity, identity, 0.5, -1.0, 1.0, rule)
 
 
 @given(st.integers(min_value=0, max_value=15), st.integers(min_value=2, max_value=40))
@@ -135,16 +140,15 @@ def test_polynomial_exactness(degree, order):
 @given(st.floats(min_value=-1.0, max_value=1.0), st.floats(min_value=0.1, max_value=4.0))
 def test_expect2_symmetric_in_marginals(c, q):
     rule = build_rule(41)
-    f = lambda a, b: np.cos(a) * np.cos(b)
-    forward = expect2(f, c, q, 2.0 * q, rule)
-    swapped = expect2(f, c, 2.0 * q, q, rule)
+    forward = expect2_product(np.cos, np.cos, c, q, 2.0 * q, rule)
+    swapped = expect2_product(np.cos, np.cos, c, 2.0 * q, q, rule)
     assert forward == pytest.approx(swapped, abs=1e-12)
 
 
 def test_expect2_degenerates_to_expect1_at_c_one():
     rule = build_rule(101)
     q = 2.3
-    f2 = expect2(lambda a, b: np.tanh(a) * np.tanh(b), 1.0, q, q, rule)
+    f2 = expect2_product(np.tanh, np.tanh, 1.0, q, q, rule)
     f1 = expect1(lambda z: np.tanh(math.sqrt(q) * z) ** 2, rule)
     assert f2 == pytest.approx(f1, abs=1e-10)
 

@@ -1,0 +1,53 @@
+"""Smoke tests of the dataset scripts in scripts/, run in-process."""
+
+import pathlib
+import runpy
+import sys
+
+import pytest
+
+SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
+
+
+def run_script(monkeypatch, name, *argv):
+    monkeypatch.setattr(sys, "argv", [name, *map(str, argv)])
+    return runpy.run_path(str(SCRIPTS / name))["main"]()
+
+
+def columns_and_rows(path):
+    lines = [line for line in path.read_text().splitlines() if not line.startswith("#")]
+    return lines[0].split(","), [line.split(",") for line in lines[1:]]
+
+
+def test_phase_diagram_script(tmp_path, monkeypatch):
+    assert run_script(monkeypatch, "run_phase_diagram.py",
+                      "--resolution", "2", "--outdir", tmp_path) == 0
+    expected = {"grid.csv", "grid.csv.boundary.csv"}
+    for sw in ("0.5", "2.5", "4.0"):
+        expected |= {f"length_sw{sw}.csv", f"cmap_sw{sw}.csv"}
+    assert {p.name for p in tmp_path.iterdir()} == expected
+    columns, rows = columns_and_rows(tmp_path / "grid.csv")
+    assert columns == ["sigma_w", "sigma_b", "q_star", "c_star", "chi1", "c_converged"]
+    assert len(rows) == 4
+    columns, rows = columns_and_rows(tmp_path / "grid.csv.boundary.csv")
+    assert columns == ["sigma_b", "sigma_w_star"] and len(rows) == 2
+    columns, rows = columns_and_rows(tmp_path / "length_sw2.5.csv")
+    assert columns == ["layer", "q_theory"] and len(rows) == 12
+    columns, rows = columns_and_rows(tmp_path / "cmap_sw2.5.csv")
+    assert columns == ["layer", "c_theory"] and len(rows) == 25
+
+
+def test_curvature_script(tmp_path, monkeypatch):
+    assert run_script(monkeypatch, "run_curvature_experiment.py", "--width", 50,
+                      "--depth", 3, "--theta-samples", 32, "--outdir", tmp_path) == 0
+    assert {p.name for p in tmp_path.iterdir()} == {"curvature_layers.csv",
+                                                    "boundary_curvature.csv"}
+    columns, rows = columns_and_rows(tmp_path / "curvature_layers.csv")
+    assert columns == ["layer", "gE_theory", "gE_emp", "kappa_sq_theory", "kappa_sq_emp",
+                       "LG_theory", "LG_emp"]
+    assert [r[0] for r in rows] == ["1", "2", "3"]
+    # layer 1 is the injected circle: its metric equals q* exactly up to roundoff
+    assert float(rows[0][2]) == pytest.approx(float(rows[0][1]), rel=1e-12)
+    columns, rows = columns_and_rows(tmp_path / "boundary_curvature.csv")
+    assert columns == ["layer", "point_id", "kappa_rank", "kappa_value"]
+    assert {r[0] for r in rows} == {"0", "1", "2", "3", "4", "5"}

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import mfprop as mf
+from mfprop import geometry as geo
 from mfprop import simulator as sim
 from mfprop.errors import UnsupportedActivationError
 
@@ -218,8 +219,6 @@ def test_jet_matches_finite_differences():
 
 
 def test_jet_curvature_matches_finite_difference_jets():
-    import mfprop.geometry as geo
-
     net = sim.sample_network((200,) * 5, CHAOTIC, seed=40)
     n_theta = 64
     circle = sim.CircleManifold.sample(200, 2.0, n_theta, seed=41)
@@ -231,10 +230,10 @@ def test_jet_curvature_matches_finite_difference_jets():
         rec = records[layer - 1]
         v_fd = (plus[layer - 1].h - minus[layer - 1].h) / (2 * delta)
         a_fd = (plus[layer - 1].h - 2 * rec.h + minus[layer - 1].h) / delta**2
+        exact = geo.curve_geometry(geo.CurveJet(circle.thetas, rec.h, rec.v, rec.a)).kappa
+        approx = geo.curve_geometry(geo.CurveJet(circle.thetas, rec.h, v_fd, a_fd)).kappa
         for i in range(0, n_theta, 8):
-            exact = geo.extrinsic_curvature(rec.v[i], rec.a[i])
-            approx = geo.extrinsic_curvature(v_fd[i], a_fd[i])
-            assert approx == pytest.approx(exact, rel=1e-4)
+            assert approx[i] == pytest.approx(exact[i], rel=1e-4)
 
 
 @pytest.mark.parametrize("name, acceleration",
