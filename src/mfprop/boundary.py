@@ -7,14 +7,15 @@ the last layer.  Seen from layer l, the boundary is the level set of
 
 where x ranges over layer-l activity space and x^D(x) is the suffix of the
 feedforward map.  Its local shape at a point x* with G(x*) = 0 is captured
-by the normalized Hessian projected onto the tangent plane,
+by the normalized Hessian restricted to the tangent plane,
 
-    H = |grad G|^-1  P (d^2 G / dx dx^T) P,      P = I - n n^T,
+    K = |grad G|^-1  T^T (d^2 G / dx dx^T) T,
 
-with n the unit normal grad G / |grad G|.  The N-1 nontrivial eigenvalues
-of H, sorted descending, are the signed principal curvatures; positive
-values bend the boundary toward the side where G decreases (a sphere
-|x|^2 - r^2 = 0 has all curvatures +1/r).
+with T an orthonormal basis of the plane orthogonal to the unit normal
+n = grad G / |grad G|.  The N-1 eigenvalues of K, sorted descending, are
+the signed principal curvatures; positive values bend the boundary toward
+the side where G decreases (a sphere |x|^2 - r^2 = 0 has all curvatures
++1/r).
 
 The Hessian of a network suffix is exact, by forward-over-reverse through
 the layers j = l+1..D with preactivations h^j:
@@ -70,8 +71,6 @@ class BoundaryPoint:
 class PrincipalCurvatureReport:
     layer: int
     kappas: np.ndarray           # N-1 values, sorted descending
-    removed_eigenvalue: float
-    normal_alignment: float      # |cos| between removed eigenvector and the normal
 
 
 @dataclass(frozen=True)
@@ -235,10 +234,14 @@ def find_boundary_point(
 def principal_curvatures(field: ScalarField, point: BoundaryPoint) -> PrincipalCurvatureReport:
     """Signed principal curvatures of the level set at a boundary point.
 
-    The field's exact Hessian (for a network suffix, the forward-over-reverse
-    sum in the module docstring) is projected onto the tangent plane and
-    normalized by |grad G|; the single eigenvalue along the normal direction
-    is removed after verifying it is numerically zero.
+    The tangent basis T is columns 1..N-1 of the Householder reflector
+    Q = I - 2 u u^T, u = (n + sign(n_0) e_0) / |n + sign(n_0) e_0|, which
+    sends the normal n to -sign(n_0) e_0.  With w = H u and
+    p = w - (u.w) u, Q H Q = H - 2 u p^T - 2 p u^T, so its lower-right
+    block T^T H T costs one matrix-vector product and a rank-2 update of H;
+    its eigenvalues over |grad G| are the curvatures.  H is the field's
+    exact Hessian (for a network suffix, the forward-over-reverse sum in
+    the module docstring).
     """
     x = np.asarray(point.x_star, dtype=float)
     tol = BOUNDARY_TOL_FACTOR * field.tol_scale
@@ -253,29 +256,17 @@ def principal_curvatures(field: ScalarField, point: BoundaryPoint) -> PrincipalC
     if hessian.shape != (n, n):
         raise ValueError(f"hessian has shape {hessian.shape}, expected ({n}, {n})")
     hessian = 0.5 * (hessian + hessian.T)
-    normal = grad / grad_norm
-    projected = hessian - np.outer(normal, normal @ hessian)
-    projected = projected - np.outer(projected @ normal, normal)
-    projected /= grad_norm
-    eigvals, eigvecs = np.linalg.eigh(projected)
-    alignments = np.abs(eigvecs.T @ normal)
-    max_abs = float(np.max(np.abs(eigvals))) if n else 0.0
-    threshold = 1e-6 * max_abs + 1e-12
-    # the normal direction is in the kernel of the projection; drop the
-    # near-zero eigenvalue whose eigenvector points along the normal
-    near_zero = np.flatnonzero(np.abs(eigvals) < threshold)
-    if near_zero.size == 0:
-        raise DegenerateGeometryError(
-            "no near-zero eigenvalue to assign to the normal direction "
-            f"(min |eig| = {np.min(np.abs(eigvals)):.3e}, threshold {threshold:.3e})"
-        )
-    drop = int(near_zero[np.argmax(alignments[near_zero])])
-    kappas = np.delete(eigvals, drop)
+    u = grad / grad_norm
+    # |n + sign(n_0) e_0|^2 = 2 + 2 |n_0| >= 2: no cancellation
+    u[0] += np.copysign(1.0, u[0])
+    u /= np.linalg.norm(u)
+    w = hessian @ u
+    p = w - (u @ w) * u
+    up = np.outer(u[1:], p[1:])
+    block = hessian[1:, 1:] - 2.0 * (up + up.T)
     return PrincipalCurvatureReport(
         layer=point.layer,
-        kappas=np.sort(kappas)[::-1],
-        removed_eigenvalue=float(eigvals[drop]),
-        normal_alignment=float(alignments[drop]),
+        kappas=np.linalg.eigvalsh(block)[::-1] / grad_norm,
     )
 
 
@@ -306,6 +297,8 @@ def curvature_vs_depth(
     """
     if net.depth < 2:
         raise ValueError("curvature-vs-depth needs depth >= 2")
+    if n_points < 1:
+        raise ValueError(f"curvature-vs-depth needs n_points >= 1, got {n_points}")
     summaries = []
     for layer in range(net.depth - 1, -1, -1):
         field = readout_field(net, readout, layer)

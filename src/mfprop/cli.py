@@ -344,6 +344,10 @@ def _run_spectrum(cfg):
 
 
 def _run_boundary(cfg):
+    if cfg["depth"] < 2:
+        raise UsageError(f"boundary needs --depth >= 2, got {cfg['depth']}")
+    if cfg["n_points"] < 1:
+        raise UsageError(f"boundary needs --n-points >= 1, got {cfg['n_points']}")
     summaries = xp.boundary_curvature(_ensemble(cfg), cfg["depth"], cfg["width"],
                                       cfg["n_points"], cfg["seed"], build_rule(cfg["order"]))
     rows = []

@@ -108,12 +108,17 @@ def correlation_agreement(params: EnsembleParams, c0: float, depth: int, width: 
     acc = np.zeros(depth)
     for s in seeds:
         net = sim.sample_network((width,) * (depth + 1), params, s)
+        # one pass: orientation o is rows 2o (A) and 2o + 1 (B)
+        pairs = np.concatenate([
+            sim.pair_at_correlation(width, theory.chi.q_star, c0,
+                                    seed=1_000_000 * (orient + 1) + s)
+            for orient in range(N_ORIENTATIONS)
+        ])
+        records = sim.forward_from_first(net, pairs)
         for orient in range(N_ORIENTATIONS):
-            hA, hB = sim.pair_at_correlation(width, theory.chi.q_star, c0,
-                                             seed=1_000_000 * (orient + 1) + s)
-            records = sim.forward_from_first(net, np.stack([hA, hB]))
             acc += np.array([
-                sim.empirical_correlation(r.h[0], r.h[1])[3] for r in records
+                sim.empirical_correlation(r.h[2 * orient], r.h[2 * orient + 1])[3]
+                for r in records
             ])
     acc /= len(seeds) * N_ORIENTATIONS
     return CorrelationAgreement(theory=theory, c_emp=acc)

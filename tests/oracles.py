@@ -146,3 +146,22 @@ def readout_hessian_fd(grad, x, step):
         return cols
 
     return (4.0 * central(step / 2.0) - central(step)) / 3.0
+
+
+def principal_curvatures_projected(hessian, grad):
+    """Principal curvatures of the level set with gradient `grad` and
+    Hessian `hessian`: eigenvalues of P H P / |grad|, P = I - n n^T, with the
+    near-zero eigenvalue whose eigenvector lies along the normal n removed.
+    Sorted descending."""
+    hessian = 0.5 * (hessian + hessian.T)
+    grad_norm = np.linalg.norm(grad)
+    normal = grad / grad_norm
+    projected = hessian - np.outer(normal, normal @ hessian)
+    projected = projected - np.outer(projected @ normal, normal)
+    eigvals, eigvecs = np.linalg.eigh(projected / grad_norm)
+    alignments = np.abs(eigvecs.T @ normal)
+    threshold = 1e-6 * np.max(np.abs(eigvals)) + 1e-12
+    near_zero = np.flatnonzero(np.abs(eigvals) < threshold)
+    assert near_zero.size > 0, "no near-zero eigenvalue along the normal"
+    drop = near_zero[np.argmax(alignments[near_zero])]
+    return np.sort(np.delete(eigvals, drop))[::-1]

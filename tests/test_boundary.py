@@ -6,7 +6,7 @@ from mfprop import boundary as bd
 from mfprop import simulator as sim
 from mfprop.errors import ConvergenceError, DegenerateGeometryError, UnsupportedActivationError
 
-from oracles import readout_hessian_fd
+from oracles import principal_curvatures_projected, readout_hessian_fd
 
 TANH = mf.builtin("tanh")
 LINEAR = mf.builtin("linear")
@@ -19,6 +19,25 @@ def sphere_field(r, dim):
 
     return bd.ScalarField(dim=dim, layer=-1, value_and_grad=value_and_grad,
                           hessian=lambda x: 2.0 * np.eye(dim), tol_scale=1.0)
+
+
+def quadric_field(axes):
+    """G(x) = sum_i x_i^2 / a_i^2 - 1: a sphere or an ellipsoid."""
+    inv_sq = 1.0 / np.asarray(axes, dtype=float) ** 2
+
+    def value_and_grad(x):
+        return float(inv_sq @ (x * x) - 1.0), 2.0 * inv_sq * x
+
+    return bd.ScalarField(dim=inv_sq.size, layer=-1, value_and_grad=value_and_grad,
+                          hessian=lambda x: np.diag(2.0 * inv_sq), tol_scale=1.0)
+
+
+def assert_matches_projection_oracle(field, point, report):
+    x = point.x_star
+    expected = principal_curvatures_projected(field.hessian(x), field.value_and_grad(x)[1])
+    assert report.kappas.shape == expected.shape == (field.dim - 1,)
+    scale = np.max(np.abs(expected), initial=0.0)
+    assert np.all(np.abs(report.kappas - expected) <= 1e-12 * scale)
 
 
 def small_net(params=CHAOTIC, widths=(12, 12, 12, 12), seed=0):
@@ -114,7 +133,37 @@ def test_sphere_principal_curvatures():
         report = bd.principal_curvatures(field, point)
         assert report.kappas.shape == (19,)
         assert np.allclose(report.kappas, 1.0 / r, atol=1e-4)
-        assert report.normal_alignment > 0.99
+        assert_matches_projection_oracle(field, point, report)
+
+
+@pytest.mark.parametrize("axis, sign", [(0, 1.0), (0, -1.0), (1, 1.0)])
+def test_sphere_curvatures_where_normal_is_a_coordinate_axis(axis, sign):
+    # the reflector's sign choice at n = +e_0, n = -e_0 and n_0 = 0
+    field = sphere_field(2.0, 5)
+    x = np.zeros(5)
+    x[axis] = 2.0 * sign
+    point = bd.BoundaryPoint(layer=-1, x_star=x, residual=0.0, grad_norm=4.0)
+    report = bd.principal_curvatures(field, point)
+    assert np.allclose(report.kappas, 0.5, rtol=1e-14, atol=0.0)
+    assert_matches_projection_oracle(field, point, report)
+
+
+def test_low_dimensional_level_sets():
+    # an ellipse has one curvature, ab / (a^2 sin^2 t + b^2 cos^2 t)^(3/2);
+    # a pair of points on a line has none
+    a, b, t = 3.0, 0.5, 0.7
+    ellipse = quadric_field([a, b])
+    point = bd.find_boundary_point(ellipse, np.array([a * np.cos(t), b * np.sin(t)]))
+    report = bd.principal_curvatures(ellipse, point)
+    expected = a * b / (a**2 * np.sin(t) ** 2 + b**2 * np.cos(t) ** 2) ** 1.5
+    assert report.kappas == pytest.approx([expected], rel=1e-12)
+    assert_matches_projection_oracle(ellipse, point, report)
+
+    segment = quadric_field([1.5])
+    point = bd.find_boundary_point(segment, np.array([0.9]))
+    report = bd.principal_curvatures(segment, point)
+    assert report.kappas.shape == (0,)
+    assert_matches_projection_oracle(segment, point, report)
 
 
 def test_linear_network_has_flat_boundary():
@@ -147,8 +196,19 @@ def test_hessian_symmetry_before_symmetrization():
     point = bd.find_boundary_point(field, np.random.default_rng(21).normal(size=12))
     hessian = field.hessian(point.x_star)
     assert np.linalg.norm(hessian - hessian.T) <= 1e-12 * np.linalg.norm(hessian)
+    assert_matches_projection_oracle(field, point, bd.principal_curvatures(field, point))
+
+
+@pytest.mark.parametrize("layer", [0, 1, 2, 3])
+def test_curvatures_match_projection_oracle_on_uneven_widths(layer):
+    net = small_net(widths=(12, 9, 14, 11, 10), seed=40)
+    readout = bd.LinearReadout(beta=np.random.default_rng(41).normal(size=10), beta0=0.3)
+    field = bd.readout_field(net, readout, layer)
+    x_init = np.random.default_rng(60 + layer).uniform(-1.0, 1.0, size=field.dim)
+    point = bd.find_boundary_point(field, x_init)
     report = bd.principal_curvatures(field, point)
-    assert abs(report.removed_eigenvalue) <= 1e-6 * np.max(np.abs(report.kappas)) + 1e-12
+    assert np.max(np.abs(report.kappas)) > 0.0
+    assert_matches_projection_oracle(field, point, report)
 
 
 @pytest.mark.parametrize("layer", [0, 1, 2, 3])
@@ -256,3 +316,14 @@ def test_curvature_vs_depth_zero_weights_reports_missing_layers():
     for s in summaries:
         assert s.n_converged == 0
         assert np.all(np.isnan(s.mean_top))
+
+
+def test_curvature_vs_depth_refuses_bad_sizes():
+    net = sim.sample_network((8, 8, 8), CHAOTIC, seed=28)
+    readout = bd.LinearReadout(beta=np.ones(8))
+    with pytest.raises(ValueError, match="n_points >= 1"):
+        bd.curvature_vs_depth(net, readout, n_points=0, seed=29, init_scale=1.0)
+    shallow = sim.sample_network((8, 8), CHAOTIC, seed=28)
+    with pytest.raises(ValueError, match="depth >= 2"):
+        bd.curvature_vs_depth(shallow, bd.LinearReadout(beta=np.ones(8)), n_points=1,
+                              seed=29, init_scale=1.0)

@@ -152,6 +152,18 @@ def test_boundary_refuses_activation_without_smooth_second_derivative(tmp_path, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--depth", "3", "--n-points", "0"], "--n-points >= 1"),
+    (["--depth", "1", "--n-points", "2"], "--depth >= 2"),
+])
+def test_boundary_refuses_bad_sizes(tmp_path, capsys, argv, message):
+    out = tmp_path / "bd.csv"
+    assert run(["boundary", "--sw", "4", "--sb", "0.3", "--width", "20", *argv,
+                "-o", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_autocorr_and_spectrum_run(tmp_path):
     ac = tmp_path / "ac.csv"
     assert run(["autocorr", "--sw", "4", "--sb", "0.3", "--depth", "2",
