@@ -148,6 +148,17 @@ def test_sphere_curvatures_where_normal_is_a_coordinate_axis(axis, sign):
     assert_matches_projection_oracle(field, point, report)
 
 
+def test_curvatures_use_the_symmetric_part_of_the_hessian():
+    # a field hook may return an asymmetric Hessian (say, from differences)
+    skew = np.triu(np.random.default_rng(30).normal(size=(6, 6)), 1)
+    exact = sphere_field(2.0, 6)
+    field = bd.ScalarField(dim=6, layer=-1, value_and_grad=exact.value_and_grad,
+                           hessian=lambda x: 2.0 * np.eye(6) + skew - skew.T)
+    point = bd.find_boundary_point(field, np.random.default_rng(31).normal(size=6))
+    report = bd.principal_curvatures(field, point)
+    assert np.allclose(report.kappas, 0.5, rtol=1e-8, atol=0.0)
+
+
 def test_low_dimensional_level_sets():
     # an ellipse has one curvature, ab / (a^2 sin^2 t + b^2 cos^2 t)^(3/2);
     # a pair of points on a line has none
@@ -325,5 +336,4 @@ def test_curvature_vs_depth_refuses_bad_sizes():
         bd.curvature_vs_depth(net, readout, n_points=0, seed=29, init_scale=1.0)
     shallow = sim.sample_network((8, 8), CHAOTIC, seed=28)
     with pytest.raises(ValueError, match="depth >= 2"):
-        bd.curvature_vs_depth(shallow, bd.LinearReadout(beta=np.ones(8)), n_points=1,
-                              seed=29, init_scale=1.0)
+        bd.curvature_vs_depth(shallow, readout, n_points=1, seed=29, init_scale=1.0)
