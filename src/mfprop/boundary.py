@@ -41,6 +41,7 @@ from .simulator import NetworkRealization, forward
 # Boundary membership: |G| below this multiple of |beta| counts as "on the
 # boundary" (scale-free in the readout).
 BOUNDARY_TOL_FACTOR = 1e-8
+_MAX_ITERS = 10_000  # line-search steps before `find_boundary_point` gives up
 
 
 @dataclass(frozen=True)
@@ -175,7 +176,6 @@ def readout_field(net: NetworkRealization, readout: LinearReadout, layer: int) -
 def find_boundary_point(
     field: ScalarField,
     x_init: np.ndarray,
-    max_iters: int = 10_000,
 ) -> BoundaryPoint:
     """Descend G^2 to the level set G = 0 with a backtracking line search.
 
@@ -191,7 +191,7 @@ def find_boundary_point(
     tol = BOUNDARY_TOL_FACTOR * field.tol_scale
     value, grad = field.value_and_grad(x)
     best = abs(value)
-    for _ in range(max_iters):
+    for _ in range(_MAX_ITERS):
         if abs(value) < tol:
             return BoundaryPoint(layer=field.layer, x_star=x, residual=abs(value),
                                  grad_norm=float(np.linalg.norm(grad)))
@@ -225,9 +225,9 @@ def find_boundary_point(
         return BoundaryPoint(layer=field.layer, x_star=x, residual=abs(value),
                              grad_norm=float(np.linalg.norm(grad)))
     raise ConvergenceError(
-        f"boundary search did not converge in {max_iters} iterations; "
+        f"boundary search did not converge in {_MAX_ITERS} iterations; "
         f"best residual {best:.3e} (tolerance {tol:.3e})",
-        iterations=max_iters, last_value=best,
+        iterations=_MAX_ITERS, last_value=best,
     )
 
 

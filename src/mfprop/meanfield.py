@@ -52,11 +52,15 @@ from .quadrature import QuadratureRule, default_rule, expect1, expect2_product
 # |c_map(c*) - c*| <= _C_RESIDUAL_TOL, and a q* so large that the
 # certificate is relative to it must also change sign over _Q_SIGN_STEP
 # relative.  _Q_MAX_ITER caps the layer count `length_trajectory` reports.
+# The chi1 = 1 boundary is bracketed on the geometric sigma_w scan
+# _BOUNDARY_SCAN (first, last, points), certified by _BOUNDARY_RESIDUAL_TOL.
 _Q_MAX_DOUBLINGS = 340
 _Q_SIGN_STEP = 1e-3
 _Q_MAX_ITER = 10_000
 _C_MIN_DELTA = 2.0**-50
 _C_RESIDUAL_TOL = 1e-12
+_BOUNDARY_SCAN = (1e-3, 10.0, 9)
+_BOUNDARY_RESIDUAL_TOL = 1e-8
 _EPS = float(np.finfo(float).eps)
 
 
@@ -267,10 +271,6 @@ def length_trajectory(
     if not (np.isfinite(q0) and q0 >= 0):
         raise ValueError(f"q0 must be a finite nonnegative real, got {q0!r}")
     rule = rule or default_rule()
-    values = np.empty(depth)
-    values[0] = params.sigma_w**2 * q0 + params.sigma_b**2
-    for l in range(1, depth):
-        values[l] = length_map(values[l - 1], params, rule)
     q_star = length_fixed_point(params, rule)
 
     def close(q):
@@ -278,17 +278,23 @@ def length_trajectory(
             return abs(q - q_star) <= 1e-8
         return abs(q - q_star) / q_star <= 0.01
 
-    # reported as the iteration cap when never reached (possible only for
-    # marginal maps, e.g. the identity map of a critical linear network)
-    iterations = _Q_MAX_ITER
-    q = values[0]
-    for l in range(1, _Q_MAX_ITER + 1):
-        if close(q):
+    # one pass fills q^1..q^depth and finds the first layer within 1 % of
+    # q*, reported as the iteration cap when never reached (possible only
+    # for marginal maps, e.g. the identity map of a critical linear network)
+    values = np.empty(depth)
+    iterations = 0
+    q = params.sigma_w**2 * q0 + params.sigma_b**2
+    for l in range(1, max(depth, _Q_MAX_ITER) + 1):
+        if l > 1:
+            q = length_map(q, params, rule)
+        if l <= depth:
+            values[l - 1] = q
+        if not iterations and close(q):
             iterations = l
+        if l >= depth and iterations:
             break
-        q = length_map(q, params, rule)
     return LengthTrajectory(q0=q0, values=values, q_star=q_star,
-                            iterations_to_1pct=iterations)
+                            iterations_to_1pct=min(iterations or _Q_MAX_ITER, _Q_MAX_ITER))
 
 
 # ---------------------------------------------------------------------------
@@ -509,63 +515,50 @@ def phase_boundary(
     sigma_b: float,
     nonlinearity: Nonlinearity,
     rule: QuadratureRule | None = None,
-    *,
-    bracket: tuple[float, float] = (1e-3, 10.0),
-    tol: float = 1e-8,
-    scan_points: int = 9,
 ) -> float:
-    """sigma_w at which chi1 crosses 1, at fixed sigma_b, by bisection.
+    """sigma_w at which chi1 crosses 1, at fixed sigma_b, by a bracketed root solve.
 
-    A coarse scan first verifies chi1 is nondecreasing in sigma_w over the
-    bracket and that a sign change exists.  Ensembles whose length map has
-    no finite fixed point (unbounded activations at large sigma_w) count
-    as chaotic: lengths and perturbations both grow without bound there,
-    and for positively homogeneous activations expansiveness is exactly
-    chi1 > 1.
+    chi1 - 1 must be nondecreasing (within 1e-9) on the _BOUNDARY_SCAN
+    points and change sign; `_bracketed_root` closes the first scan cell
+    where it does.  Like q* and c*, the answer is certified by a bracket
+    plus a residual: the end with the smaller |chi1 - 1|, refused
+    (`ConvergenceError`) unless that is below _BOUNDARY_RESIDUAL_TOL.
+    Ensembles whose length map has no finite fixed point count as chaotic,
+    chi1 = +inf (which only makes the solver bisect): lengths and
+    perturbations both grow without bound there, and for positively
+    homogeneous activations expansiveness is exactly chi1 > 1.
     """
     if sigma_b < 0:
         raise ValueError(f"sigma_b must be nonnegative, got {sigma_b!r}")
     rule = rule or default_rule()
 
-    def chi1_at(sw: float) -> float:
+    def g(sw: float) -> float:
         params = EnsembleParams(sw, sigma_b, nonlinearity)
         try:
-            return chi1(params, rule)
+            return chi1(params, rule) - 1.0
         except ConvergenceError:
             return math.inf
 
-    lo, hi = bracket
-    scan = np.geomspace(lo, hi, scan_points)
-    chis = [chi1_at(s) for s in scan]
-    if any(b < a - 1e-9 for a, b in zip(chis, chis[1:])):
+    scan = np.geomspace(*_BOUNDARY_SCAN).tolist()
+    gs = [g(s) for s in scan]
+    span = _BOUNDARY_SCAN[:2]
+    if any(b < a - 1e-9 for a, b in zip(gs, gs[1:])):
         raise ConvergenceError(
-            f"chi1 is not monotone increasing in sigma_w over {bracket} at sigma_b={sigma_b}"
+            f"chi1 is not monotone increasing in sigma_w over {span} at sigma_b={sigma_b}"
         )
-    if not (chis[0] < 1.0 < chis[-1]):
+    if not (gs[0] < 0.0 < gs[-1]):
         raise ConvergenceError(
-            f"chi1 - 1 does not change sign over sigma_w in {bracket} at sigma_b={sigma_b}"
+            f"chi1 - 1 does not change sign over sigma_w in {span} at sigma_b={sigma_b}"
         )
-    # Bisect on the sign until the interval is exhausted rather than
-    # stopping at the first |chi1 - 1| < tol: where the crossing is
-    # tangential (sigma_b = 0) chi1 is flat near 1 and an early stop can
-    # sit well away from the true boundary.
-    mid = 0.5 * (lo + hi)
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if chi1_at(mid) < 1.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-12 * max(1.0, hi):
-            break
-    # Witness the residual at the bracket endpoints; the chaotic side can
-    # be infinite (expansive map) right at a first-order transition.
-    residual = min(abs(chi1_at(lo) - 1.0), abs(chi1_at(hi) - 1.0))
-    if residual >= tol:
+    k = next(i for i in range(len(gs) - 1) if gs[i + 1] >= 0.0)
+    sigma_w, residual = _bracketed_root(g, scan[k], scan[k + 1], gs[k], gs[k + 1], 0.0)
+    if not abs(residual) < _BOUNDARY_RESIDUAL_TOL:
         raise ConvergenceError(
-            f"bisection stalled: |chi1 - 1| = {residual:.3e} at sigma_w = {float(mid)!r}"
+            f"phase boundary residual |chi1 - 1| = {abs(residual):.3e} exceeds "
+            f"{_BOUNDARY_RESIDUAL_TOL:g} at sigma_w = {sigma_w!r}, sigma_b={sigma_b}",
+            last_value=sigma_w,
         )
-    return mid
+    return sigma_w
 
 
 def phase_grid(

@@ -19,11 +19,14 @@ standard normals z1, z2 via
 so that <u_a u_b> reproduces the target covariance exactly, and integrated
 on the tensor product of the 1-D rule with itself.
 
-Accuracy note: convergence is spectral but the rate degrades as the
-integrand steepens.  For tanh-type integrands of sqrt(q)*z, order 201 is
-accurate to ~1e-13 for q <= 10 and ~1e-4 near q = 100; order 10001 reaches
-~1e-13 at q = 100.  Pick the order to match the tolerance of the quantity
-being computed; rule construction is O(order) and cheap.
+Accuracy note: convergence is spectral but slows as the integrand
+steepens.  Against order 10001, order 201 is off by 5e-10 at q = 3,
+1.2e-5 at q = 10 and 1.4e-3 at q = 30 for E[tanh^2(sqrt(q) z)], and more
+for chi1's E[sech^4(sqrt(q) z)] (1.6e-4 at q = 10): tanh chi1 at
+sigma_w = 4, sigma_b = 0.3 is 2.37492 against 2.36726.  Order 1601 is
+within ~1e-14 up to q = 10.  Kinked activations (relu, hard_tanh) converge
+slowly at any order; ROADMAP.md ("Certified Gaussian expectations") plans
+a rule with an error estimate.  Rule construction is O(order) and cheap.
 """
 
 from __future__ import annotations
@@ -35,9 +38,9 @@ from typing import Callable
 import numpy as np
 from scipy.special import roots_hermitenorm
 
-#: Order used when callers do not pass an explicit rule.  Keeps 1-D
-#: expectations below ~1e-6 absolute error for q up to ~30, which is far
-#: below finite-width simulation noise at desk scale.
+#: Order used when callers do not pass an explicit rule.  Its error grows
+#: fast with q (see the accuracy note above): chi1 is off by 3e-3 relative
+#: at the sigma_w = 4, sigma_b = 0.3 desk point (q* = 12.6).
 DEFAULT_ORDER = 201
 
 # Correlations may drift past 1 by roundoff when fed back from fixed-point

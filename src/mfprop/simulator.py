@@ -211,17 +211,11 @@ def forward(net: NetworkRealization, x0: np.ndarray) -> list[LayerRecord]:
     input's dimensionality.
     """
     x0 = np.asarray(x0, dtype=float)
-    single = x0.ndim == 1
     X = np.atleast_2d(x0)
     if X.shape[1] != net.widths[0]:
         raise ValueError(f"input has dimension {X.shape[1]}, expected {net.widths[0]}")
-    phi = net.nonlinearity.value
-    records = []
-    for l, (W, b) in enumerate(zip(net.weights, net.biases), start=1):
-        H = X @ W.T + b
-        records.append(LayerRecord(layer=l, h=H[0] if single else H))
-        X = phi(H)
-    return records
+    h1 = X @ net.weights[0].T + net.biases[0]
+    return forward_from_first(net, h1[0] if x0.ndim == 1 else h1)
 
 
 def forward_from_first(net: NetworkRealization, h1: np.ndarray) -> list[LayerRecord]:

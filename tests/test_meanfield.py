@@ -342,6 +342,37 @@ def test_phase_boundary_linear(sigma_b):
     assert mf.phase_boundary(sigma_b, LINEAR, RULE) == pytest.approx(1.0, abs=1e-6)
 
 
+def test_phase_boundary_certified_in_few_chi1_calls(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return mf.chi1(*args, **kwargs)
+
+    monkeypatch.setattr(meanfield, "chi1", counted)
+    for sigma_b in np.linspace(0.0, 1.0, 15):    # the CLI's default sigma_b axis
+        calls.clear()
+        sigma_w = mf.phase_boundary(sigma_b, TANH, RULE)
+        assert len(calls) <= 25
+        residual = mf.chi1(mf.EnsembleParams(sigma_w, sigma_b, TANH), RULE) - 1.0
+        assert abs(residual) <= 1e-12
+
+
+def test_phase_boundary_refuses_a_scan_without_crossing():
+    # chi1 <= 1e-4 sigma_w^2 < 1 over the whole scan (sigma_w <= 10)
+    faint = mf.Nonlinearity(
+        name="faint_tanh",
+        value=lambda h: 0.01 * np.tanh(h),
+        deriv1=lambda h: 0.01 * (1.0 - np.tanh(h) ** 2),
+        deriv2=lambda h: -0.02 * np.tanh(h) * (1.0 - np.tanh(h) ** 2),
+        monotone_nondecreasing=True,
+        dynamic_range=0.02,
+        has_smooth_second_derivative=True,
+    )
+    with pytest.raises(ConvergenceError, match="does not change sign"):
+        mf.phase_boundary(0.3, faint, RULE)
+
+
 def _sign_crossings(values):
     """Indices i where values changes sign between i and i + 1.  An exact
     zero sides with the positive values, so it makes one crossing, not two."""
