@@ -24,7 +24,7 @@ def main() -> int:
     ])
     status |= run([
         "shallow-bound", "--n-trials", "100", "--n-hidden", "1000",
-        "--input-width", "1000", "--sw", "4", "--seed", seed,
+        "--sw", "4", "--seed", seed,
         "-o", str(args.outdir / "shallow_bound.csv"),
     ])
     status |= run([

@@ -41,7 +41,6 @@ from .quadrature import (
     DEFAULT_ORDER,
     QuadratureRule,
     build_rule,
-    default_rule,
     expect1,
 )
 
@@ -50,7 +49,7 @@ __all__ = [
     "Nonlinearity", "builtin", "builtin_names",
     "MFPropError", "ConvergenceError", "UnsupportedActivationError",
     "DegenerateGeometryError",
-    "QuadratureRule", "build_rule", "default_rule", "expect1",
+    "QuadratureRule", "build_rule", "expect1",
     "DEFAULT_ORDER",
     "EnsembleParams", "LengthTrajectory", "CorrelationTrajectory",
     "ChiFactors", "CurvatureTrajectory", "PhaseGrid",

@@ -121,9 +121,9 @@ def criterion_3() -> CriterionResult:
             rel = float(np.max(np.abs(run.q_emp - traj.values) / traj.values))
             c.check(rel <= 0.05,
                     f"sigma_w={sw}, q0={q0:.4g}: max rel deviation {rel:.3f} <= 0.05")
-            c.check(traj.iterations_to_1pct <= 10,
-                    f"sigma_w={sw}, q0={q0:.4g}: layers to 1% = "
-                    f"{traj.iterations_to_1pct} <= 10")
+            layers = traj.iterations_to_1pct
+            c.check(layers is not None and layers <= 10,
+                    f"sigma_w={sw}, q0={q0:.4g}: layers to 1% = {layers} <= 10")
     return _finish(3, "length-map agreement", 30.0, t0, c)
 
 

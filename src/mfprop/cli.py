@@ -31,7 +31,7 @@ from .meanfield import (
     c_map,
 )
 from .output import read_embedded_config, write_table
-from .quadrature import build_rule
+from .quadrature import DEFAULT_ORDER, build_rule
 from . import experiments as xp
 from . import expressivity as expr_mod
 from . import simulator as sim_mod
@@ -79,7 +79,7 @@ _COMMON = [
     ("sigma_b", ("--sigma-b", "--sb"), float, 0.0, "bias std"),
     ("nonlinearity", ("--nonlinearity", "--nl"), str, "tanh",
      f"one of {', '.join(builtin_names())}"),
-    ("order", ("--order",), int, 201, "quadrature order"),
+    ("order", ("--order",), int, DEFAULT_ORDER, "quadrature order"),
     ("out", ("--out", "-o"), str, None, "output path (default: <command>.<format>)"),
     ("format", ("--format",), str, "csv", "csv or json"),
 ]
@@ -97,7 +97,7 @@ _COMMANDS: dict[str, list] = {
         ("sw_range", ("--sw", "--sigma-w"), str, "0.1:4:30", "sigma_w grid lo:hi:count"),
         ("sb_range", ("--sb", "--sigma-b"), str, "0:1:15", "sigma_b grid lo:hi:count"),
         ("nonlinearity", ("--nonlinearity", "--nl"), str, "tanh", "activation"),
-        ("order", ("--order",), int, 201, "quadrature order"),
+        ("order", ("--order",), int, DEFAULT_ORDER, "quadrature order"),
         ("out", ("--out", "-o"), str, None, "output path"),
         ("format", ("--format",), str, "csv", "csv or json"),
     ],
@@ -136,7 +136,6 @@ _COMMANDS: dict[str, list] = {
     "shallow-bound": _COMMON + [
         ("n_trials", ("--n-trials",), int, 100, "number of sampled nets"),
         ("n_hidden", ("--n-hidden",), int, 1000, "hidden width N1"),
-        ("input_width", ("--input-width",), int, 1000, "input width N0"),
         ("q0", ("--q0",), float, 1.0, "circle squared radius per neuron"),
         ("theta_samples", ("--theta-samples",), int, 512, "circle resolution"),
         ("seed", ("--seed",), int, 0, "seed"),
@@ -219,8 +218,9 @@ def _run_length_map(cfg):
     rule = build_rule(cfg["order"])
     traj = length_trajectory(cfg["q0"], cfg["depth"], params, rule)
     rows = [(l + 1, float(q)) for l, q in enumerate(traj.values)]
+    layers = traj.iterations_to_1pct
     footer = [f"q_star = {traj.q_star:.17g}",
-              f"iterations_to_1pct = {traj.iterations_to_1pct}"]
+              f"iterations_to_1pct = {'none' if layers is None else layers}"]
     return _finish(cfg, ["layer", "q_theory"], rows, footer)
 
 
@@ -366,8 +366,10 @@ def _run_boundary(cfg):
 
 def _run_shallow_bound(cfg):
     params = _ensemble(cfg)
-    circle = sim_mod.CircleManifold.sample(cfg["input_width"], cfg["q0"],
-                                           cfg["theta_samples"], cfg["seed"] + 11)
+    # the bound's lengths depend on the circle only through q and its theta
+    # grid, so it lies in the smallest input space a circle fits in
+    circle = sim_mod.CircleManifold.sample(2, cfg["q0"], cfg["theta_samples"],
+                                           cfg["seed"] + 11)
     report = expr_mod.verify_shallow_bound(cfg["n_trials"], cfg["n_hidden"],
                                            params, circle, cfg["seed"])
     rows = [(t, float(le), float(report.bound))

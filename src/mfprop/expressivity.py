@@ -29,13 +29,8 @@ import numpy as np
 from .errors import UnsupportedActivationError
 from .geometry import periodic_trapezoid
 from .meanfield import EnsembleParams, c_map, length_fixed_point
-from .quadrature import QuadratureRule, default_rule, expect1
-from .simulator import (
-    CircleManifold,
-    NetworkRealization,
-    _parallel_map,
-    sample_network,
-)
+from .quadrature import QuadratureRule, expect1
+from .simulator import CircleManifold, NetworkRealization, sample_network
 
 
 @dataclass(frozen=True)
@@ -76,11 +71,20 @@ def verify_shallow_bound(
     circle: CircleManifold,
     seed: int,
 ) -> ShallowBoundReport:
-    """Measure L^E of x^1(theta) = phi(W x^0(theta)) over random W.
+    """Measure L^E of x^1(theta) = phi(W x^0(theta) + b) over random W and b.
 
-    The circle input has s = 1 (each 1-D projection of its velocity is a
-    sinusoid).  Bias after phi shifts the curve rigidly, so it never
-    enters the length.
+    The circle x^0(theta) = sqrt(N_0 q) (cos theta u0 + sin theta u1) has
+    s = 1 (each 1-D projection of its velocity is a sinusoid).  With u0, u1
+    orthonormal and W_ij ~ N(0, sigma_w^2 / N_0), W u0 and W u1 are
+    independent N(0, sigma_w^2 / N_0) vectors, so
+
+        h(theta) = sigma_w sqrt(q) (cos theta z0 + sin theta z1) + b
+
+    with z0, z1 standard normal N_1-vectors: N_0 cancels, W is never
+    formed, and the circle contributes only q and its theta grid.  Trial t
+    draws z = (z0, z1), then b ~ N(0, sigma_b^2), from child t of
+    SeedSequence(seed).  The lengths have the distribution of a dense W
+    draw, not its bytes.
     """
     nl = params.nonlinearity
     if not nl.monotone_nondecreasing:
@@ -92,25 +96,17 @@ def verify_shallow_bound(
     spec = ShallowBoundSpec(n_hidden=n_hidden, sign_changes=1,
                             dynamic_range=nl.dynamic_range)
     bound = shallow_length_bound(spec)
-    scale = params.sigma_w / math.sqrt(circle.width)
-    basis = np.stack([circle.u0, circle.u1], axis=1)
-    children = np.random.SeedSequence(seed).spawn(n_trials)
-
-    def project(child: np.random.SeedSequence) -> np.ndarray:
-        rng = np.random.default_rng(child)
-        w = rng.normal(0.0, scale, size=(n_hidden, circle.width))
-        return w @ basis
-
-    # The circle lies in span(u0, u1), so W x0(theta) and W v0(theta) need
-    # only W u0 and W u1; each trial's W is drawn and freed in a worker.
-    r = math.sqrt(circle.width * circle.q)
-    cos = np.cos(circle.thetas)[:, None]
-    sin = np.sin(circle.thetas)[:, None]
+    # h = position @ z + b and dh/dtheta = velocity @ z, as (n_theta, 2) @ (2, N_1)
+    r = params.sigma_w * math.sqrt(circle.q)
+    cos, sin = np.cos(circle.thetas), np.sin(circle.thetas)
+    position = r * np.stack([cos, sin], axis=1)
+    velocity = r * np.stack([-sin, cos], axis=1)
     lengths = np.empty(n_trials)
-    for t, wu in enumerate(_parallel_map(project, children)):
-        wu0, wu1 = wu[:, 0][None, :], wu[:, 1][None, :]
-        h = r * (cos * wu0 + sin * wu1)
-        v_hidden = nl.deriv1(h) * (r * (cos * wu1 - sin * wu0))
+    for t, child in enumerate(np.random.SeedSequence(seed).spawn(n_trials)):
+        rng = np.random.default_rng(child)
+        z = rng.standard_normal((2, n_hidden))
+        b = rng.normal(0.0, params.sigma_b, size=n_hidden)
+        v_hidden = nl.deriv1(position @ z + b) * (velocity @ z)
         speed = np.sqrt(np.einsum("ij,ij->i", v_hidden, v_hidden))
         lengths[t] = periodic_trapezoid(speed, circle.thetas)
     violations = int(np.sum(lengths > bound))
@@ -247,7 +243,7 @@ def weight_chaos_theory(
     params: EnsembleParams,
     delta: float,
     depth: int,
-    rule: QuadratureRule | None = None,
+    rule: QuadratureRule,
     *,
     q_star: float | None = None,
 ) -> np.ndarray:
@@ -260,7 +256,6 @@ def weight_chaos_theory(
         raise ValueError(f"delta must lie in [-1, 1], got {delta!r}")
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    rule = rule or default_rule()
     if q_star is None:
         q_star = length_fixed_point(params, rule)
     if q_star <= 0.0:
@@ -286,7 +281,7 @@ def weight_chaos_empirical(
     seed: int,
     *,
     n_theta: int = 256,
-    rule: QuadratureRule | None = None,
+    rule: QuadratureRule,
 ) -> WeightChaosFamily:
     """Simulate the interpolated-weight family on a circle at radius q*.
 
@@ -306,7 +301,6 @@ def weight_chaos_empirical(
     widths = tuple(int(n) for n in widths)
     if len(widths) < 3:
         raise ValueError("weight chaos needs depth >= 2 (widths N_0..N_D)")
-    rule = rule or default_rule()
     q_star = length_fixed_point(params, rule)
     if q_star <= 0.0:
         raise ValueError("weight chaos is undefined at q* = 0")

@@ -42,7 +42,7 @@ import numpy as np
 
 from .activations import Nonlinearity
 from .errors import ConvergenceError, UnsupportedActivationError
-from .quadrature import QuadratureRule, default_rule, expect1, expect2_product
+from .quadrature import QuadratureRule, expect1, expect2_product
 
 # Solver budgets.  q* and c* are roots of V(q) - q and c_map(c) - c, each
 # bracketed by a sign change and closed by `_bracketed_root`.  For q* the
@@ -51,12 +51,11 @@ from .quadrature import QuadratureRule, default_rule, expect1, expect2_product
 # to _C_MIN_DELTA.  q* is certified by `_residual_tol`, c* by
 # |c_map(c*) - c*| <= _C_RESIDUAL_TOL, and a q* so large that the
 # certificate is relative to it must also change sign over _Q_SIGN_STEP
-# relative.  _Q_MAX_ITER caps the layer count `length_trajectory` reports.
+# relative.
 # The chi1 = 1 boundary is bracketed on the geometric sigma_w scan
 # _BOUNDARY_SCAN (first, last, points), certified by _BOUNDARY_RESIDUAL_TOL.
 _Q_MAX_DOUBLINGS = 340
 _Q_SIGN_STEP = 1e-3
-_Q_MAX_ITER = 10_000
 _C_MIN_DELTA = 2.0**-50
 _C_RESIDUAL_TOL = 1e-12
 _BOUNDARY_SCAN = (1e-3, 10.0, 9)
@@ -84,7 +83,7 @@ class LengthTrajectory:
     q0: float
     values: np.ndarray          # q^l for layers l = 1..depth
     q_star: float
-    iterations_to_1pct: int
+    iterations_to_1pct: Optional[int]   # None: no layer up to depth within 1 %
 
 
 @dataclass(frozen=True)
@@ -129,11 +128,10 @@ class PhaseGrid:
 # length map
 
 
-def length_map(q: float, params: EnsembleParams, rule: QuadratureRule | None = None) -> float:
+def length_map(q: float, params: EnsembleParams, rule: QuadratureRule) -> float:
     """One application of the variance map V(q)."""
     if not (np.isfinite(q) and q >= 0):
         raise ValueError(f"q must be a finite nonnegative real, got {q!r}")
-    rule = rule or default_rule()
     phi = params.nonlinearity.value
     sq = math.sqrt(q)
     moment = expect1(lambda z: phi(sq * z) ** 2, rule)
@@ -142,7 +140,7 @@ def length_map(q: float, params: EnsembleParams, rule: QuadratureRule | None = N
 
 def length_fixed_point(
     params: EnsembleParams,
-    rule: QuadratureRule | None = None,
+    rule: QuadratureRule,
 ) -> float:
     """Stable fixed point q* of the length map, by a bracketed root solve.
 
@@ -163,7 +161,6 @@ def length_fixed_point(
     `ConvergenceError` when the bracket cannot be closed below ~1e100 (an
     expansive map) or either certificate fails.
     """
-    rule = rule or default_rule()
     g = lambda q: length_map(q, params, rule) - q
     eps_q = 1e-18
     lo, g_lo = 0.0, length_map(0.0, params, rule)
@@ -257,20 +254,19 @@ def length_trajectory(
     q0: float,
     depth: int,
     params: EnsembleParams,
-    rule: QuadratureRule | None = None,
+    rule: QuadratureRule,
 ) -> LengthTrajectory:
     """Layerwise theory trajectory q^1..q^depth from input length q0.
 
     The first layer is affine in the input, q^1 = sigma_w^2 q^0 + sigma_b^2;
-    deeper layers apply the length map.  `iterations_to_1pct` counts layers
-    until |q^l - q*| <= 0.01 q* (absolute 1e-8 when q* = 0), continuing past
-    `depth` if necessary.
+    deeper layers apply the length map.  `iterations_to_1pct` is the first
+    layer l <= depth with |q^l - q*| <= 0.01 q* (absolute 1e-8 when
+    q* = 0), or None when no layer up to `depth` is that close.
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     if not (np.isfinite(q0) and q0 >= 0):
         raise ValueError(f"q0 must be a finite nonnegative real, got {q0!r}")
-    rule = rule or default_rule()
     q_star = length_fixed_point(params, rule)
 
     def close(q):
@@ -278,23 +274,17 @@ def length_trajectory(
             return abs(q - q_star) <= 1e-8
         return abs(q - q_star) / q_star <= 0.01
 
-    # one pass fills q^1..q^depth and finds the first layer within 1 % of
-    # q*, reported as the iteration cap when never reached (possible only
-    # for marginal maps, e.g. the identity map of a critical linear network)
     values = np.empty(depth)
-    iterations = 0
+    iterations = None
     q = params.sigma_w**2 * q0 + params.sigma_b**2
-    for l in range(1, max(depth, _Q_MAX_ITER) + 1):
+    for l in range(1, depth + 1):
         if l > 1:
             q = length_map(q, params, rule)
-        if l <= depth:
-            values[l - 1] = q
-        if not iterations and close(q):
+        values[l - 1] = q
+        if iterations is None and close(q):
             iterations = l
-        if l >= depth and iterations:
-            break
     return LengthTrajectory(q0=q0, values=values, q_star=q_star,
-                            iterations_to_1pct=min(iterations or _Q_MAX_ITER, _Q_MAX_ITER))
+                            iterations_to_1pct=iterations)
 
 
 # ---------------------------------------------------------------------------
@@ -306,10 +296,9 @@ def correlation_map(
     q11: float,
     q22: float,
     params: EnsembleParams,
-    rule: QuadratureRule | None = None,
+    rule: QuadratureRule,
 ) -> float:
     """Next-layer cross-covariance q_12 for inputs with lengths q11, q22."""
-    rule = rule or default_rule()
     phi = params.nonlinearity.value
     moment = expect2_product(phi, phi, c12, q11, q22, rule)
     return params.sigma_w**2 * moment + params.sigma_b**2
@@ -318,12 +307,11 @@ def correlation_map(
 def c_map(
     c: float,
     params: EnsembleParams,
-    rule: QuadratureRule | None = None,
+    rule: QuadratureRule,
     *,
     q_star: float | None = None,
 ) -> float:
     """Correlation-coefficient map at the fixed-point length."""
-    rule = rule or default_rule()
     if q_star is None:
         q_star = length_fixed_point(params, rule)
     if q_star <= 0.0:
@@ -333,12 +321,11 @@ def c_map(
 
 def chi1(
     params: EnsembleParams,
-    rule: QuadratureRule | None = None,
+    rule: QuadratureRule,
     *,
     q_star: float | None = None,
 ) -> float:
     """Slope of the c-map at c = 1: sigma_w^2 E[phi'(sqrt(q*) z)^2]."""
-    rule = rule or default_rule()
     if q_star is None:
         q_star = length_fixed_point(params, rule)
     d1 = params.nonlinearity.deriv1
@@ -348,7 +335,7 @@ def chi1(
 
 def chi2(
     params: EnsembleParams,
-    rule: QuadratureRule | None = None,
+    rule: QuadratureRule,
     *,
     q_star: float | None = None,
 ) -> float:
@@ -363,7 +350,6 @@ def chi2(
         raise UnsupportedActivationError(
             f"chi2 requires a smooth second derivative; {nl.name!r} is piecewise linear"
         )
-    rule = rule or default_rule()
     if q_star is None:
         q_star = length_fixed_point(params, rule)
     d2 = nl.deriv2
@@ -373,11 +359,10 @@ def chi2(
 
 def chi_factors(
     params: EnsembleParams,
-    rule: QuadratureRule | None = None,
+    rule: QuadratureRule,
     *,
     q_star: float | None = None,
 ) -> ChiFactors:
-    rule = rule or default_rule()
     if q_star is None:
         q_star = length_fixed_point(params, rule)
     x1 = chi1(params, rule, q_star=q_star)
@@ -439,14 +424,13 @@ def correlation_trajectory(
     c0: float,
     depth: int,
     params: EnsembleParams,
-    rule: QuadratureRule | None = None,
+    rule: QuadratureRule,
 ) -> CorrelationTrajectory:
     """Layerwise c^1..c^depth under the c-map, starting at c^1 = c0."""
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     if abs(c0) > 1.0:
         raise ValueError(f"c0 must lie in [-1, 1], got {c0!r}")
-    rule = rule or default_rule()
     q_star = length_fixed_point(params, rule)
     values = np.empty(depth)
     values[0] = c0
@@ -465,12 +449,11 @@ def correlation_trajectory(
 def curvature_trajectory(
     depth: int,
     params: EnsembleParams,
-    rule: QuadratureRule | None = None,
+    rule: QuadratureRule,
 ) -> CurvatureTrajectory:
     """Evolution of (gE, kappa^2) for a circle at the fixed-point radius."""
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
-    rule = rule or default_rule()
     q_star = length_fixed_point(params, rule)
     if q_star <= 0.0:
         raise ValueError("curvature recursion is undefined at q* = 0")
@@ -514,7 +497,7 @@ def curvature_trajectory(
 def phase_boundary(
     sigma_b: float,
     nonlinearity: Nonlinearity,
-    rule: QuadratureRule | None = None,
+    rule: QuadratureRule,
 ) -> float:
     """sigma_w at which chi1 crosses 1, at fixed sigma_b, by a bracketed root solve.
 
@@ -530,7 +513,6 @@ def phase_boundary(
     """
     if sigma_b < 0:
         raise ValueError(f"sigma_b must be nonnegative, got {sigma_b!r}")
-    rule = rule or default_rule()
 
     def g(sw: float) -> float:
         params = EnsembleParams(sw, sigma_b, nonlinearity)
@@ -565,7 +547,7 @@ def phase_grid(
     sigma_w_axis,
     sigma_b_axis,
     nonlinearity: Nonlinearity,
-    rule: QuadratureRule | None = None,
+    rule: QuadratureRule,
     *,
     with_boundary: bool = True,
 ) -> PhaseGrid:
@@ -582,7 +564,6 @@ def phase_grid(
         raise ValueError("phase grid needs at least 2 samples per axis")
     if np.any(np.diff(sw_axis) <= 0) or np.any(np.diff(sb_axis) <= 0):
         raise ValueError("grid axes must be strictly increasing")
-    rule = rule or default_rule()
 
     n_w, n_b = sw_axis.size, sb_axis.size
     q_star = np.full((n_w, n_b), np.nan)

@@ -38,9 +38,9 @@ from typing import Callable
 import numpy as np
 from scipy.special import roots_hermitenorm
 
-#: Order used when callers do not pass an explicit rule.  Its error grows
-#: fast with q (see the accuracy note above): chi1 is off by 3e-3 relative
-#: at the sigma_w = 4, sigma_b = 0.3 desk point (q* = 12.6).
+#: Default of the CLI's `--order` flags.  Its error grows fast with q (see
+#: the accuracy note above): chi1 is off by 3e-3 relative at the
+#: sigma_w = 4, sigma_b = 0.3 desk point (q* = 12.6).
 DEFAULT_ORDER = 201
 
 # Correlations may drift past 1 by roundoff when fed back from fixed-point
@@ -90,18 +90,6 @@ def build_rule(order: int) -> QuadratureRule:
         raise ValueError(f"node computation failed to converge for order {order}")
     weights = weights / weights.sum()
     return QuadratureRule(nodes=nodes, weights=weights, order=order)
-
-
-_DEFAULT_RULE_CACHE: dict[int, QuadratureRule] = {}
-
-
-def default_rule(order: int = DEFAULT_ORDER) -> QuadratureRule:
-    """Memoized rule; the workhorse for repeated map evaluations."""
-    rule = _DEFAULT_RULE_CACHE.get(order)
-    if rule is None:
-        rule = build_rule(order)
-        _DEFAULT_RULE_CACHE[order] = rule
-    return rule
 
 
 def _check_finite(values: np.ndarray, nodes_for_msg: np.ndarray) -> None:

@@ -44,6 +44,13 @@ def test_length_map_csv_contract(tmp_path):
     assert cfg["sigma_w"] == 4.0 and cfg["depth"] == 10
 
 
+def test_length_map_footer_says_none_without_a_close_layer(tmp_path):
+    # defaults sigma_w = 1, sigma_b = 0: q* = 0 and q^l decays like 1/l
+    out = tmp_path / "lm.csv"
+    assert run(["length-map", "-o", str(out)]) == 0
+    assert "# iterations_to_1pct = none\n" in out.read_text()
+
+
 def test_identical_runs_are_byte_identical(tmp_path):
     args = ["c-map", "--sw", "2.5", "--sb", "0.3", "--depth", "6"]
     a = tmp_path / "a.csv"
@@ -102,15 +109,21 @@ def test_simulate_pair_mode(tmp_path):
     assert float(rows[0][1]) == pytest.approx(0.8)
 
 
-def test_shallow_bound_columns(tmp_path):
+def test_shallow_bound_columns(tmp_path, capsys):
     out = tmp_path / "bound.csv"
-    assert run(["shallow-bound", "--n-trials", "3", "--n-hidden", "50",
-                "--input-width", "60", "--sw", "4", "--theta-samples", "64",
-                "--seed", "1", "-o", str(out)]) == 0
+    args = ["shallow-bound", "--n-trials", "3", "--n-hidden", "50", "--sw", "4",
+            "--theta-samples", "64", "--seed", "1", "-o", str(out)]
+    assert run(args) == 0
     columns, rows = read_rows(out)
     assert columns == ["trial", "LE", "bound"]
     assert len(rows) == 3
     assert all(float(r[1]) <= float(r[2]) for r in rows)
+    assert "input_width" not in read_embedded_config(str(out))
+    # the lengths do not depend on the input width, so there is no flag for it
+    out.unlink()
+    assert run(args + ["--input-width", "60"]) == 1
+    assert not out.exists()
+    capsys.readouterr()
 
 
 def test_fourier_columns(tmp_path):

@@ -53,14 +53,36 @@ def test_bound_holds_on_random_shallow_nets():
 
 
 @pytest.mark.parametrize("name", ["tanh", "hard_tanh"])
-def test_shallow_bound_span_projection_matches_dense_reference(name):
+def test_shallow_bound_lengths_match_dense_weights_in_distribution(name):
+    # Two N_1-vectors per trial stand in for W u0 and W u1; the dense oracle
+    # draws the whole N_1 x N_0 matrix.  Independent seeds on the two sides.
     nl = mf.builtin(name)
     circle = sim.CircleManifold.sample(300, 1.0, 128, seed=8)
     params = mf.EnsembleParams(2.0, 0.0, nl)
-    report = ex.verify_shallow_bound(5, 200, params, circle, seed=9)
-    dense = shallow_lengths_dense(nl.deriv1, 2.0, 200, 5, circle.h1(), circle.v1(), seed=9)
-    assert np.all(dense > 0.0)
-    assert np.allclose(report.lengths, dense, rtol=1e-12, atol=0.0)
+    n_trials = 200
+    lengths = ex.verify_shallow_bound(n_trials, 200, params, circle, seed=9).lengths
+    dense = shallow_lengths_dense(nl.deriv1, 2.0, 200, n_trials, circle.h1(), circle.v1(),
+                                  seed=10)
+    assert np.all(dense > 0.0) and np.all(lengths > 0.0)
+    se = math.sqrt((lengths.var(ddof=1) + dense.var(ddof=1)) / n_trials)
+    assert abs(lengths.mean() - dense.mean()) <= 4.0 * se
+
+
+def test_shallow_bound_lengths_do_not_depend_on_input_width():
+    narrow = sim.CircleManifold.sample(3, 1.5, 128, seed=0)
+    wide = sim.CircleManifold.sample(300, 1.5, 128, seed=1)
+    params = mf.EnsembleParams(3.0, 0.0, TANH)
+    a = ex.verify_shallow_bound(4, 50, params, narrow, seed=2).lengths
+    b = ex.verify_shallow_bound(4, 50, params, wide, seed=2).lengths
+    assert np.array_equal(a, b)
+
+
+def test_shallow_bound_draws_a_bias():
+    circle = sim.CircleManifold.sample(2, 1.0, 128, seed=0)
+    plain = ex.verify_shallow_bound(10, 100, mf.EnsembleParams(4.0, 0.0, TANH), circle, seed=3)
+    biased = ex.verify_shallow_bound(10, 100, mf.EnsembleParams(4.0, 0.5, TANH), circle, seed=3)
+    assert np.all(biased.lengths != plain.lengths)
+    assert biased.violations == 0
 
 
 def test_unbounded_range_unsupported():
@@ -233,4 +255,5 @@ def test_weight_chaos_rejects_bad_delta():
     with pytest.raises(ValueError):
         ex.weight_chaos_theory(CHAOTIC, 1.5, 4, RULE)
     with pytest.raises(ValueError):
-        ex.weight_chaos_empirical(CHAOTIC, (50,) * 4, np.array([0.0, 2.0]), seed=15)
+        ex.weight_chaos_empirical(CHAOTIC, (50,) * 4, np.array([0.0, 2.0]), seed=15,
+                                  rule=RULE)

@@ -131,6 +131,23 @@ def test_trajectory_constant_from_fixed_point():
     assert traj.iterations_to_1pct == 1
 
 
+def test_trajectory_counts_layers_only_within_depth(monkeypatch):
+    # q* = 0 and q^l decays like 1/l, so no layer up to depth is within 1e-8
+    calls = 0
+    length_map = meanfield.length_map
+
+    def counting_length_map(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return length_map(*args, **kwargs)
+
+    monkeypatch.setattr(meanfield, "length_map", counting_length_map)
+    traj = mf.length_trajectory(1.0, 10, mf.EnsembleParams(1.0, 0.0, TANH), RULE)
+    assert traj.q_star == 0.0
+    assert traj.iterations_to_1pct is None
+    assert calls <= 20
+
+
 def test_trajectory_first_layer_is_affine():
     traj = mf.length_trajectory(2.0, 3, CHAOTIC, RULE)
     assert traj.values[0] == pytest.approx(16.0 * 2.0 + 0.09, abs=1e-12)
