@@ -1,9 +1,11 @@
 """Scalar nonlinearities with analytic derivatives and theory metadata.
 
 The mean-field maps need phi, phi', and for the curvature recursion phi''.
-For piecewise-linear activations the second derivative is distributional,
-so those report ``has_smooth_second_derivative = False`` and the curvature
-operations refuse them instead of silently using phi'' = 0.
+One callable, `derivatives(h, order)`, returns (phi, ..., phi^(order)) from
+a single evaluation of the activation.  For piecewise-linear activations
+the second derivative is distributional, so those report
+``has_smooth_second_derivative = False`` and the curvature operations
+refuse them instead of silently using phi'' = 0.
 """
 
 from __future__ import annotations
@@ -20,14 +22,13 @@ Array = np.ndarray
 class Nonlinearity:
     """A scalar activation phi with first and second derivatives.
 
-    `value`, `deriv1` and `deriv2` must act elementwise on ndarrays.
+    `derivatives(h, order)` maps an ndarray h to (phi, ..., phi^(order)) for
+    order 0, 1 or 2, elementwise.
     `dynamic_range` is max(phi) - min(phi); None means unbounded.
     """
 
     name: str
-    value: Callable[[Array], Array]
-    deriv1: Callable[[Array], Array]
-    deriv2: Callable[[Array], Array]
+    derivatives: Callable[[Array, int], tuple[Array, ...]]
     monotone_nondecreasing: bool
     dynamic_range: Optional[float]
     has_smooth_second_derivative: bool
@@ -36,21 +37,31 @@ class Nonlinearity:
         if self.dynamic_range is not None and not self.dynamic_range >= 0:
             raise ValueError("dynamic_range must be nonnegative or None")
 
+    def value(self, h: Array) -> Array:
+        """phi(h)."""
+        return self.derivatives(h, 0)[0]
+
+
+def _tanh_derivatives(h, order):
+    t = np.tanh(h)
+    if order == 0:
+        return (t,)
+    d1 = 1.0 - t * t
+    return (t, d1) if order == 1 else (t, d1, -2.0 * t * d1)
+
+
+def _piecewise_linear(value, slope):
+    """`derivatives` of an activation whose phi'' is 0 away from its kinks."""
+    def derivatives(h, order):
+        h = np.asarray(h, dtype=float)
+        return tuple(f(h) for f in (value, slope, np.zeros_like)[:order + 1])
+    return derivatives
+
 
 def _tanh() -> Nonlinearity:
-    def d1(h):
-        t = np.tanh(h)
-        return 1.0 - t * t
-
-    def d2(h):
-        t = np.tanh(h)
-        return -2.0 * t * (1.0 - t * t)
-
     return Nonlinearity(
         name="tanh",
-        value=np.tanh,
-        deriv1=d1,
-        deriv2=d2,
+        derivatives=_tanh_derivatives,
         monotone_nondecreasing=True,
         dynamic_range=2.0,
         has_smooth_second_derivative=True,
@@ -60,9 +71,7 @@ def _tanh() -> Nonlinearity:
 def _linear() -> Nonlinearity:
     return Nonlinearity(
         name="linear",
-        value=lambda h: np.asarray(h, dtype=float),
-        deriv1=lambda h: np.ones_like(np.asarray(h, dtype=float)),
-        deriv2=lambda h: np.zeros_like(np.asarray(h, dtype=float)),
+        derivatives=_piecewise_linear(lambda h: h, np.ones_like),
         monotone_nondecreasing=True,
         dynamic_range=None,
         has_smooth_second_derivative=True,
@@ -70,15 +79,10 @@ def _linear() -> Nonlinearity:
 
 
 def _hard_tanh() -> Nonlinearity:
-    def d1(h):
-        h = np.asarray(h, dtype=float)
-        return ((h > -1.0) & (h < 1.0)).astype(float)
-
     return Nonlinearity(
         name="hard_tanh",
-        value=lambda h: np.clip(h, -1.0, 1.0),
-        deriv1=d1,
-        deriv2=lambda h: np.zeros_like(np.asarray(h, dtype=float)),
+        derivatives=_piecewise_linear(lambda h: np.clip(h, -1.0, 1.0),
+                                      lambda h: ((h > -1.0) & (h < 1.0)).astype(float)),
         monotone_nondecreasing=True,
         dynamic_range=2.0,
         has_smooth_second_derivative=False,
@@ -86,15 +90,10 @@ def _hard_tanh() -> Nonlinearity:
 
 
 def _relu() -> Nonlinearity:
-    def d1(h):
-        h = np.asarray(h, dtype=float)
-        return (h > 0.0).astype(float)
-
     return Nonlinearity(
         name="relu",
-        value=lambda h: np.maximum(np.asarray(h, dtype=float), 0.0),
-        deriv1=d1,
-        deriv2=lambda h: np.zeros_like(np.asarray(h, dtype=float)),
+        derivatives=_piecewise_linear(lambda h: np.maximum(h, 0.0),
+                                      lambda h: (h > 0.0).astype(float)),
         monotone_nondecreasing=True,
         dynamic_range=None,
         has_smooth_second_derivative=False,

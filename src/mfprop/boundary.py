@@ -95,11 +95,13 @@ def _suffix_pass(
     readout: LinearReadout,
     layer: int,
     x: np.ndarray,
-) -> tuple[float, np.ndarray, list[np.ndarray], list[np.ndarray], list[np.ndarray]]:
+    order: int,
+) -> tuple[float, np.ndarray, list[tuple[np.ndarray, ...]], list[np.ndarray]]:
     """One forward and one reverse pass of the suffix at layer-l activity x.
 
-    Returns G(x), grad G(x) and, for j = l+1..D, the preactivations h^j,
-    phi'(h^j) and the sensitivities s_j = dG/dphi(h^j).
+    Returns G(x), grad G(x) and, for j = l+1..D, the activation's
+    derivatives (phi, .., phi^(order)) at h^j, from one evaluation per
+    layer (order 1 or 2), and the sensitivities s_j = dG/dphi(h^j).
     """
     if not 0 <= layer <= net.depth:
         raise ValueError(f"layer must be in 0..{net.depth}, got {layer}")
@@ -108,21 +110,18 @@ def _suffix_pass(
         raise ValueError(f"x has shape {x.shape}, expected ({net.widths[layer]},)")
     if readout.beta.shape != (net.widths[net.depth],):
         raise ValueError("readout dimension does not match the last layer")
-    nl = net.nonlinearity
-    hs, d1 = [], []
+    derivs = []
     activity = x
     for w, b in zip(net.weights[layer:], net.biases[layer:]):
-        h = w @ activity + b
-        hs.append(h)
-        d1.append(nl.deriv1(h))
-        activity = nl.value(h)
+        derivs.append(net.nonlinearity.derivatives(w @ activity + b, order))
+        activity = derivs[-1][0]
     value = float(readout.beta @ activity) - readout.beta0
     sens = []
     grad = readout.beta.copy()
-    for w, d in zip(reversed(net.weights[layer:]), reversed(d1)):
+    for w, d in zip(reversed(net.weights[layer:]), reversed(derivs)):
         sens.append(grad)
-        grad = w.T @ (d * grad)
-    return value, grad, hs, d1, sens[::-1]
+        grad = w.T @ (d[1] * grad)
+    return value, grad, derivs, sens[::-1]
 
 
 def readout_value_and_gradient(
@@ -132,7 +131,7 @@ def readout_value_and_gradient(
     x: np.ndarray,
 ) -> tuple[float, np.ndarray]:
     """G and its exact gradient for the suffix starting at layer-l activity."""
-    value, grad, _, _, _ = _suffix_pass(net, readout, layer, x)
+    value, grad, _, _ = _suffix_pass(net, readout, layer, x, 1)
     return value, grad
 
 
@@ -148,18 +147,18 @@ def readout_hessian(
     an activation without a smooth phi'' (relu, hard_tanh) is refused with
     UnsupportedActivationError rather than given phi'' = 0.
     """
-    _, _, hs, d1, sens = _suffix_pass(net, readout, layer, x)
+    _, _, derivs, sens = _suffix_pass(net, readout, layer, x, 2)
     nl = net.nonlinearity
-    if hs and not nl.has_smooth_second_derivative:
+    if derivs and not nl.has_smooth_second_derivative:
         raise UnsupportedActivationError(
             f"the boundary Hessian needs a smooth phi''; {nl.name!r} lacks one"
         )
     n = net.widths[layer]
     hessian = np.zeros((n, n))
     jac = None  # dh^j/dx, an N_j x N_l matrix carried forward
-    for k, (w, h, s) in enumerate(zip(net.weights[layer:], hs, sens)):
-        jac = w if jac is None else w @ (d1[k - 1][:, None] * jac)
-        hessian += jac.T @ ((nl.deriv2(h) * s)[:, None] * jac)
+    for k, (w, d, s) in enumerate(zip(net.weights[layer:], derivs, sens)):
+        jac = w if jac is None else w @ (derivs[k - 1][1][:, None] * jac)
+        hessian += jac.T @ ((d[2] * s)[:, None] * jac)
     return hessian
 
 
@@ -200,7 +199,8 @@ def find_boundary_point(
         if gnorm_sq <= (np.finfo(float).eps * field.tol_scale) ** 2 * max(1.0, f0):
             raise DegenerateGeometryError(
                 f"vanishing gradient (|grad|^2={gnorm_sq:.3e}) away from the boundary "
-                f"(|G|={abs(value):.3e}): stalled at a saddle of G"
+                f"(|G|={abs(value):.3e}): G is flat here, at a critical point or on a "
+                "plateau where the suffix is saturated"
             )
         # descent direction for f = G^2 is -2 G grad; t=1 below is the
         # scalar-Newton step x - (G/|grad|^2) grad

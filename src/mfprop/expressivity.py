@@ -28,8 +28,8 @@ import numpy as np
 
 from .errors import UnsupportedActivationError
 from .geometry import periodic_trapezoid
-from .meanfield import EnsembleParams, c_map, length_fixed_point
-from .quadrature import QuadratureRule, expect1
+from .meanfield import EnsembleParams, _weighted_moment, c_map, length_fixed_point
+from .quadrature import QuadratureRule
 from .simulator import CircleManifold, NetworkRealization, sample_network
 
 
@@ -106,7 +106,7 @@ def verify_shallow_bound(
         rng = np.random.default_rng(child)
         z = rng.standard_normal((2, n_hidden))
         b = rng.normal(0.0, params.sigma_b, size=n_hidden)
-        v_hidden = nl.deriv1(position @ z + b) * (velocity @ z)
+        v_hidden = nl.derivatives(position @ z + b, 1)[1] * (velocity @ z)
         speed = np.sqrt(np.einsum("ij,ij->i", v_hidden, v_hidden))
         lengths[t] = periodic_trapezoid(speed, circle.thetas)
     violations = int(np.sum(lengths > bound))
@@ -264,9 +264,7 @@ def weight_chaos_theory(
     out[0] = 1.0
     if depth == 1:
         return out
-    phi = params.nonlinearity.value
-    sq = math.sqrt(q_star)
-    weight_term = params.sigma_w**2 * expect1(lambda z: phi(sq * z) ** 2, rule)
+    weight_term = _weighted_moment(0, q_star, params, rule)
     q2 = math.sqrt(1.0 - abs(delta)) * weight_term + params.sigma_b**2
     out[1] = q2 / q_star
     for l in range(2, depth):

@@ -132,10 +132,14 @@ def length_map(q: float, params: EnsembleParams, rule: QuadratureRule) -> float:
     """One application of the variance map V(q)."""
     if not (np.isfinite(q) and q >= 0):
         raise ValueError(f"q must be a finite nonnegative real, got {q!r}")
-    phi = params.nonlinearity.value
+    return _weighted_moment(0, q, params, rule) + params.sigma_b**2
+
+
+def _weighted_moment(k: int, q: float, params: EnsembleParams, rule: QuadratureRule) -> float:
+    """sigma_w^2 E[phi^(k)(sqrt(q) z)^2] for z ~ N(0, 1) and k = 0, 1 or 2."""
+    derivatives = params.nonlinearity.derivatives
     sq = math.sqrt(q)
-    moment = expect1(lambda z: phi(sq * z) ** 2, rule)
-    return params.sigma_w**2 * moment + params.sigma_b**2
+    return params.sigma_w**2 * expect1(lambda z: derivatives(sq * z, k)[k] ** 2, rule)
 
 
 def length_fixed_point(
@@ -328,9 +332,7 @@ def chi1(
     """Slope of the c-map at c = 1: sigma_w^2 E[phi'(sqrt(q*) z)^2]."""
     if q_star is None:
         q_star = length_fixed_point(params, rule)
-    d1 = params.nonlinearity.deriv1
-    sq = math.sqrt(q_star)
-    return params.sigma_w**2 * expect1(lambda z: d1(sq * z) ** 2, rule)
+    return _weighted_moment(1, q_star, params, rule)
 
 
 def chi2(
@@ -352,9 +354,7 @@ def chi2(
         )
     if q_star is None:
         q_star = length_fixed_point(params, rule)
-    d2 = nl.deriv2
-    sq = math.sqrt(q_star)
-    return params.sigma_w**2 * expect1(lambda z: d2(sq * z) ** 2, rule)
+    return _weighted_moment(2, q_star, params, rule)
 
 
 def chi_factors(

@@ -12,6 +12,11 @@ rule layer by layer:
     v^l = W^l ( phi'(h^{l-1}) . v^{l-1} )
     a^l = W^l ( phi''(h^{l-1}) . v^{l-1} . v^{l-1} + phi'(h^{l-1}) . a^{l-1} )
 
+Points and jets share one layer loop: at jet order k (0 for points, 1
+with velocities, 2 with accelerations) each layer evaluates the activation
+once, as `derivatives(h, k)`, and multiplies W with the stacked rows
+[phi; phi' v; phi'' v v + phi' a] in one product.
+
 Each layer draws from an independent child of the realization seed, so
 truncating the depth never changes shallower layers.  Layers are drawn
 concurrently on a process-wide thread pool with one worker per available
@@ -221,17 +226,11 @@ def forward(net: NetworkRealization, x0: np.ndarray) -> list[LayerRecord]:
 def forward_from_first(net: NetworkRealization, h1: np.ndarray) -> list[LayerRecord]:
     """Propagate given first-layer pre-activations h^1 (manifold entry point)."""
     h1 = np.asarray(h1, dtype=float)
-    single = h1.ndim == 1
     H = np.atleast_2d(h1)
     if H.shape[1] != net.widths[1]:
         raise ValueError(f"h1 has dimension {H.shape[1]}, expected {net.widths[1]}")
-    phi = net.nonlinearity.value
-    records = [LayerRecord(layer=1, h=h1)]
-    for l in range(2, net.depth + 1):
-        W, b = net.weights[l - 1], net.biases[l - 1]
-        H = phi(H) @ W.T + b
-        records.append(LayerRecord(layer=l, h=H[0] if single else H))
-    return records
+    return [LayerRecord(layer=l, h=blocks[0][0] if h1.ndim == 1 else blocks[0])
+            for l, blocks in enumerate(_propagate(net, [H]), start=1)]
 
 
 def forward_jet(
@@ -244,9 +243,6 @@ def forward_jet(
 
     Acceleration propagation needs phi''; for activations without a smooth
     second derivative pass acceleration=False to propagate velocities only.
-    Each layer is one product of W with the stacked rows
-    [phi(h); phi'(h) v; phi''(h) v v + phi'(h) a], so the records of a layer
-    are row blocks of one array.
     """
     nl = net.nonlinearity
     if acceleration and not nl.has_smooth_second_derivative:
@@ -256,25 +252,36 @@ def forward_jet(
         )
     if manifold.width != net.widths[1]:
         raise ValueError(f"manifold width {manifold.width} != first layer width {net.widths[1]}")
-    H = manifold.h1()
-    V = manifold.v1()
-    A = manifold.a1() if acceleration else None
-    records = [LayerRecord(layer=1, h=H, v=V, a=A)]
-    n = H.shape[0]
-    for l in range(2, net.depth + 1):
-        W, b = net.weights[l - 1], net.biases[l - 1]
-        stacked = np.empty(((3 if acceleration else 2) * n, H.shape[1]))
-        d1 = nl.deriv1(H)
-        stacked[:n] = nl.value(H)
-        np.multiply(d1, V, out=stacked[n:2 * n])
-        if acceleration:
-            stacked[2 * n:] = nl.deriv2(H) * V * V + d1 * A
+    first = [manifold.h1(), manifold.v1()] + ([manifold.a1()] if acceleration else [])
+    return [LayerRecord(l, *blocks) for l, blocks in enumerate(_propagate(net, first), start=1)]
+
+
+def _propagate(net: NetworkRealization, first: list[np.ndarray]) -> list[list[np.ndarray]]:
+    """[h], [h, v] or [h, v, a] at layers 1..D, from those of layer 1.
+
+    The jet order is len(first) - 1.  The blocks of a layer are row blocks
+    of its one product (module docstring); at order 0 that is phi(h) W^T.
+    """
+    derivatives = net.nonlinearity.derivatives
+    order = len(first) - 1
+    n = first[0].shape[0]
+    layers = [first]
+    for W, b in zip(net.weights[1:], net.biases[1:]):
+        H, *jet = layers[-1]
+        d = derivatives(H, order)
+        if order == 0:
+            stacked = d[0]
+        else:
+            stacked = np.empty(((order + 1) * n, H.shape[1]))
+            stacked[:n] = d[0]
+            np.multiply(d[1], jet[0], out=stacked[n:2 * n])
+            if order == 2:
+                stacked[2 * n:] = d[2] * jet[0] * jet[0] + d[1] * jet[1]
         out = stacked @ W.T
-        H, V = out[:n], out[n:2 * n]
-        H += b
-        A = out[2 * n:] if acceleration else None
-        records.append(LayerRecord(layer=l, h=H, v=V, a=A))
-    return records
+        blocks = [out[k * n:(k + 1) * n] for k in range(order + 1)]
+        blocks[0] += b
+        layers.append(blocks)
+    return layers
 
 
 # ---------------------------------------------------------------------------

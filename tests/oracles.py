@@ -84,15 +84,15 @@ def weight_chaos_outputs_loop(weights, biases, phi, h1, d_weights, deltas):
     return outputs, output_of(weights[1])
 
 
-def jet_three_gemm(weights, biases, value, deriv1, deriv2, h, v, a=None):
+def jet_three_gemm(weights, biases, derivatives, h, v, a=None):
     """(h, v, a) at every layer from h^1, v^1 and optionally a^1, with three
     separate products per layer (two without a)."""
     out = [(h, v, a)]
     for w, b in zip(weights[1:], biases[1:]):
-        d1 = deriv1(h)
+        phi, d1, d2 = derivatives(h, 2)
         if a is not None:
-            a = (deriv2(h) * v * v + d1 * a) @ w.T
-        h, v = value(h) @ w.T + b, (d1 * v) @ w.T
+            a = (d2 * v * v + d1 * a) @ w.T
+        h, v = phi @ w.T + b, (d1 * v) @ w.T
         out.append((h, v, a))
     return out
 
@@ -115,7 +115,7 @@ def fd_second_derivative_at_one(f, h=2.5e-5):
             - f(1.0 - 3.0 * h)) / h**2
 
 
-def shallow_lengths_dense(deriv1, sigma_w, n_hidden, n_trials, h1, v1, seed):
+def shallow_lengths_dense(derivatives, sigma_w, n_hidden, n_trials, h1, v1, seed):
     """Per-trial length of phi(W x0(theta)) from the dense products h1 @ W.T
     and v1 @ W.T, with each trial's W drawn from child t of
     SeedSequence(seed) as N(0, sigma_w^2 / width), integrated by a plain
@@ -125,7 +125,7 @@ def shallow_lengths_dense(deriv1, sigma_w, n_hidden, n_trials, h1, v1, seed):
     for t, child in enumerate(np.random.SeedSequence(seed).spawn(n_trials)):
         w = np.random.default_rng(child).normal(0.0, sigma_w / np.sqrt(width),
                                                 size=(n_hidden, width))
-        v_hidden = deriv1(h1 @ w.T) * (v1 @ w.T)
+        v_hidden = derivatives(h1 @ w.T, 1)[1] * (v1 @ w.T)
         speed = np.sqrt(np.sum(v_hidden * v_hidden, axis=1))
         lengths[t] = np.sum(speed) * 2.0 * np.pi / n_theta
     return lengths

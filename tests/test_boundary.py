@@ -126,6 +126,17 @@ def test_saddle_flagged():
         bd.find_boundary_point(field, np.zeros(4))
 
 
+def test_saturated_plateau_is_named_as_flat_not_a_saddle():
+    # the search lands where tanh' rounds to exactly 0 in the suffix:
+    # |grad|^2 = 0 at |G| = 0.251, on a plateau with no saddle
+    net = sim.sample_network((12, 9, 14, 11, 10), CHAOTIC, seed=40)
+    field = bd.readout_field(net, bd.LinearReadout(np.random.default_rng(51).normal(size=10)), 1)
+    with pytest.raises(DegenerateGeometryError, match="plateau") as err:
+        bd.find_boundary_point(field, np.random.default_rng(78).normal(size=9))
+    assert "saddle" not in str(err.value)
+    assert "|grad|^2=0.000e+00" in str(err.value) and "|G|=2.510e-01" in str(err.value)
+
+
 def test_sphere_principal_curvatures():
     for r in (0.5, 2.0):
         field = sphere_field(r, 20)

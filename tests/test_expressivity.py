@@ -61,7 +61,7 @@ def test_shallow_bound_lengths_match_dense_weights_in_distribution(name):
     params = mf.EnsembleParams(2.0, 0.0, nl)
     n_trials = 200
     lengths = ex.verify_shallow_bound(n_trials, 200, params, circle, seed=9).lengths
-    dense = shallow_lengths_dense(nl.deriv1, 2.0, 200, n_trials, circle.h1(), circle.v1(),
+    dense = shallow_lengths_dense(nl.derivatives, 2.0, 200, n_trials, circle.h1(), circle.v1(),
                                   seed=10)
     assert np.all(dense > 0.0) and np.all(lengths > 0.0)
     se = math.sqrt((lengths.var(ddof=1) + dense.var(ddof=1)) / n_trials)

@@ -377,11 +377,10 @@ def test_phase_boundary_certified_in_few_chi1_calls(monkeypatch):
 
 def test_phase_boundary_refuses_a_scan_without_crossing():
     # chi1 <= 1e-4 sigma_w^2 < 1 over the whole scan (sigma_w <= 10)
+    tanh = mf.builtin("tanh").derivatives
     faint = mf.Nonlinearity(
         name="faint_tanh",
-        value=lambda h: 0.01 * np.tanh(h),
-        deriv1=lambda h: 0.01 * (1.0 - np.tanh(h) ** 2),
-        deriv2=lambda h: -0.02 * np.tanh(h) * (1.0 - np.tanh(h) ** 2),
+        derivatives=lambda h, order: tuple(0.01 * d for d in tanh(h, order)),
         monotone_nondecreasing=True,
         dynamic_range=0.02,
         has_smooth_second_derivative=True,
@@ -521,15 +520,12 @@ def test_c_star_hard_tanh_matches_iteration():
     assert value == pytest.approx(c, abs=1e-10)
 
 
-def test_c_star_without_bracket_is_unconverged_nan():
-    # chi1 = 1.075 > 1, but the order-201 hard_tanh c-map stays above c on
-    # [0, 1 - 2**-51], so there is no bracket; no value near 1 is made up
-    params = mf.EnsembleParams(1.1758620689655173, 0.2857142857142857,
-                               mf.builtin("hard_tanh"))
-    q_star = mf.length_fixed_point(params, RULE)
-    x1 = mf.chi1(params, RULE, q_star=q_star)
-    assert x1 > 1.0
-    value, converged, _ = _c_star(params, RULE, q_star, x1)
+def test_c_star_without_bracket_is_unconverged_nan(monkeypatch):
+    # chi1 = 1.5 > 1, but a c-map that stays above c on [0, 1 - 2**-50]
+    # gives no bracket; no value near 1 is made up
+    monkeypatch.setattr(meanfield, "c_map", lambda c, params, rule, *, q_star: c + 1e-6)
+    params = mf.EnsembleParams(2.0, 0.3, TANH)
+    value, converged, _ = _c_star(params, RULE, 1.0, 1.5)
     assert math.isnan(value) and not converged
 
 

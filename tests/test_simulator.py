@@ -243,13 +243,16 @@ def test_jet_matches_unstacked_oracle_on_uneven_widths(name, acceleration):
     net = sim.sample_network((12, 9, 14, 11, 10), mf.EnsembleParams(2.0, 0.3, nl), seed=42)
     circle = sim.CircleManifold.sample(9, 1.5, 16, seed=43)
     records = sim.forward_jet(net, circle, acceleration=acceleration)
-    expected = jet_three_gemm(net.weights, net.biases, nl.value, nl.deriv1, nl.deriv2,
+    points = sim.forward_from_first(net, circle.h1())
+    expected = jet_three_gemm(net.weights, net.biases, nl.derivatives,
                               circle.h1(), circle.v1(),
                               circle.a1() if acceleration else None)
-    assert len(records) == len(expected)
-    for rec, (h, v, a) in zip(records, expected):
+    assert len(records) == len(points) == len(expected)
+    for rec, point, (h, v, a) in zip(records, points, expected):
         assert (rec.a is None) == (a is None)
-        pairs = [(rec.h, h), (rec.v, v)] + ([(rec.a, a)] if acceleration else [])
+        assert point.v is None and point.a is None
+        pairs = ([(rec.h, h), (rec.v, v), (point.h, h)]
+                 + ([(rec.a, a)] if acceleration else []))
         for got, want in pairs:
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
