@@ -28,7 +28,6 @@ from .meanfield import (
     chi1,
     chi2,
     chi_factors,
-    correlation_map,
     correlation_trajectory,
     curvature_trajectory,
     length_fixed_point,
@@ -54,7 +53,7 @@ __all__ = [
     "EnsembleParams", "LengthTrajectory", "CorrelationTrajectory",
     "ChiFactors", "CurvatureTrajectory", "PhaseGrid",
     "length_map", "length_trajectory", "length_fixed_point",
-    "correlation_map", "c_map", "chi1", "chi2", "chi_factors",
+    "c_map", "chi1", "chi2", "chi_factors",
     "correlation_trajectory", "curvature_trajectory",
     "phase_boundary", "phase_grid",
 ]

@@ -65,7 +65,6 @@ class BoundaryPoint:
     layer: int
     x_star: np.ndarray
     residual: float
-    grad_norm: float
 
 
 @dataclass(frozen=True)
@@ -189,11 +188,9 @@ def find_boundary_point(
         raise ValueError("x_init must be finite")
     tol = BOUNDARY_TOL_FACTOR * field.tol_scale
     value, grad = field.value_and_grad(x)
-    best = abs(value)
     for _ in range(_MAX_ITERS):
         if abs(value) < tol:
-            return BoundaryPoint(layer=field.layer, x_star=x, residual=abs(value),
-                                 grad_norm=float(np.linalg.norm(grad)))
+            return BoundaryPoint(layer=field.layer, x_star=x, residual=abs(value))
         gnorm_sq = float(grad @ grad)
         f0 = value * value
         if gnorm_sq <= (np.finfo(float).eps * field.tol_scale) ** 2 * max(1.0, f0):
@@ -220,14 +217,12 @@ def find_boundary_point(
             raise ConvergenceError(
                 f"line search failed at |G|={abs(value):.3e}", last_value=abs(value)
             )
-        best = min(best, abs(value))
     if abs(value) < tol:
-        return BoundaryPoint(layer=field.layer, x_star=x, residual=abs(value),
-                             grad_norm=float(np.linalg.norm(grad)))
+        return BoundaryPoint(layer=field.layer, x_star=x, residual=abs(value))
     raise ConvergenceError(
         f"boundary search did not converge in {_MAX_ITERS} iterations; "
-        f"best residual {best:.3e} (tolerance {tol:.3e})",
-        iterations=_MAX_ITERS, last_value=best,
+        f"|G| = {abs(value):.3e} (tolerance {tol:.3e})",
+        iterations=_MAX_ITERS, last_value=abs(value),
     )
 
 
@@ -276,7 +271,6 @@ class LayerCurvatureSummary:
     n_converged: int
     n_attempted: int
     mean_top: np.ndarray         # mean of kappa_1..kappa_4 across points
-    mean_bottom: np.ndarray      # mean of kappa_{N-4}..kappa_{N-1}
     reports: tuple[PrincipalCurvatureReport, ...]
 
 
@@ -317,16 +311,13 @@ def curvature_vs_depth(
                 continue
         if reports:
             tops = np.mean([r.kappas[:4] for r in reports], axis=0)
-            bottoms = np.mean([r.kappas[-4:] for r in reports], axis=0)
         else:
             tops = np.full(4, np.nan)
-            bottoms = np.full(4, np.nan)
         summaries.append(LayerCurvatureSummary(
             layer=layer,
             n_converged=len(reports),
             n_attempted=n_points,
             mean_top=tops,
-            mean_bottom=bottoms,
             reports=tuple(reports),
         ))
     return summaries

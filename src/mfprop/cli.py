@@ -30,7 +30,7 @@ from .meanfield import (
     phase_grid,
     c_map,
 )
-from .output import read_embedded_config, write_table
+from .output import write_table
 from .quadrature import DEFAULT_ORDER, build_rule
 from . import experiments as xp
 from . import expressivity as expr_mod
@@ -188,8 +188,7 @@ def _resolve_config(command: str, args: argparse.Namespace) -> dict:
     for dest, _flags, typ, default, _help in table:
         value = getattr(args, dest)
         if value is None and dest in file_values and file_values[dest] is not None:
-            raw = file_values[dest]
-            value = raw if raw is None else typ(raw)
+            value = typ(file_values[dest])
         if value is None:
             value = default
         cfg[dest] = value
@@ -200,13 +199,14 @@ def _ensemble(cfg: dict) -> EnsembleParams:
     return EnsembleParams(cfg["sigma_w"], cfg["sigma_b"], builtin(cfg["nonlinearity"]))
 
 
-def _finish(cfg: dict, columns, rows, footer=()):
+def _finish(cfg: dict, columns, rows, footer=()) -> str:
+    """Write the artifact to `--out` or <command>.<format>; returns the path."""
     out = cfg["out"] or f"{cfg['command']}.{cfg['format']}"
     cfg = dict(cfg)
     cfg["out"] = out
     write_table(out, cfg["format"], columns, rows, cfg, __version__, footer)
     print(f"wrote {out}")
-    return 0
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +221,7 @@ def _run_length_map(cfg):
     layers = traj.iterations_to_1pct
     footer = [f"q_star = {traj.q_star:.17g}",
               f"iterations_to_1pct = {'none' if layers is None else layers}"]
-    return _finish(cfg, ["layer", "q_theory"], rows, footer)
+    _finish(cfg, ["layer", "q_theory"], rows, footer)
 
 
 def _run_c_map(cfg):
@@ -235,7 +235,7 @@ def _run_c_map(cfg):
         f"chi1 = {traj.chi.chi1:.17g}",
         f"q_star = {traj.chi.q_star:.17g}",
     ]
-    return _finish(cfg, ["layer", "c_theory"], rows, footer)
+    _finish(cfg, ["layer", "c_theory"], rows, footer)
 
 
 def _run_phase_grid(cfg):
@@ -259,15 +259,13 @@ def _run_phase_grid(cfg):
         f"cell_error[{','.join(map(str, key))}] = {message}"
         for key, message in grid.cell_errors.items()
     ]
-    status = _finish(cfg, ["sigma_w", "sigma_b", "q_star", "c_star", "chi1", "c_converged"],
-                     rows, footer)
-    out = cfg["out"] or f"{cfg['command']}.{cfg['format']}"
+    out = _finish(cfg, ["sigma_w", "sigma_b", "q_star", "c_star", "chi1", "c_converged"],
+                  rows, footer)
     boundary_path = out + ".boundary." + cfg["format"]
     brows = [(float(sb), float(sw)) for sb, sw in grid.boundary]
     write_table(boundary_path, cfg["format"], ["sigma_b", "sigma_w_star"], brows,
                 {**cfg, "artifact": "phase-boundary"}, __version__)
     print(f"wrote {boundary_path}")
-    return status
 
 
 def _run_curvature(cfg):
@@ -285,7 +283,7 @@ def _run_curvature(cfg):
         f"q_star = {traj.chi.q_star:.17g}",
         f"kappa_star_sq = {traj.kappa_star_sq:.17g}",
     ]
-    return _finish(cfg, ["layer", "gE_bar", "kappa_sq_bar", "LE_bar", "LG"], rows, footer)
+    _finish(cfg, ["layer", "gE_bar", "kappa_sq_bar", "LE_bar", "LG"], rows, footer)
 
 
 def _run_simulate(cfg):
@@ -297,18 +295,19 @@ def _run_simulate(cfg):
         rows = [(l + 1, float(q), float(e))
                 for l, (q, e) in enumerate(zip(run.theory.values, run.q_emp))]
         footer = [f"q_star = {run.theory.q_star:.17g}"]
-        return _finish(cfg, ["layer", "q_theory", "q_emp"], rows, footer)
+        _finish(cfg, ["layer", "q_theory", "q_emp"], rows, footer)
+        return
     run = xp.correlation_agreement(params, cfg["c0"], cfg["depth"], cfg["width"],
                                    cfg["seed"], cfg["seeds"], rule)
     rows = [(l + 1, float(c), float(e))
             for l, (c, e) in enumerate(zip(run.theory.values, run.c_emp))]
     footer = [f"q_star = {run.theory.chi.q_star:.17g}", f"c_star = {run.theory.c_star:.17g}"]
-    return _finish(cfg, ["layer", "c_theory", "c_emp"], rows, footer)
+    _finish(cfg, ["layer", "c_theory", "c_emp"], rows, footer)
 
 
 def _circle_run(cfg, params, rule, depth):
     return xp.circle_at_fixed_point(params, depth, cfg["width"], cfg["theta_samples"],
-                                    rule, cfg["seed"], cfg["seed"] + 1)
+                                    rule, cfg["seed"])
 
 
 def _run_autocorr(cfg):
@@ -324,7 +323,7 @@ def _run_autocorr(cfg):
             rows.append((rec.layer, float(dthetas[k]), float(c_emp[k]), float(theory[k])))
         theory = np.array([c_map(c, params, rule, q_star=q_star) for c in theory])
     footer = [f"q_star = {q_star:.17g}"]
-    return _finish(cfg, ["layer", "dtheta", "c_emp", "c_theory"], rows, footer)
+    _finish(cfg, ["layer", "dtheta", "c_emp", "c_theory"], rows, footer)
 
 
 def _run_spectrum(cfg):
@@ -339,7 +338,7 @@ def _run_spectrum(cfg):
             rows.append((rec.layer, rank, float(sv), float(fr)))
         footer.append(f"layer {rec.layer}: top{cfg['top_k']}_fraction = "
                       f"{spec.top_k_fraction:.17g}")
-    return _finish(cfg, ["layer", "rank", "singular_value", "variance_fraction"],
+    _finish(cfg, ["layer", "rank", "singular_value", "variance_fraction"],
                    rows, footer)
 
 
@@ -361,7 +360,7 @@ def _run_boundary(cfg):
         f"layer {s.layer}: converged {s.n_converged}/{s.n_attempted}"
         for s in summaries
     ]
-    return _finish(cfg, ["layer", "point_id", "kappa_rank", "kappa_value"], rows, footer)
+    _finish(cfg, ["layer", "point_id", "kappa_rank", "kappa_value"], rows, footer)
 
 
 def _run_shallow_bound(cfg):
@@ -376,7 +375,7 @@ def _run_shallow_bound(cfg):
             for t, le in enumerate(report.lengths)]
     footer = [f"max_LE = {report.max_length:.17g}",
               f"violations = {report.violations}"]
-    return _finish(cfg, ["trial", "LE", "bound"], rows, footer)
+    _finish(cfg, ["trial", "LE", "bound"], rows, footer)
 
 
 def _run_fourier(cfg):
@@ -393,7 +392,7 @@ def _run_fourier(cfg):
         profile = expr_mod.fourier_error_profile(phi(rec.h), probe)
         for freq, err in zip(profile.frequencies, profile.errors):
             rows.append((rec.layer, int(freq), float(err)))
-    return _finish(cfg, ["depth", "frequency", "error"], rows)
+    _finish(cfg, ["depth", "frequency", "error"], rows)
 
 
 def _run_weight_chaos(cfg):
@@ -408,7 +407,7 @@ def _run_weight_chaos(cfg):
         (float(d), float(ct), float(ce))
         for d, ct, ce in zip(family.delta_grid, family.c_theory, family.c_empirical)
     ]
-    return _finish(cfg, ["delta", "C_theory", "C_empirical"], rows)
+    _finish(cfg, ["delta", "C_theory", "C_empirical"], rows)
 
 
 def _run_validate_all(cfg):
@@ -452,7 +451,8 @@ def run(argv) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     try:
-        return _HANDLERS[args.command](cfg)
+        # a handler returns an exit status, or None once its artifact is written
+        return _HANDLERS[args.command](cfg) or 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
@@ -465,4 +465,4 @@ def main() -> None:
     sys.exit(run(sys.argv[1:]))
 
 
-__all__ = ["main", "run", "read_embedded_config", "UsageError"]
+__all__ = ["main", "run", "UsageError"]

@@ -10,8 +10,7 @@ Inputs come from streams derived from the network seed:
 
 * length inputs: SeedSequence(seed, spawn_key=(101,));
 * correlated pairs: orientation o = 0..7 at seed 1_000_000 (o + 1) + seed;
-* jet circles: seed + 50 (`circle_at_fixed_point` takes its circle seed
-  from the caller: seed + 1 in the CLI, seed + 50 in criterion 8);
+* circles at q*: seed + 50;
 * boundary readouts: SeedSequence(seed, spawn_key=(202,)), with searches
   started from seed + 5.
 """
@@ -32,6 +31,7 @@ from .meanfield import (
     CurvatureTrajectory,
     EnsembleParams,
     LengthTrajectory,
+    _require_positive_q_star,
     correlation_trajectory,
     curvature_trajectory,
     length_fixed_point,
@@ -74,13 +74,6 @@ def _realization_seeds(seed: int, n_seeds: int) -> list[int]:
     if n_seeds < 1:
         raise ValueError(f"need at least one network realization, got {n_seeds}")
     return [seed + k for k in range(n_seeds)]
-
-
-def _positive_q_star(params: EnsembleParams, rule: QuadratureRule, experiment: str) -> float:
-    q_star = length_fixed_point(params, rule)
-    if q_star <= 0:
-        raise DegenerateGeometryError(f"{experiment} needs q* > 0, got q* = {q_star!r}")
-    return q_star
 
 
 def length_agreement(params: EnsembleParams, q0: float, depth: int, width: int,
@@ -155,7 +148,7 @@ def boundary_curvature(params: EnsembleParams, depth: int, width: int, n_points:
         raise DegenerateGeometryError(
             "boundary curvature needs sigma_w > 0: at sigma_w = 0 the readout "
             "is constant in every layer's activity")
-    q_star = _positive_q_star(params, rule, "boundary curvature")
+    q_star = _require_positive_q_star(length_fixed_point(params, rule), "boundary curvature")
     activity_scale = math.sqrt((q_star - params.sigma_b**2) / params.sigma_w**2)
     net = sim.sample_network((width,) * (depth + 1), params, seed)
     beta_rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(202,)))
@@ -164,9 +157,10 @@ def boundary_curvature(params: EnsembleParams, depth: int, width: int, n_points:
 
 
 def circle_at_fixed_point(params: EnsembleParams, depth: int, width: int, n_theta: int,
-                          rule: QuadratureRule, net_seed: int, circle_seed: int) -> CircleRun:
+                          rule: QuadratureRule, seed: int) -> CircleRun:
     """A circle of radius sqrt(N q*) at layer 1, propagated to layer `depth`."""
-    q_star = _positive_q_star(params, rule, "a circle at the fixed-point radius")
-    net = sim.sample_network((width,) * (depth + 1), params, net_seed)
-    circle = sim.CircleManifold.sample(width, q_star, n_theta, circle_seed)
+    q_star = _require_positive_q_star(length_fixed_point(params, rule),
+                                      "a circle at the fixed-point radius")
+    net = sim.sample_network((width,) * (depth + 1), params, seed)
+    circle = sim.CircleManifold.sample(width, q_star, n_theta, seed + 50)
     return CircleRun(q_star=q_star, records=sim.forward_from_first(net, circle.h1()))

@@ -5,7 +5,7 @@ Three independent probes of what depth buys:
 * A hard upper bound on the Euclidean length a single hidden layer can
   give a curve: for monotone phi with dynamic range R and an input curve
   whose velocity projections change sign at most s times,
-  L^E <= N_1 (1 + s) R, for any weights.
+  L^E <= N_1 (1 + s) R, for any weights.  A circle has s = 1.
 
 * A function-space probe: ridge-regress output activations over a theta
   grid onto each Fourier basis vector and score each frequency by the
@@ -28,37 +28,20 @@ import numpy as np
 
 from .errors import UnsupportedActivationError
 from .geometry import periodic_trapezoid
-from .meanfield import EnsembleParams, _weighted_moment, c_map, length_fixed_point
+from .meanfield import (
+    EnsembleParams,
+    _require_positive_q_star,
+    _weighted_moment,
+    c_map,
+    length_fixed_point,
+)
 from .quadrature import QuadratureRule
 from .simulator import CircleManifold, NetworkRealization, sample_network
 
 
 @dataclass(frozen=True)
-class ShallowBoundSpec:
-    """Inputs to the single-hidden-layer length bound."""
-
-    n_hidden: int
-    sign_changes: int
-    dynamic_range: float
-
-    def __post_init__(self):
-        if self.n_hidden < 1:
-            raise ValueError("n_hidden must be >= 1")
-        if self.sign_changes < 0 or int(self.sign_changes) != self.sign_changes:
-            raise ValueError("sign_changes must be a nonnegative integer")
-        if not self.dynamic_range > 0:
-            raise ValueError("dynamic_range must be positive")
-
-
-def shallow_length_bound(spec: ShallowBoundSpec) -> float:
-    """N_1 (1 + s) R."""
-    return spec.n_hidden * (1 + spec.sign_changes) * spec.dynamic_range
-
-
-@dataclass(frozen=True)
 class ShallowBoundReport:
-    spec: ShallowBoundSpec
-    bound: float
+    bound: float              # N_1 (1 + s) R with s = 1
     lengths: np.ndarray       # per-trial L^E in hidden-activity space
     max_length: float
     violations: int
@@ -74,9 +57,10 @@ def verify_shallow_bound(
     """Measure L^E of x^1(theta) = phi(W x^0(theta) + b) over random W and b.
 
     The circle x^0(theta) = sqrt(N_0 q) (cos theta u0 + sin theta u1) has
-    s = 1 (each 1-D projection of its velocity is a sinusoid).  With u0, u1
-    orthonormal and W_ij ~ N(0, sigma_w^2 / N_0), W u0 and W u1 are
-    independent N(0, sigma_w^2 / N_0) vectors, so
+    s = 1 (each 1-D projection of its velocity is a sinusoid), so the
+    bound is 2 N_1 R.  With u0, u1 orthonormal and
+    W_ij ~ N(0, sigma_w^2 / N_0), W u0 and W u1 are independent
+    N(0, sigma_w^2 / N_0) vectors, so
 
         h(theta) = sigma_w sqrt(q) (cos theta z0 + sin theta z1) + b
 
@@ -93,9 +77,11 @@ def verify_shallow_bound(
         raise UnsupportedActivationError(
             f"the length bound needs a bounded dynamic range; {nl.name!r} is unbounded"
         )
-    spec = ShallowBoundSpec(n_hidden=n_hidden, sign_changes=1,
-                            dynamic_range=nl.dynamic_range)
-    bound = shallow_length_bound(spec)
+    if n_hidden < 1:
+        raise ValueError("n_hidden must be >= 1")
+    if not nl.dynamic_range > 0:
+        raise ValueError("dynamic_range must be positive")
+    bound = n_hidden * 2 * nl.dynamic_range
     # h = position @ z + b and dh/dtheta = velocity @ z, as (n_theta, 2) @ (2, N_1)
     r = params.sigma_w * math.sqrt(circle.q)
     cos, sin = np.cos(circle.thetas), np.sin(circle.thetas)
@@ -110,7 +96,7 @@ def verify_shallow_bound(
         speed = np.sqrt(np.einsum("ij,ij->i", v_hidden, v_hidden))
         lengths[t] = periodic_trapezoid(speed, circle.thetas)
     violations = int(np.sum(lengths > bound))
-    return ShallowBoundReport(spec=spec, bound=bound, lengths=lengths,
+    return ShallowBoundReport(bound=bound, lengths=lengths,
                               max_length=float(lengths.max()), violations=violations)
 
 
@@ -258,8 +244,7 @@ def weight_chaos_theory(
         raise ValueError("depth must be >= 1")
     if q_star is None:
         q_star = length_fixed_point(params, rule)
-    if q_star <= 0.0:
-        raise ValueError("weight-chaos recursion is undefined at q* = 0")
+    _require_positive_q_star(q_star, "the weight-chaos recursion")
     out = np.empty(depth)
     out[0] = 1.0
     if depth == 1:
@@ -299,9 +284,7 @@ def weight_chaos_empirical(
     widths = tuple(int(n) for n in widths)
     if len(widths) < 3:
         raise ValueError("weight chaos needs depth >= 2 (widths N_0..N_D)")
-    q_star = length_fixed_point(params, rule)
-    if q_star <= 0.0:
-        raise ValueError("weight chaos is undefined at q* = 0")
+    q_star = _require_positive_q_star(length_fixed_point(params, rule), "weight chaos")
 
     net_seed, dw_seed, circle_seed = (
         int(s) for s in np.random.SeedSequence(seed).generate_state(3)

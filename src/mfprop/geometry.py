@@ -84,12 +84,12 @@ def _curvature_from_dots(vv: np.ndarray, aa: np.ndarray, va: np.ndarray) -> np.n
     return np.sqrt(np.maximum(radicand, 0.0)) / vv**1.5
 
 
-def periodic_trapezoid(values: np.ndarray, thetas: np.ndarray, period: float = 2.0 * math.pi) -> float:
-    """Trapezoid rule around a closed theta loop (wraps the last segment)."""
+def periodic_trapezoid(values: np.ndarray, thetas: np.ndarray) -> float:
+    """Trapezoid rule around a closed theta loop of period 2 pi (wraps the last segment)."""
     values = np.asarray(values, dtype=float)
     thetas = np.asarray(thetas, dtype=float)
     d = np.diff(thetas)
-    wrap = period - (thetas[-1] - thetas[0])
+    wrap = 2.0 * math.pi - (thetas[-1] - thetas[0])
     core = float(np.sum(0.5 * (values[1:] + values[:-1]) * d))
     return core + 0.5 * (values[-1] + values[0]) * wrap
 

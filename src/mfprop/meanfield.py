@@ -7,12 +7,12 @@ length q^l evolves under the length map
     V(q) = sigma_w^2 * E[ phi(sqrt(q) z)^2 ] + sigma_b^2,
 
 with the affine first layer q^1 = sigma_w^2 q^0 + sigma_b^2.  Two inputs
-with correlation c evolve under the correlation map; normalizing both
-lengths at the fixed point q* gives the scalar c-map
+with correlation c, both at the fixed-point length q*, evolve under the
+c-map
 
     c  ->  ( sigma_w^2 * E[ phi(u1) phi(u2) ] + sigma_b^2 ) / q*,
 
-whose slope at c=1,
+with (u1, u2) of variance q* and correlation c, whose slope at c=1,
 
     chi1 = sigma_w^2 * E[ phi'(sqrt(q*) z)^2 ],
 
@@ -29,7 +29,9 @@ at the fixed-point radius:
     kappa2_l = 3 chi2 / chi1^2 + kappa2_{l-1} / chi1,   kappa2_1 = 1/q*,
 
 (per-neuron normalized quantities), whose kappa2 fixed point is
-3 chi2 / (chi1 (chi1 - 1)) when chi1 > 1.
+3 chi2 / (chi1 (chi1 - 1)) when chi1 > 1.  The c-map, c* and the
+curvature recursion divide by q* and raise DegenerateGeometryError at
+q* = 0.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from typing import Optional
 import numpy as np
 
 from .activations import Nonlinearity
-from .errors import ConvergenceError, UnsupportedActivationError
+from .errors import ConvergenceError, DegenerateGeometryError, UnsupportedActivationError
 from .quadrature import QuadratureRule, expect1, expect2_product
 
 # Solver budgets.  q* and c* are roots of V(q) - q and c_map(c) - c, each
@@ -80,7 +82,6 @@ class EnsembleParams:
 
 @dataclass(frozen=True)
 class LengthTrajectory:
-    q0: float
     values: np.ndarray          # q^l for layers l = 1..depth
     q_star: float
     iterations_to_1pct: Optional[int]   # None: no layer up to depth within 1 %
@@ -287,25 +288,18 @@ def length_trajectory(
         values[l - 1] = q
         if iterations is None and close(q):
             iterations = l
-    return LengthTrajectory(q0=q0, values=values, q_star=q_star,
-                            iterations_to_1pct=iterations)
+    return LengthTrajectory(values=values, q_star=q_star, iterations_to_1pct=iterations)
 
 
 # ---------------------------------------------------------------------------
 # correlation map
 
 
-def correlation_map(
-    c12: float,
-    q11: float,
-    q22: float,
-    params: EnsembleParams,
-    rule: QuadratureRule,
-) -> float:
-    """Next-layer cross-covariance q_12 for inputs with lengths q11, q22."""
-    phi = params.nonlinearity.value
-    moment = expect2_product(phi, phi, c12, q11, q22, rule)
-    return params.sigma_w**2 * moment + params.sigma_b**2
+def _require_positive_q_star(q_star: float, what: str) -> float:
+    """q_star itself, or DegenerateGeometryError when q* = 0."""
+    if q_star <= 0.0:
+        raise DegenerateGeometryError(f"{what} needs q* > 0, got q* = {q_star!r}")
+    return q_star
 
 
 def c_map(
@@ -318,9 +312,9 @@ def c_map(
     """Correlation-coefficient map at the fixed-point length."""
     if q_star is None:
         q_star = length_fixed_point(params, rule)
-    if q_star <= 0.0:
-        raise ValueError("c-map is undefined at q* = 0 (zero fixed-point length)")
-    return correlation_map(c, q_star, q_star, params, rule) / q_star
+    _require_positive_q_star(q_star, "the c-map")
+    moment = expect2_product(params.nonlinearity.value, c, q_star, rule)
+    return (params.sigma_w**2 * moment + params.sigma_b**2) / q_star
 
 
 def chi1(
@@ -391,11 +385,10 @@ def _c_star(
     bracket.  `converged` means the bracket closed and |g(c*)| <= 1e-12.
     When no delta >= 2**-50 makes g(1 - delta) negative (chi1 within
     quadrature noise of 1) there is no bracket, and c* is returned as NaN
-    with converged=False.  Raises ValueError at q* = 0, where the c-map is
-    undefined.
+    with converged=False.  Raises DegenerateGeometryError at q* = 0, where
+    the c-map is undefined.
     """
-    if q_star <= 0.0:
-        raise ValueError("c-map is undefined at q* = 0 (zero fixed-point length)")
+    _require_positive_q_star(q_star, "c*")
     if chi1 <= 1.0:
         return 1.0, True, 0
     evals = 0
@@ -454,9 +447,8 @@ def curvature_trajectory(
     """Evolution of (gE, kappa^2) for a circle at the fixed-point radius."""
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
-    q_star = length_fixed_point(params, rule)
-    if q_star <= 0.0:
-        raise ValueError("curvature recursion is undefined at q* = 0")
+    q_star = _require_positive_q_star(length_fixed_point(params, rule),
+                                      "the curvature recursion")
     chi = chi_factors(params, rule, q_star=q_star)
     if chi.chi2 is None:
         raise UnsupportedActivationError(

@@ -10,11 +10,11 @@ They are evaluated with Gauss-Hermite rules rescaled to this measure, so
     E[f] = int Dz f(z)  ~=  sum_i w_i f(z_i),     sum_i w_i = 1.
 
 Bivariate expectations over a correlated Gaussian pair (u1, u2) with
-<u1^2> = q1, <u2^2> = q2 and correlation c are formed from two independent
+<u1^2> = <u2^2> = q and correlation c are formed from two independent
 standard normals z1, z2 via
 
-    u1 = sqrt(q1) * z1
-    u2 = sqrt(q2) * (c * z1 + sqrt(1 - c^2) * z2)
+    u1 = sqrt(q) * z1
+    u2 = sqrt(q) * (c * z1 + sqrt(1 - c^2) * z2)
 
 so that <u_a u_b> reproduces the target covariance exactly, and integrated
 on the tensor product of the 1-D rule with itself.
@@ -116,21 +116,28 @@ def expect1(f: Callable[[np.ndarray], np.ndarray], rule: QuadratureRule) -> floa
 
 
 def expect2_product(
-    f1: Callable[[np.ndarray], np.ndarray],
-    f2: Callable[[np.ndarray], np.ndarray],
+    f: Callable[[np.ndarray], np.ndarray],
     c: float,
-    q1: float,
-    q2: float,
+    q: float,
     rule: QuadratureRule,
 ) -> float:
-    """E[f1(u1) * f2(u2)] for the correlated Gaussian pair described above.
+    """E[f(u1) * f(u2)] for the correlated Gaussian pair described above.
 
-    Integrates on the tensor product of the 1-D rule, evaluating f1 on
-    order points and f2 on order**2.
+    Integrates on the tensor product of the 1-D rule, evaluating f on
+    order points for u1 and on order**2 for u2.
     """
-    u1, u2 = correlated_nodes(c, q1, q2, rule)
-    v1 = np.asarray(f1(u1), dtype=float)
-    v2 = np.asarray(f2(u2), dtype=float)
+    if not np.isfinite(c) or abs(c) > 1.0 + _CORRELATION_SLACK:
+        raise ValueError(f"correlation must lie in [-1, 1], got {c!r}")
+    if q < 0:
+        raise ValueError(f"variance must be nonnegative, got q={q!r}")
+    c = min(1.0, max(-1.0, float(c)))
+    z = rule.nodes
+    s = np.sqrt(max(0.0, 1.0 - c * c))
+    sq = np.sqrt(q)
+    u1 = sq * z
+    u2 = sq * (c * z[:, None] + s * z[None, :])
+    v1 = np.asarray(f(u1), dtype=float)
+    v2 = np.asarray(f(u2), dtype=float)
     if v1.shape != u1.shape or v2.shape != u2.shape:
         raise ValueError("integrand factors must be evaluated pointwise")
     result = float(rule.weights @ (v1 * (v2 @ rule.weights)))
@@ -138,19 +145,3 @@ def expect2_product(
         _check_finite(v1, u1)
         _check_finite(v2, u2)
     return result
-
-
-def correlated_nodes(
-    c: float, q1: float, q2: float, rule: QuadratureRule
-) -> tuple[np.ndarray, np.ndarray]:
-    """Node arrays (u1 of shape (n,), u2 of shape (n, n)) for expect2_product."""
-    if not np.isfinite(c) or abs(c) > 1.0 + _CORRELATION_SLACK:
-        raise ValueError(f"correlation must lie in [-1, 1], got {c!r}")
-    if q1 < 0 or q2 < 0:
-        raise ValueError(f"variances must be nonnegative, got q1={q1!r}, q2={q2!r}")
-    c = min(1.0, max(-1.0, float(c)))
-    z = rule.nodes
-    s = np.sqrt(max(0.0, 1.0 - c * c))
-    u1 = np.sqrt(q1) * z
-    u2 = np.sqrt(q2) * (c * z[:, None] + s * z[None, :])
-    return u1, u2

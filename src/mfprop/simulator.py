@@ -47,9 +47,6 @@ class NetworkRealization:
     weights: tuple[np.ndarray, ...]      # W^l of shape (N_l, N_{l-1})
     biases: tuple[np.ndarray, ...]       # b^l of shape (N_l,)
     nonlinearity: Nonlinearity
-    seed: int
-    sigma_w: float
-    sigma_b: float
 
     def __post_init__(self):
         depth = len(self.weights)
@@ -203,9 +200,6 @@ def sample_network(widths: Sequence[int], params: EnsembleParams, seed: int) -> 
         weights=weights,
         biases=biases,
         nonlinearity=params.nonlinearity,
-        seed=int(seed),
-        sigma_w=params.sigma_w,
-        sigma_b=params.sigma_b,
     )
 
 
@@ -348,7 +342,6 @@ def autocorrelation(h: np.ndarray, q_star: float) -> tuple[np.ndarray, np.ndarra
 class SpectrumResult:
     singular_values: np.ndarray    # descending
     variance_fractions: np.ndarray
-    top_k: int
     top_k_fraction: float
     degenerate: bool
 
@@ -381,7 +374,6 @@ def singular_spectrum(h: np.ndarray, top_k: int = 5) -> SpectrumResult:
     return SpectrumResult(
         singular_values=s,
         variance_fractions=fractions,
-        top_k=top_k,
         top_k_fraction=top_fraction,
         degenerate=degenerate,
     )

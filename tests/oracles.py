@@ -15,13 +15,13 @@ def gauss_expect_trapezoid(f, n=10**6, lim=12.0):
     return float(np.trapezoid(f(z) * density, z))
 
 
-def gauss_expect2_grid(f, c, q1, q2, n=1500, lim=8.0):
-    """E[f(u1, u2)] for the correlated pair, by a dense 2-D trapezoid."""
+def gauss_expect2_grid(f, c, q, n=1500, lim=8.0):
+    """E[f(u1, u2)] for the pair of variance q and correlation c, by a dense 2-D trapezoid."""
     z = np.linspace(-lim, lim, n)
     density = np.exp(-z * z / 2.0) / np.sqrt(2.0 * np.pi)
     s = np.sqrt(max(0.0, 1.0 - c * c))
-    u1 = np.sqrt(q1) * z
-    u2 = np.sqrt(q2) * (c * z[:, None] + s * z[None, :])
+    u1 = np.sqrt(q) * z
+    u2 = np.sqrt(q) * (c * z[:, None] + s * z[None, :])
     vals = f(u1[:, None] + np.zeros_like(u2), u2) * density[:, None] * density[None, :]
     return float(np.trapezoid(np.trapezoid(vals, z, axis=1), z))
 

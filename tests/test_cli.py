@@ -4,9 +4,11 @@ import warnings
 import numpy as np
 import pytest
 
+from mfprop import experiments as xp
 from mfprop import simulator as sim
 from mfprop.activations import builtin
 from mfprop.cli import run
+from mfprop.expressivity import fourier_error_profile, uniform_probe
 from mfprop.meanfield import EnsembleParams, correlation_trajectory
 from mfprop.output import read_embedded_config
 from mfprop.quadrature import build_rule
@@ -306,3 +308,21 @@ def test_simulate_pair_mode_averages_eight_orientations(tmp_path):
             acc += [sim.empirical_correlation(r.h[0], r.h[1])[3] for r in records]
     _, rows = read_rows(out)
     assert [float(r[2]) for r in rows] == pytest.approx(acc / 16, abs=1e-15)
+
+
+def test_fourier_runs_the_shared_circle_experiment(tmp_path):
+    # the CLI's circle is experiments.circle_at_fixed_point's: net seed s,
+    # circle seed s + 50, as in acceptance criterion 8
+    out = tmp_path / "fourier.csv"
+    assert run(["fourier", "--sw", "2.5", "--sb", "0.3", "--depths", "1,2", "--width", "20",
+                "--omega-max", "5", "--theta-samples", "32", "--seed", "3",
+                "-o", str(out)]) == 0
+    params = EnsembleParams(2.5, 0.3, builtin("tanh"))
+    records = xp.circle_at_fixed_point(params, 2, 20, 32, build_rule(201), 3).records
+    expected = []
+    for rec in records:
+        profile = fourier_error_profile(params.nonlinearity.value(rec.h), uniform_probe(5, 32))
+        expected += [[str(rec.layer), str(freq), f"{err:.17g}"]
+                     for freq, err in enumerate(profile.errors)]
+    _, rows = read_rows(out)
+    assert rows == expected

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -21,18 +22,21 @@ RULE = mf.build_rule(201)
 
 
 def test_bound_formula():
-    assert ex.shallow_length_bound(ex.ShallowBoundSpec(1000, 1, 2.0)) == 4000.0
-    assert ex.shallow_length_bound(ex.ShallowBoundSpec(1, 0, 2.0)) == 2.0
-    assert ex.shallow_length_bound(ex.ShallowBoundSpec(10, 3, 1.0)) == 40.0
+    # N_1 (1 + s) R with s = 1 for a circle; only R is read from phi
+    circle = sim.CircleManifold.sample(4, 1.0, 16, seed=0)
+    unit_range = dataclasses.replace(TANH, dynamic_range=1.0)
+    for n_hidden, nl, bound in ((1000, TANH, 4000.0), (1, TANH, 4.0), (10, unit_range, 20.0)):
+        params = mf.EnsembleParams(1.0, 0.0, nl)
+        assert ex.verify_shallow_bound(1, n_hidden, params, circle, seed=0).bound == bound
 
 
 def test_bound_spec_validation():
-    with pytest.raises(ValueError):
-        ex.ShallowBoundSpec(0, 1, 2.0)
-    with pytest.raises(ValueError):
-        ex.ShallowBoundSpec(10, -1, 2.0)
-    with pytest.raises(ValueError):
-        ex.ShallowBoundSpec(10, 1, 0.0)
+    circle = sim.CircleManifold.sample(4, 1.0, 16, seed=0)
+    with pytest.raises(ValueError, match="n_hidden"):
+        ex.verify_shallow_bound(1, 0, mf.EnsembleParams(1.0, 0.0, TANH), circle, seed=0)
+    flat = mf.EnsembleParams(1.0, 0.0, dataclasses.replace(TANH, dynamic_range=0.0))
+    with pytest.raises(ValueError, match="dynamic_range"):
+        ex.verify_shallow_bound(1, 10, flat, circle, seed=0)
 
 
 def test_zero_weights_give_zero_length():

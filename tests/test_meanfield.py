@@ -6,7 +6,8 @@ from hypothesis import given, strategies as st
 
 import mfprop as mf
 from mfprop import meanfield
-from mfprop.errors import ConvergenceError, UnsupportedActivationError
+from mfprop import expressivity
+from mfprop.errors import ConvergenceError, DegenerateGeometryError, UnsupportedActivationError
 from mfprop.meanfield import _c_star
 
 from oracles import (
@@ -158,29 +159,16 @@ def test_trajectory_first_layer_is_affine():
 # correlation map and c-map
 
 
-def test_correlation_map_at_c_one_equals_length_map():
+def test_c_map_at_c_one_is_length_map_over_q_star():
+    # at c = 1 both inputs coincide: c_map(1) = V(q) / q for any length q
     q = 1.7
-    lhs = mf.correlation_map(1.0, q, q, CHAOTIC, RULE)
-    assert lhs == pytest.approx(mf.length_map(q, CHAOTIC, RULE), abs=1e-12)
+    lhs = mf.c_map(1.0, CHAOTIC, RULE, q_star=q)
+    assert lhs == pytest.approx(mf.length_map(q, CHAOTIC, RULE) / q, abs=1e-12)
 
 
-def test_correlation_map_odd_activation_uncorrelated():
-    params = mf.EnsembleParams(2.0, 0.0, TANH)
-    assert mf.correlation_map(0.0, 1.0, 1.0, params, RULE) == pytest.approx(0.0, abs=1e-14)
-
-
-def test_correlation_map_against_dense_grid():
-    rule = mf.build_rule(1001)
-    q_star = mf.length_fixed_point(CHAOTIC, rule)
-    got = mf.correlation_map(0.5, q_star, q_star, CHAOTIC, rule)
-    f = lambda a, b: np.tanh(a) * np.tanh(b)
-    truth = 16.0 * gauss_expect2_grid(f, 0.5, q_star, q_star, n=2000) + 0.09
-    assert got == pytest.approx(truth, abs=1e-7)
-
-
-def test_correlation_map_rejects_bad_c():
-    with pytest.raises(ValueError):
-        mf.correlation_map(1.2, 1.0, 1.0, CHAOTIC, RULE)
+def test_c_map_rejects_bad_c():
+    with pytest.raises(ValueError, match="correlation"):
+        mf.c_map(1.2, CHAOTIC, RULE, q_star=1.0)
 
 
 def test_c_map_has_fixed_point_at_one():
@@ -195,7 +183,7 @@ def test_c_map_odd_activation_maps_zero_to_zero():
 
 
 def test_c_map_undefined_at_zero_length():
-    with pytest.raises(ValueError, match="q\\* = 0"):
+    with pytest.raises(DegenerateGeometryError, match=r"q\* > 0, got q\* = 0"):
         mf.c_map(0.5, mf.EnsembleParams(0.5, 0.0, TANH), RULE)
 
 
@@ -204,7 +192,7 @@ def test_c_map_against_dense_grid():
     q_star = mf.length_fixed_point(CHAOTIC, rule)
     got = mf.c_map(0.5, CHAOTIC, rule, q_star=q_star)
     f = lambda a, b: np.tanh(a) * np.tanh(b)
-    truth = (16.0 * gauss_expect2_grid(f, 0.5, q_star, q_star, n=2000) + 0.09) / q_star
+    truth = (16.0 * gauss_expect2_grid(f, 0.5, q_star, n=2000) + 0.09) / q_star
     assert got == pytest.approx(truth, abs=1e-7)
 
 
@@ -342,8 +330,14 @@ def test_curvature_refuses_non_smooth():
 
 
 def test_curvature_undefined_at_zero_length():
-    with pytest.raises(ValueError):
-        mf.curvature_trajectory(5, mf.EnsembleParams(0.5, 0.0, TANH), RULE)
+    zero = mf.EnsembleParams(0.5, 0.0, TANH)
+    with pytest.raises(DegenerateGeometryError, match=r"q\* > 0, got q\* = 0"):
+        mf.curvature_trajectory(5, zero, RULE)
+    # the weight-chaos recursion is the c-map below layer 2
+    with pytest.raises(DegenerateGeometryError, match=r"q\* > 0, got q\* = 0"):
+        expressivity.weight_chaos_theory(zero, 0.1, 3, RULE)
+    with pytest.raises(DegenerateGeometryError, match=r"q\* > 0, got q\* = 0"):
+        expressivity.weight_chaos_empirical(zero, (8, 8, 8), [0.1], 0, n_theta=8, rule=RULE)
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +460,7 @@ def test_c_star_is_one_in_ordered_phase():
 
 
 def test_c_star_refuses_zero_length():
-    with pytest.raises(ValueError, match="q\\* = 0"):
+    with pytest.raises(DegenerateGeometryError, match=r"q\* > 0, got q\* = 0"):
         mf.correlation_trajectory(0.5, 1, mf.EnsembleParams(0.5, 0.0, TANH), RULE)
 
 

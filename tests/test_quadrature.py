@@ -75,12 +75,16 @@ def test_expect1_nonfinite_names_node():
 
 @pytest.mark.parametrize("factor", [0, 1])
 def test_expect2_product_nonfinite_names_node(factor):
+    # factor 0: f is singular at a u1 node (z = 0); factor 1: only at a u2
+    # node, u2 = c z_0 + sqrt(1 - c^2) z_4, which is no u1 node
     rule = build_rule(5)  # odd order has a node at 0
-    fs = [np.tanh, np.tanh]
-    fs[factor] = lambda u: 1.0 / u
+    c = 0.5
+    z = rule.nodes
+    pole = [0.0, c * z[0] + math.sqrt(1.0 - c * c) * z[4]][factor]
+    assert factor == 0 or not np.any(z == pole)
     with np.errstate(divide="ignore", invalid="ignore"):
         with pytest.raises(ValueError, match="not finite at node"):
-            expect2_product(*fs, 0.5, 1.0, 1.0, rule)
+            expect2_product(lambda u: 1.0 / (u - pole), c, 1.0, rule)
 
 
 def identity(u):
@@ -89,41 +93,35 @@ def identity(u):
 
 def test_expect2_independent_product():
     rule = build_rule(101)
-    assert expect2_product(identity, identity, 0.0, 1.0, 1.0, rule) == pytest.approx(
-        0.0, abs=1e-14)
+    assert expect2_product(identity, 0.0, 1.0, rule) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_expect2_perfectly_correlated():
     rule = build_rule(101)
-    assert expect2_product(identity, identity, 1.0, 1.0, 1.0, rule) == pytest.approx(
-        1.0, abs=1e-12)
+    assert expect2_product(identity, 1.0, 1.0, rule) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_expect2_covariance_structure():
+    # E[u1 u2] = c q and, by Isserlis, E[u1^2 u2^2] = q^2 (1 + 2 c^2)
     rule = build_rule(101)
-    c, q1, q2 = 0.37, 1.7, 0.4
-    cov = expect2_product(identity, identity, c, q1, q2, rule)
-    assert cov == pytest.approx(c * math.sqrt(q1 * q2), abs=1e-12)
-    assert expect2_product(np.square, np.ones_like, c, q1, q2, rule) == pytest.approx(
-        q1, abs=1e-12)
-    assert expect2_product(np.ones_like, np.square, c, q1, q2, rule) == pytest.approx(
-        q2, abs=1e-12)
+    c, q = 0.37, 1.7
+    assert expect2_product(identity, c, q, rule) == pytest.approx(c * q, abs=1e-12)
+    assert expect2_product(np.square, c, q, rule) == pytest.approx(
+        q * q * (1.0 + 2.0 * c * c), abs=1e-12)
 
 
 def test_expect2_tanh_against_dense_grid():
     rule = build_rule(201)
-    truth = gauss_expect2_grid(lambda a, b: np.tanh(a) * np.tanh(b), 0.5, 1.0, 1.0)
-    assert expect2_product(np.tanh, np.tanh, 0.5, 1.0, 1.0, rule) == pytest.approx(
-        truth, abs=1e-8
-    )
+    truth = gauss_expect2_grid(lambda a, b: np.tanh(a) * np.tanh(b), 0.5, 1.0)
+    assert expect2_product(np.tanh, 0.5, 1.0, rule) == pytest.approx(truth, abs=1e-8)
 
 
 def test_expect2_rejects_bad_correlation():
     rule = build_rule(11)
     with pytest.raises(ValueError, match="correlation"):
-        expect2_product(identity, identity, 1.5, 1.0, 1.0, rule)
+        expect2_product(identity, 1.5, 1.0, rule)
     with pytest.raises(ValueError, match="nonneg"):
-        expect2_product(identity, identity, 0.5, -1.0, 1.0, rule)
+        expect2_product(identity, 0.5, -1.0, rule)
 
 
 @given(st.integers(min_value=0, max_value=15), st.integers(min_value=2, max_value=40))
@@ -137,17 +135,18 @@ def test_polynomial_exactness(degree, order):
 
 
 @given(st.floats(min_value=-1.0, max_value=1.0), st.floats(min_value=0.1, max_value=4.0))
-def test_expect2_symmetric_in_marginals(c, q):
+def test_expect2_cos_matches_closed_form(c, q):
+    # cos u1 cos u2 = (cos(u1 - u2) + cos(u1 + u2)) / 2 and E[cos X] =
+    # exp(-Var X / 2), so E[cos u1 cos u2] = exp(-q) cosh(c q)
     rule = build_rule(41)
-    forward = expect2_product(np.cos, np.cos, c, q, 2.0 * q, rule)
-    swapped = expect2_product(np.cos, np.cos, c, 2.0 * q, q, rule)
-    assert forward == pytest.approx(swapped, abs=1e-12)
+    truth = math.exp(-q) * math.cosh(c * q)
+    assert expect2_product(np.cos, c, q, rule) == pytest.approx(truth, abs=1e-12)
 
 
 def test_expect2_degenerates_to_expect1_at_c_one():
     rule = build_rule(101)
     q = 2.3
-    f2 = expect2_product(np.tanh, np.tanh, 1.0, q, q, rule)
+    f2 = expect2_product(np.tanh, 1.0, q, rule)
     f1 = expect1(lambda z: np.tanh(math.sqrt(q) * z) ** 2, rule)
     assert f2 == pytest.approx(f1, abs=1e-10)
 
