@@ -171,6 +171,21 @@ def test_c_map_rejects_bad_c():
         mf.c_map(1.2, CHAOTIC, RULE, q_star=1.0)
 
 
+def test_correlation_map_odd_activation_uncorrelated():
+    # cross-covariance q12 = q * c_map(c) at a length q that is not the fixed point
+    params = mf.EnsembleParams(2.0, 0.0, TANH)
+    assert mf.c_map(0.0, params, RULE, q_star=1.0) == pytest.approx(0.0, abs=1e-14)
+
+
+def test_correlation_map_against_dense_grid():
+    rule = mf.build_rule(1001)
+    q = 1.7
+    got = q * mf.c_map(0.5, CHAOTIC, rule, q_star=q)
+    f = lambda a, b: np.tanh(a) * np.tanh(b)
+    truth = 16.0 * gauss_expect2_grid(f, 0.5, q, n=2000) + 0.09
+    assert got == pytest.approx(truth, abs=1e-7)
+
+
 def test_c_map_has_fixed_point_at_one():
     for params in (CHAOTIC, ORDERED, mf.EnsembleParams(2.5, 0.3, TANH),
                    mf.EnsembleParams(1.2, 0.05, TANH)):
