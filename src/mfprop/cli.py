@@ -178,17 +178,35 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _read_config(path: str) -> dict:
+    try:
+        with open(path) as fh:
+            values = json.load(fh)
+    except OSError as exc:
+        raise UsageError(f"cannot read config file {path!r}: {exc.strerror}") from None
+    except ValueError as exc:   # invalid JSON or text encoding
+        raise UsageError(f"config file {path!r} is not valid JSON: {exc}") from None
+    if not isinstance(values, dict):
+        raise UsageError(f"config file {path!r} must hold a JSON object, "
+                         f"got {type(values).__name__}")
+    return values
+
+
 def _resolve_config(command: str, args: argparse.Namespace) -> dict:
     table = _COMMANDS[command]
-    file_values = {}
-    if args.config:
-        with open(args.config) as fh:
-            file_values = json.load(fh)
+    file_values = _read_config(args.config) if args.config else {}
     cfg = {"command": command}
     for dest, _flags, typ, default, _help in table:
         value = getattr(args, dest)
-        if value is None and dest in file_values and file_values[dest] is not None:
-            value = typ(file_values[dest])
+        raw = file_values.get(dest)
+        if value is None and raw is not None:
+            try:
+                if typ is int and isinstance(raw, float) and not raw.is_integer():
+                    raise ValueError("not an integer")
+                value = typ(raw)
+            except (TypeError, ValueError) as exc:
+                raise UsageError(f"config file {args.config!r}: {dest} = {raw!r} is not "
+                                 f"a valid {typ.__name__} ({exc})") from None
         if value is None:
             value = default
         cfg[dest] = value
@@ -364,6 +382,10 @@ def _run_boundary(cfg):
 
 
 def _run_shallow_bound(cfg):
+    for dest in ("n_trials", "n_hidden"):
+        if cfg[dest] < 1:
+            flag = "--" + dest.replace("_", "-")
+            raise UsageError(f"shallow-bound needs {flag} >= 1, got {cfg[dest]}")
     params = _ensemble(cfg)
     # the bound's lengths depend on the circle only through q and its theta
     # grid, so it lies in the smallest input space a circle fits in

@@ -77,6 +77,8 @@ def verify_shallow_bound(
         raise UnsupportedActivationError(
             f"the length bound needs a bounded dynamic range; {nl.name!r} is unbounded"
         )
+    if n_trials < 1:
+        raise ValueError(f"n_trials must be >= 1, got {n_trials}")
     if n_hidden < 1:
         raise ValueError("n_hidden must be >= 1")
     if not nl.dynamic_range > 0:

@@ -58,6 +58,9 @@ from .quadrature import QuadratureRule, expect1, expect2_product
 # _BOUNDARY_SCAN (first, last, points), certified by _BOUNDARY_RESIDUAL_TOL.
 _Q_MAX_DOUBLINGS = 340
 _Q_SIGN_STEP = 1e-3
+# With sigma_b = 0, the q at which V(q) - q is read to decide whether the
+# origin is stable (see `length_fixed_point`)
+_ORIGIN_RUNGS = (1e-18, 1e-15, 1e-12, 1e-9, 1e-6)
 _C_MIN_DELTA = 2.0**-50
 _C_RESIDUAL_TOL = 1e-12
 _BOUNDARY_SCAN = (1e-3, 10.0, 9)
@@ -150,9 +153,14 @@ def length_fixed_point(
     """Stable fixed point q* of the length map, by a bracketed root solve.
 
     With sigma_b = 0 and V(0) = 0 the origin is a fixed point; it is
-    returned (exactly 0.0) when the map contracts there.  Otherwise
-    V(q) - q > 0 at the lower bracket end (0, or just above the unstable
-    origin), the upper end starts at 1.0 and doubles until V(q) <= q, and
+    returned (exactly 0.0) unless the map expands there.  The decision
+    reads V(q) - q on the rungs q = 1e-18, 1e-15, ..., 1e-6 and takes the
+    first one where it clears the rounding noise 64 eps q of V; there the
+    difference is no longer the rule's error in E[z^2] (~eps q).  A map that
+    no rung tells from the identity (the linear map at sigma_w = 1) keeps
+    the origin.  Otherwise V(q) - q > 0 at the lower bracket end (0, or the
+    decisive rung above the unstable origin), the upper end starts at 1.0
+    and doubles until V(q) <= q, and
     `_bracketed_root` closes the bracket to floating-point resolution.
     The result is certified by its residual: |V(q*) - q*| < 1e-10, or
     64 eps q* for fixed points so large that rounding noise in V itself
@@ -167,13 +175,15 @@ def length_fixed_point(
     expansive map) or either certificate fails.
     """
     g = lambda q: length_map(q, params, rule) - q
-    eps_q = 1e-18
     lo, g_lo = 0.0, length_map(0.0, params, rule)
     if params.sigma_b == 0.0 and g_lo == 0.0:
         # V(0) = 0; the origin is a fixed point.  It is the stable one
-        # iff the map is contracting there.
-        lo, g_lo = eps_q, g(eps_q)
-        if g_lo <= 0.0:
+        # unless the map decisively expands there.
+        for lo in _ORIGIN_RUNGS:
+            g_lo = g(lo)
+            if abs(g_lo) > 64.0 * _EPS * lo:
+                break
+        if not g_lo > 64.0 * _EPS * lo:
             return 0.0
     hi, g_hi = 1.0, g(1.0)
     doubles = 0

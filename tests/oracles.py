@@ -165,3 +165,30 @@ def principal_curvatures_projected(hessian, grad):
     assert near_zero.size > 0, "no near-zero eigenvalue along the normal"
     drop = near_zero[np.argmax(alignments[near_zero])]
     return np.sort(np.delete(eigvals, drop))[::-1]
+
+
+def hermite_rule_extended(nodes, order, iterations=2):
+    """Gauss-Hermite nodes and probability weights in np.longdouble.
+
+    Newton's method on He_order, evaluated by the monic recurrence
+    He_{k+1} = x He_k - k He_{k-1} in extended precision, started from the
+    nonnegative entries of `nodes`; then w_i ~ 1 / He_{order-1}(x_i)^2.
+    He_k is not rescaled: for orders up to 2001 it stays below 1e3723,
+    inside long double's range.
+    """
+    x = np.asarray(nodes, dtype=np.longdouble)
+    x = x[x >= 0]
+    for _ in range(iterations):
+        prev, cur = np.ones_like(x), x.copy()
+        for k in range(1, order):
+            prev, cur = cur, x * cur - k * prev
+        x = x - cur / (order * prev)
+    prev, cur = np.ones_like(x), x.copy()
+    for k in range(1, order - 1):
+        prev, cur = cur, x * cur - k * prev
+    ratio = cur[0] / cur                    # He_{n-1}(x_0) / He_{n-1}(x_i)
+    w = ratio * ratio
+    mirror = slice(1, None) if order % 2 else slice(None)
+    x_all = np.concatenate((-x[mirror][::-1], x))
+    w_all = np.concatenate((w[mirror][::-1], w))
+    return x_all, w_all / w_all.sum()

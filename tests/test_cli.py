@@ -87,6 +87,25 @@ def test_flags_override_config_file(tmp_path):
     assert cfg["depth"] == 5 and cfg["sigma_w"] == 4.0
 
 
+@pytest.mark.parametrize("text, message", [
+    ('{"depth": "ten"}', "depth = 'ten' is not a valid int"),
+    ('{"depth": 2.5}', "depth = 2.5 is not a valid int"),
+    ('{"sigma_w": [4]}', "sigma_w = [4] is not a valid float"),
+    ('{"depth": ', "is not valid JSON"),
+    ("[4, 0.3]", "must hold a JSON object"),
+    (None, "cannot read config file"),
+])
+def test_bad_config_file_is_a_usage_error(tmp_path, capsys, text, message):
+    cfg_path = tmp_path / "cfg.json"
+    if text is not None:
+        cfg_path.write_text(text)
+    out = tmp_path / "out.csv"
+    assert run(["length-map", "--config", str(cfg_path), "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert message in err and "cfg.json" in err
+    assert not out.exists()
+
+
 def test_phase_grid_emits_boundary_file(tmp_path):
     out = tmp_path / "grid.csv"
     status = run(["phase-grid", "--sw", "0.5:4:4", "--sb", "0:0.6:3",
@@ -175,6 +194,17 @@ def test_boundary_refuses_bad_sizes(tmp_path, capsys, argv, message):
     out = tmp_path / "bd.csv"
     assert run(["boundary", "--sw", "4", "--sb", "0.3", "--width", "20", *argv,
                 "-o", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--n-trials", "0", "--n-hidden", "10"], "--n-trials >= 1"),
+    (["--n-trials", "2", "--n-hidden", "0"], "--n-hidden >= 1"),
+])
+def test_shallow_bound_refuses_bad_sizes(tmp_path, capsys, argv, message):
+    out = tmp_path / "sb.csv"
+    assert run(["shallow-bound", "--sw", "4", *argv, "-o", str(out)]) == 1
     assert message in capsys.readouterr().err
     assert not out.exists()
 

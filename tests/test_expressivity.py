@@ -37,6 +37,10 @@ def test_bound_spec_validation():
     flat = mf.EnsembleParams(1.0, 0.0, dataclasses.replace(TANH, dynamic_range=0.0))
     with pytest.raises(ValueError, match="dynamic_range"):
         ex.verify_shallow_bound(1, 10, flat, circle, seed=0)
+    for n_trials in (0, -1):
+        with pytest.raises(ValueError, match="n_trials"):
+            ex.verify_shallow_bound(n_trials, 10, mf.EnsembleParams(1.0, 0.0, TANH),
+                                    circle, seed=0)
 
 
 def test_zero_weights_give_zero_length():

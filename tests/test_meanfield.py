@@ -83,11 +83,40 @@ def test_fixed_point_error_for_expansive_map():
 
 @pytest.mark.parametrize("name, sigma_w", [("linear", 1.0), ("relu", math.sqrt(2.0))])
 def test_fixed_point_refused_on_homogeneous_critical_line(name, sigma_w):
-    # V(q) - q = sigma_b^2 > 0 for every q here; quadrature rounding makes
-    # it cross zero near q ~ 1e13, a root the residual alone would accept
+    # V(q) - q = sigma_b^2 > 0 for every q here.  The rule's second moment
+    # exceeds the exact one by 2 eps, so V(q) - q = 0.09 + 4e-16 q has no
+    # root, and the bracket never closes
     params = mf.EnsembleParams(sigma_w, 0.3, mf.builtin(name))
+    slope = mf.length_map(1.0, params, RULE) - mf.length_map(0.0, params, RULE)
+    assert slope > 1.0
+    with pytest.raises(ConvergenceError, match="expansive map"):
+        mf.length_fixed_point(params, RULE)
+
+
+def test_fixed_point_refused_when_ill_conditioned():
+    # q* = sigma_b^2 / (1 - sigma_w^2) = 9e10 is a true root, but V'(q*) is
+    # 1 - 1e-12, so V(q) - q changes sign by less than its rounding noise
+    params = mf.EnsembleParams(math.sqrt(1.0 - 1e-12), 0.3, LINEAR)
     with pytest.raises(ConvergenceError, match="ill-conditioned"):
         mf.length_fixed_point(params, RULE)
+
+
+@pytest.mark.parametrize("order", [11, 41, 101, 201, 401, 1601, 2001])
+def test_fixed_point_origin_decided_above_rounding(order):
+    # tanh at sigma_w = 1, sigma_b = 0: V(q) - q ~ -2 q^2, which at
+    # q = 1e-18 is smaller than the rule's rounding of E[z^2] times q
+    rule = mf.build_rule(order)
+    assert mf.length_fixed_point(mf.EnsembleParams(1.0, 0.0, TANH), rule) == 0.0
+    q_star = mf.length_fixed_point(mf.EnsembleParams(1.0 + 1e-9, 0.0, TANH), rule)
+    assert q_star == pytest.approx(1e-9, rel=1e-6)
+
+
+def test_fixed_point_origin_unstable_beyond_first_rung(monkeypatch):
+    # V(q) - q = q^2 (1.5 - q) is inside the rounding noise 64 eps q at
+    # q = 1e-18 and 1e-15 but clears it at 1e-12: the origin is unstable
+    monkeypatch.setattr(meanfield, "length_map", lambda q, params, rule: q + q * q * (1.5 - q))
+    q_star = mf.length_fixed_point(mf.EnsembleParams(1.0, 0.0, TANH), RULE)
+    assert q_star == pytest.approx(1.5, rel=1e-12)
 
 
 @pytest.mark.parametrize("sigma_w", [0.999, 1.001])

@@ -1,9 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.special import roots_hermitenorm
 
+import mfprop
 from mfprop.quadrature import (
     QuadratureRule,
     build_rule,
@@ -11,7 +17,18 @@ from mfprop.quadrature import (
     expect2_product,
 )
 
-from oracles import gauss_expect2_grid, gauss_expect_trapezoid, gaussian_moment
+from oracles import (
+    gauss_expect2_grid,
+    gauss_expect_trapezoid,
+    gaussian_moment,
+    hermite_rule_extended,
+)
+
+EPS = float(np.finfo(float).eps)
+# scipy's roots_hermitenorm switches from Golub-Welsch to asymptotic
+# expansions above order 150; the orders straddle that switch and cover
+# every order the package and its acceptance suite build
+ORACLE_ORDERS = [2, 10, 150, 151, 201, 401, 1601, 2001, 10001]
 
 
 def test_two_point_rule():
@@ -37,6 +54,52 @@ def test_rule_invariants():
         assert np.all(np.diff(rule.nodes) > 0)
         assert expect1(lambda z: z, rule) == pytest.approx(0.0, abs=1e-12)
         assert expect1(lambda z: z * z, rule) == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("order", ORACLE_ORDERS)
+def test_rule_matches_scipy(order):
+    # scipy's asymptotic nodes are themselves off by up to 1.4e-13 (order
+    # 10001, near z = 0.9) against the extended-precision refinement below,
+    # which this rule matches to 1.1e-16
+    rule = build_rule(order)
+    nodes, weights = roots_hermitenorm(order)
+    weights = weights / weights.sum()
+    assert np.all(np.abs(rule.nodes - nodes) <= 2e-13 * np.maximum(1.0, np.abs(nodes)))
+    assert np.abs(rule.weights - weights).sum() <= 1e-13
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                    reason="long double is no wider than double here")
+@pytest.mark.parametrize("order", [2, 3, 10, 151, 201, 401, 2001])
+def test_rule_matches_extended_precision(order):
+    rule = build_rule(order)
+    nodes, weights = hermite_rule_extended(rule.nodes, order)
+    assert np.all(np.abs(rule.nodes - nodes) <= 2 * EPS * np.maximum(1.0, np.abs(nodes)))
+    assert float(np.abs(rule.weights - weights).sum()) <= 1e-14
+
+
+@pytest.mark.parametrize("order", ORACLE_ORDERS)
+def test_rule_is_symmetric_with_unit_variance(order):
+    rule = build_rule(order)
+    assert np.array_equal(rule.nodes, -rule.nodes[::-1])
+    assert np.array_equal(rule.weights, rule.weights[::-1])
+    assert abs(math.fsum(rule.weights * rule.nodes * rule.nodes) - 1.0) <= 4 * EPS
+
+
+def test_package_imports_without_scipy():
+    code = ("import importlib, pkgutil, sys\n"
+            "import mfprop\n"
+            "names = [m.name for m in pkgutil.iter_modules(mfprop.__path__)\n"
+            "         if m.name != '__main__']\n"
+            "for name in names:\n"
+            "    importlib.import_module('mfprop.' + name)\n"
+            "print(' '.join(names))\n"
+            "print(' '.join(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(mfprop.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout.split("\n")
+    assert {"cli", "acceptance", "quadrature"} <= set(out[0].split())
+    assert out[1] == ""
 
 
 def test_bad_orders_rejected():
