@@ -50,7 +50,7 @@ def main() -> int:
          "sigma_w": 4.0, "sigma_b": 0.3},
         mf.__version__,
         footer=[f"chi1 = {theory.chi.chi1:.17g}",
-                f"chi2 = {theory.chi.chi2:.17g}",
+                f"chi2 = {theory.chi2:.17g}",
                 f"kappa_star_sq = {theory.kappa_star_sq:.17g}"],
     )
     print(f"wrote {args.outdir / 'curvature_layers.csv'}")

@@ -27,7 +27,6 @@ from .meanfield import (
     c_map,
     chi1,
     chi2,
-    chi_factors,
     correlation_trajectory,
     curvature_trajectory,
     length_fixed_point,
@@ -53,7 +52,7 @@ __all__ = [
     "EnsembleParams", "LengthTrajectory", "CorrelationTrajectory",
     "ChiFactors", "CurvatureTrajectory", "PhaseGrid",
     "length_map", "length_trajectory", "length_fixed_point",
-    "c_map", "chi1", "chi2", "chi_factors",
+    "c_map", "chi1", "chi2",
     "correlation_trajectory", "curvature_trajectory",
     "phase_boundary", "phase_grid",
 ]

@@ -140,8 +140,7 @@ def criterion_4() -> CriterionResult:
             dev = float(np.max(np.abs(run.c_emp - run.theory.values)))
             c.check(dev <= 0.05,
                     f"sigma_w={sw}, c0={c0}: max |c_emp - c_theory| = {dev:.3f} <= 0.05")
-    grid = phase_grid(np.linspace(0.5, 4.0, 20), np.linspace(0.05, 1.0, 20),
-                      TANH, rule, with_boundary=False)
+    grid = phase_grid(np.linspace(0.5, 4.0, 20), np.linspace(0.05, 1.0, 20), TANH, rule)
     c.check(len(grid.cell_errors) == 0 and bool(grid.c_converged.all()),
             "all 400 grid cells evaluated and converged")
     ordered = grid.chi1 < 1.0

@@ -2,10 +2,14 @@
 
 The mean-field maps need phi, phi', and for the curvature recursion phi''.
 One callable, `derivatives(h, order)`, returns (phi, ..., phi^(order)) from
-a single evaluation of the activation.  For piecewise-linear activations
-the second derivative is distributional, so those report
-``has_smooth_second_derivative = False`` and the curvature operations
-refuse them instead of silently using phi'' = 0.
+a single evaluation of the activation.  An activation without a smooth
+phi'' raises UnsupportedActivationError at order 2 instead of returning
+one.  The builtin relu and hard_tanh do so: they are piecewise linear, so
+their phi'' is a sum of point masses at the kinks, and using phi'' = 0
+would silently drop the curvature those kinks create.  chi2, the
+curvature recursion, acceleration jets and the boundary Hessian all take
+phi'' from `derivatives`, so a user-defined activation is refused by them
+exactly when its own `derivatives` refuses order 2.
 """
 
 from __future__ import annotations
@@ -15,15 +19,18 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .errors import UnsupportedActivationError
+
 Array = np.ndarray
 
 
 @dataclass(frozen=True)
 class Nonlinearity:
-    """A scalar activation phi with first and second derivatives.
+    """A scalar activation phi with its first and, if smooth, second derivative.
 
     `derivatives(h, order)` maps an ndarray h to (phi, ..., phi^(order)) for
-    order 0, 1 or 2, elementwise.
+    order 0, 1 or 2, elementwise; it raises UnsupportedActivationError at
+    order 2 when phi has no smooth second derivative.
     `dynamic_range` is max(phi) - min(phi); None means unbounded.
     """
 
@@ -31,7 +38,6 @@ class Nonlinearity:
     derivatives: Callable[[Array, int], tuple[Array, ...]]
     monotone_nondecreasing: bool
     dynamic_range: Optional[float]
-    has_smooth_second_derivative: bool
 
     def __post_init__(self):
         if self.dynamic_range is not None and not self.dynamic_range >= 0:
@@ -50,11 +56,19 @@ def _tanh_derivatives(h, order):
     return (t, d1) if order == 1 else (t, d1, -2.0 * t * d1)
 
 
-def _piecewise_linear(value, slope):
-    """`derivatives` of an activation whose phi'' is 0 away from its kinks."""
+def _closed_forms(name, *forms):
+    """`derivatives` from the elementwise closed forms (phi, phi', ...).
+
+    An order beyond the last form is refused: a piecewise-linear phi is
+    given only (phi, phi'), as its phi'' is not a function.
+    """
     def derivatives(h, order):
+        if order >= len(forms):
+            raise UnsupportedActivationError(
+                f"{name!r} has no smooth phi'': it is piecewise linear, so phi'' "
+                "is a sum of point masses at its kinks")
         h = np.asarray(h, dtype=float)
-        return tuple(f(h) for f in (value, slope, np.zeros_like)[:order + 1])
+        return tuple(f(h) for f in forms[:order + 1])
     return derivatives
 
 
@@ -64,39 +78,35 @@ def _tanh() -> Nonlinearity:
         derivatives=_tanh_derivatives,
         monotone_nondecreasing=True,
         dynamic_range=2.0,
-        has_smooth_second_derivative=True,
     )
 
 
 def _linear() -> Nonlinearity:
     return Nonlinearity(
         name="linear",
-        derivatives=_piecewise_linear(lambda h: h, np.ones_like),
+        derivatives=_closed_forms("linear", lambda h: h, np.ones_like, np.zeros_like),
         monotone_nondecreasing=True,
         dynamic_range=None,
-        has_smooth_second_derivative=True,
     )
 
 
 def _hard_tanh() -> Nonlinearity:
     return Nonlinearity(
         name="hard_tanh",
-        derivatives=_piecewise_linear(lambda h: np.clip(h, -1.0, 1.0),
-                                      lambda h: ((h > -1.0) & (h < 1.0)).astype(float)),
+        derivatives=_closed_forms("hard_tanh", lambda h: np.clip(h, -1.0, 1.0),
+                                  lambda h: ((h > -1.0) & (h < 1.0)).astype(float)),
         monotone_nondecreasing=True,
         dynamic_range=2.0,
-        has_smooth_second_derivative=False,
     )
 
 
 def _relu() -> Nonlinearity:
     return Nonlinearity(
         name="relu",
-        derivatives=_piecewise_linear(lambda h: np.maximum(h, 0.0),
-                                      lambda h: (h > 0.0).astype(float)),
+        derivatives=_closed_forms("relu", lambda h: np.maximum(h, 0.0),
+                                  lambda h: (h > 0.0).astype(float)),
         monotone_nondecreasing=True,
         dynamic_range=None,
-        has_smooth_second_derivative=False,
     )
 
 

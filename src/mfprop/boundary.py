@@ -25,7 +25,7 @@ the layers j = l+1..D with preactivations h^j:
 where J_j = dh^j/dx is carried forward as a matrix (J_{l+1} = W^{l+1},
 J_j = W^j diag(phi'(h^{j-1})) J_{j-1}) and s_j = dG/dphi(h^j) comes from
 the reverse pass of the gradient (s_D = beta).  Activations without a
-smooth phi'' are refused.
+smooth phi'' refuse it themselves (UnsupportedActivationError).
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConvergenceError, DegenerateGeometryError, UnsupportedActivationError
+from .errors import ConvergenceError, DegenerateGeometryError
 from .simulator import NetworkRealization, forward
 
 # Boundary membership: |G| below this multiple of |beta| counts as "on the
@@ -147,11 +147,6 @@ def readout_hessian(
     UnsupportedActivationError rather than given phi'' = 0.
     """
     _, _, derivs, sens = _suffix_pass(net, readout, layer, x, 2)
-    nl = net.nonlinearity
-    if derivs and not nl.has_smooth_second_derivative:
-        raise UnsupportedActivationError(
-            f"the boundary Hessian needs a smooth phi''; {nl.name!r} lacks one"
-        )
     n = net.widths[layer]
     hessian = np.zeros((n, n))
     jac = None  # dh^j/dx, an N_j x N_l matrix carried forward

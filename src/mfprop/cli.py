@@ -133,7 +133,8 @@ _COMMANDS: dict[str, list] = {
         ("n_points", ("--n-points",), int, 10, "boundary points per layer"),
         ("seed", ("--seed",), int, 0, "seed"),
     ],
-    "shallow-bound": _COMMON + [
+    # the bound draws networks and solves no theory, so it takes no --order
+    "shallow-bound": [f for f in _COMMON if f[0] != "order"] + [
         ("n_trials", ("--n-trials",), int, 100, "number of sampled nets"),
         ("n_hidden", ("--n-hidden",), int, 1000, "hidden width N1"),
         ("q0", ("--q0",), float, 1.0, "circle squared radius per neuron"),
@@ -297,7 +298,7 @@ def _run_curvature(cfg):
     ]
     footer = [
         f"chi1 = {traj.chi.chi1:.17g}",
-        f"chi2 = {traj.chi.chi2:.17g}",
+        f"chi2 = {traj.chi2:.17g}",
         f"q_star = {traj.chi.q_star:.17g}",
         f"kappa_star_sq = {traj.kappa_star_sq:.17g}",
     ]

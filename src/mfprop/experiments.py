@@ -24,7 +24,7 @@ import numpy as np
 
 from . import boundary as bd
 from . import simulator as sim
-from .errors import DegenerateGeometryError, UnsupportedActivationError
+from .errors import DegenerateGeometryError
 from .geometry import CurveJet, curve_geometry
 from .meanfield import (
     CorrelationTrajectory,
@@ -140,10 +140,9 @@ def boundary_curvature(params: EnsembleParams, depth: int, width: int, n_points:
     sqrt((q* - sigma_b^2) / sigma_w^2) per coordinate, pushed through the
     network prefix, so each start carries its layer's activity statistics.
     """
-    nl = params.nonlinearity
-    if not nl.has_smooth_second_derivative:
-        raise UnsupportedActivationError(
-            f"the boundary Hessian needs a smooth phi''; {nl.name!r} lacks one")
+    # refuse an activation without phi'' before the q* solve, which fails
+    # first (expansive map) for a kinked phi at large sigma_w
+    params.nonlinearity.derivatives(np.zeros(1), 2)
     if params.sigma_w == 0:
         raise DegenerateGeometryError(
             "boundary curvature needs sigma_w > 0: at sigma_w = 0 the readout "

@@ -156,8 +156,6 @@ def uniform_probe(omega_max: int, n_theta: int, ridge: Optional[float] = None) -
 class FourierErrorProfile:
     frequencies: np.ndarray      # 0..omega_max
     errors: np.ndarray           # per frequency (cos/sin averaged)
-    column_errors: np.ndarray    # per basis column
-    ridge_used: float
 
 
 def fourier_error_profile(activations: np.ndarray, probe: FourierProbe) -> FourierErrorProfile:
@@ -204,12 +202,7 @@ def fourier_error_profile(activations: np.ndarray, probe: FourierProbe) -> Fouri
     freqs = probe.column_frequencies()
     frequencies = np.arange(probe.omega_max + 1)
     errors = np.array([column_errors[freqs == k].mean() for k in frequencies])
-    return FourierErrorProfile(
-        frequencies=frequencies,
-        errors=errors,
-        column_errors=column_errors,
-        ridge_used=float(ridge),
-    )
+    return FourierErrorProfile(frequencies=frequencies, errors=errors)
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,7 @@ from typing import Optional
 import numpy as np
 
 from .activations import Nonlinearity
-from .errors import ConvergenceError, DegenerateGeometryError, UnsupportedActivationError
+from .errors import ConvergenceError, DegenerateGeometryError
 from .quadrature import QuadratureRule, expect1, expect2_product
 
 # Solver budgets.  q* and c* are roots of V(q) - q and c_map(c) - c, each
@@ -93,7 +93,6 @@ class LengthTrajectory:
 @dataclass(frozen=True)
 class ChiFactors:
     chi1: float
-    chi2: Optional[float]       # None when phi'' is not smooth
     q_star: float
 
 
@@ -114,6 +113,7 @@ class CurvatureTrajectory:
     kappa_star_sq: float        # inf when the recursion has no finite fixed point
     diverges: bool
     chi: ChiFactors
+    chi2: float
 
 
 @dataclass(frozen=True)
@@ -348,31 +348,11 @@ def chi2(
     """Curvature injection factor: sigma_w^2 E[phi''(sqrt(q*) z)^2].
 
     Defined only for activations with a smooth second derivative; for
-    piecewise-linear phi the quantity is distributional and refusing is
-    more honest than returning 0.
+    the others `derivatives` raises UnsupportedActivationError at order 2.
     """
-    nl = params.nonlinearity
-    if not nl.has_smooth_second_derivative:
-        raise UnsupportedActivationError(
-            f"chi2 requires a smooth second derivative; {nl.name!r} is piecewise linear"
-        )
     if q_star is None:
         q_star = length_fixed_point(params, rule)
     return _weighted_moment(2, q_star, params, rule)
-
-
-def chi_factors(
-    params: EnsembleParams,
-    rule: QuadratureRule,
-    *,
-    q_star: float | None = None,
-) -> ChiFactors:
-    if q_star is None:
-        q_star = length_fixed_point(params, rule)
-    x1 = chi1(params, rule, q_star=q_star)
-    x2 = (chi2(params, rule, q_star=q_star)
-          if params.nonlinearity.has_smooth_second_derivative else None)
-    return ChiFactors(chi1=x1, chi2=x2, q_star=q_star)
 
 
 def _c_star(
@@ -380,13 +360,13 @@ def _c_star(
     rule: QuadratureRule,
     q_star: float,
     chi1: float,
-) -> tuple[float, bool, int]:
+) -> tuple[float, bool]:
     """Stable fixed point c* of the c-map, by a bracketed root solve.
 
-    Returns (c_star, converged, c-map evaluations); `chi1` is the c-map's
-    slope at c = 1 for this q*.  By Mehler's expansion the c-map at equal
-    variances q* is a power series in c with nonnegative coefficients, so
-    g(c) = c_map(c) - c is convex on [0, 1], with g(1) = 0,
+    Returns (c_star, converged); `chi1` is the c-map's slope at c = 1 for
+    this q*.  By Mehler's expansion the c-map at equal variances q* is a
+    power series in c with nonnegative coefficients, so g(c) = c_map(c) - c
+    is convex on [0, 1], with g(1) = 0,
     g'(1) = chi1 - 1 and g(0) = (sigma_w^2 E[phi]^2 + sigma_b^2) / q* >= 0.
     If chi1 <= 1, g >= 0 on [0, 1] and c* = 1.  Otherwise g has exactly one
     root in [0, 1), and g < 0 just below 1: delta is halved from 1/2 until
@@ -400,27 +380,24 @@ def _c_star(
     """
     _require_positive_q_star(q_star, "c*")
     if chi1 <= 1.0:
-        return 1.0, True, 0
-    evals = 0
+        return 1.0, True
 
     def g(c: float) -> float:
-        nonlocal evals
-        evals += 1
         return c_map(c, params, rule, q_star=q_star) - c
 
     lo, g_lo = 0.0, g(0.0)
     if g_lo <= 0.0:
         # g(0) >= 0 in exact arithmetic (e.g. 0 for odd phi without bias),
         # so the root is c* = 0 and any negative value is rounding
-        return 0.0, abs(g_lo) <= _C_RESIDUAL_TOL, evals
+        return 0.0, abs(g_lo) <= _C_RESIDUAL_TOL
     delta = 0.5
     while (g_hi := g(1.0 - delta)) >= 0.0:
         if delta <= _C_MIN_DELTA:
-            return math.nan, False, evals
+            return math.nan, False
         lo, g_lo = 1.0 - delta, g_hi
         delta *= 0.5
     c, residual = _bracketed_root(g, lo, 1.0 - delta, g_lo, g_hi, _EPS)
-    return c, abs(residual) <= _C_RESIDUAL_TOL, evals
+    return c, abs(residual) <= _C_RESIDUAL_TOL
 
 
 def correlation_trajectory(
@@ -439,8 +416,8 @@ def correlation_trajectory(
     values[0] = c0
     for l in range(1, depth):
         values[l] = c_map(values[l - 1], params, rule, q_star=q_star)
-    chi = chi_factors(params, rule, q_star=q_star)
-    c_star, converged, _ = _c_star(params, rule, q_star, chi.chi1)
+    chi = ChiFactors(chi1=chi1(params, rule, q_star=q_star), q_star=q_star)
+    c_star, converged = _c_star(params, rule, q_star, chi.chi1)
     return CorrelationTrajectory(values=values, c_star=c_star,
                                  c_star_converged=converged, chi=chi)
 
@@ -454,18 +431,17 @@ def curvature_trajectory(
     params: EnsembleParams,
     rule: QuadratureRule,
 ) -> CurvatureTrajectory:
-    """Evolution of (gE, kappa^2) for a circle at the fixed-point radius."""
+    """Evolution of (gE, kappa^2) for a circle at the fixed-point radius.
+
+    Needs chi2, so an activation without a smooth phi'' is refused with
+    UnsupportedActivationError.
+    """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     q_star = _require_positive_q_star(length_fixed_point(params, rule),
                                       "the curvature recursion")
-    chi = chi_factors(params, rule, q_star=q_star)
-    if chi.chi2 is None:
-        raise UnsupportedActivationError(
-            f"curvature recursion requires a smooth second derivative; "
-            f"{params.nonlinearity.name!r} lacks one"
-        )
-    x1, x2 = chi.chi1, chi.chi2
+    x1 = chi1(params, rule, q_star=q_star)
+    x2 = chi2(params, rule, q_star=q_star)
     if x1 == 0.0:
         raise ValueError("chi1 = 0: curvature recursion is degenerate")
     gE = np.empty(depth)
@@ -488,7 +464,8 @@ def curvature_trajectory(
         LG=2.0 * math.pi * np.sqrt(gE * kappa_sq),
         kappa_star_sq=kappa_star_sq,
         diverges=diverges,
-        chi=chi,
+        chi=ChiFactors(chi1=x1, q_star=q_star),
+        chi2=x2,
     )
 
 
@@ -550,8 +527,6 @@ def phase_grid(
     sigma_b_axis,
     nonlinearity: Nonlinearity,
     rule: QuadratureRule,
-    *,
-    with_boundary: bool = True,
 ) -> PhaseGrid:
     """Evaluate q*, c*, chi1 on a (sigma_w, sigma_b) grid.
 
@@ -587,16 +562,15 @@ def phase_grid(
             if qs <= 0.0:
                 errors[(i, j)] = "c-map undefined at q* = 0"
                 continue
-            c_star[i, j], converged[i, j], _ = _c_star(params, rule, qs, chi[i, j])
+            c_star[i, j], converged[i, j] = _c_star(params, rule, qs, chi[i, j])
 
     boundary = np.full((n_b, 2), np.nan)
-    if with_boundary:
-        for j, sb in enumerate(sb_axis):
-            boundary[j, 0] = sb
-            try:
-                boundary[j, 1] = phase_boundary(sb, nonlinearity, rule)
-            except (ConvergenceError, ValueError) as exc:
-                errors[("boundary", j)] = str(exc)
+    for j, sb in enumerate(sb_axis):
+        boundary[j, 0] = sb
+        try:
+            boundary[j, 1] = phase_boundary(sb, nonlinearity, rule)
+        except (ConvergenceError, ValueError) as exc:
+            errors[("boundary", j)] = str(exc)
 
     return PhaseGrid(
         sigma_w_axis=sw_axis,

@@ -35,7 +35,6 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from .activations import Nonlinearity
-from .errors import UnsupportedActivationError
 from .meanfield import EnsembleParams
 
 
@@ -140,6 +139,13 @@ def _parallel_map(fn: Callable, items: Iterable) -> list:
     independent streams are drawn in parallel.  Results keep the order of
     `items`.
 
+    The pool lives for the whole process.  A pool made per call starts its
+    threads again on every `sample_network`, and on perfbench's ensemble-sim
+    workload (2-core box, alternating pairs against this pool) that raised
+    the median operation from 165.9 to 186.1 ms in one set of 10 pairs
+    (slower in 10/10) and from 187.7 to 194.8 ms in another set of 5
+    (slower in 5/5), with no lower wall time in either set.
+
     Rules for `fn`:
     * it must not submit work to this pool itself: a task waiting on a
       nested task can deadlock a pool with as few workers as cores;
@@ -235,15 +241,10 @@ def forward_jet(
 ) -> list[LayerRecord]:
     """Propagate the circle with exact theta-derivatives at every layer.
 
-    Acceleration propagation needs phi''; for activations without a smooth
-    second derivative pass acceleration=False to propagate velocities only.
+    Acceleration propagation needs phi'' below the first layer, so an
+    activation without a smooth one raises UnsupportedActivationError at
+    depth >= 2; pass acceleration=False to propagate velocities only.
     """
-    nl = net.nonlinearity
-    if acceleration and not nl.has_smooth_second_derivative:
-        raise UnsupportedActivationError(
-            f"acceleration propagation needs a smooth phi''; {nl.name!r} lacks one "
-            "(pass acceleration=False for velocity-only jets)"
-        )
     if manifold.width != net.widths[1]:
         raise ValueError(f"manifold width {manifold.width} != first layer width {net.widths[1]}")
     first = [manifold.h1(), manifold.v1()] + ([manifold.a1()] if acceleration else [])

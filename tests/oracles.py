@@ -89,9 +89,9 @@ def jet_three_gemm(weights, biases, derivatives, h, v, a=None):
     separate products per layer (two without a)."""
     out = [(h, v, a)]
     for w, b in zip(weights[1:], biases[1:]):
-        phi, d1, d2 = derivatives(h, 2)
+        phi, d1, *d2 = derivatives(h, 1 if a is None else 2)
         if a is not None:
-            a = (d2 * v * v + d1 * a) @ w.T
+            a = (d2[0] * v * v + d1 * a) @ w.T
         h, v = phi @ w.T + b, (d1 * v) @ w.T
         out.append((h, v, a))
     return out

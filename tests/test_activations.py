@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mfprop.activations import builtin, builtin_names
+from mfprop.errors import UnsupportedActivationError
 
 
 GRID = np.linspace(-5.0, 5.0, 201)
@@ -38,8 +39,9 @@ def _closed_forms(name, h):
     return {
         "tanh": (t, 1.0 - t * t, -2.0 * t * (1.0 - t * t)),
         "linear": (h, np.ones_like(h), np.zeros_like(h)),
-        "hard_tanh": (np.clip(h, -1.0, 1.0), inside, np.zeros_like(h)),
-        "relu": (np.maximum(h, 0.0), (h > 0.0).astype(float), np.zeros_like(h)),
+        # relu'(0) = 0 and hard_tanh'(+-1) = 0 at the kinks
+        "hard_tanh": (np.clip(h, -1.0, 1.0), inside),
+        "relu": (np.maximum(h, 0.0), (h > 0.0).astype(float)),
     }[name]
 
 
@@ -48,7 +50,7 @@ def test_derivatives_match_closed_forms_bit_for_bit(name):
     nl = builtin(name)
     h = np.concatenate([KINKS, GRID])
     want = _closed_forms(name, h)
-    for order in (0, 1, 2):
+    for order in range(len(want)):
         got = nl.derivatives(h, order)
         assert len(got) == order + 1
         for g, w in zip(got, want):
@@ -113,7 +115,18 @@ def test_monotone_flag_consistent(name):
     ("tanh", True), ("linear", True), ("hard_tanh", False), ("relu", False),
 ])
 def test_smoothness_flags(name, smooth):
-    assert builtin(name).has_smooth_second_derivative is smooth
+    # an activation without a smooth phi'' refuses order 2 itself
+    nl = builtin(name)
+    if smooth:
+        d2 = nl.derivatives(GRID, 2)[2]
+        assert d2.shape == GRID.shape and np.all(np.isfinite(d2))
+        if name == "linear":
+            assert np.all(d2 == 0.0)
+    else:
+        with pytest.raises(UnsupportedActivationError, match=f"{name!r} has no smooth phi''"):
+            nl.derivatives(GRID, 2)
+        with pytest.raises(UnsupportedActivationError):
+            nl.derivatives(0.0, 2)
 
 
 def test_hard_tanh_clips():
@@ -130,7 +143,8 @@ def test_relu_derivatives():
     h = np.array([-2.0, 0.0, 3.0])
     assert np.array_equal(nl.value(h), [0.0, 0.0, 3.0])
     assert np.array_equal(nl.derivatives(h, 1)[1], [0.0, 0.0, 1.0])   # relu'(0) = 0
-    assert np.all(nl.derivatives(GRID, 2)[2] == 0.0)
+    with pytest.raises(UnsupportedActivationError, match="phi''"):
+        nl.derivatives(GRID, 2)
     assert nl.dynamic_range is None
 
 
@@ -147,7 +161,6 @@ def test_user_defined_nonlinearity_plugs_into_the_theory():
         derivatives=scaled_sin,
         monotone_nondecreasing=False,
         dynamic_range=2.0,
-        has_smooth_second_derivative=True,
     )
     assert np.allclose(derivative(erfish, 1)(GRID), central_diff(erfish.value, GRID),
                        atol=1e-6)

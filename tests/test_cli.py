@@ -209,6 +209,31 @@ def test_shallow_bound_refuses_bad_sizes(tmp_path, capsys, argv, message):
     assert not out.exists()
 
 
+def test_shallow_bound_takes_no_quadrature_order(tmp_path, capsys):
+    # the bound solves no theory, so a quadrature order would be ignored
+    out = tmp_path / "sb.csv"
+    args = ["shallow-bound", "--n-trials", "1", "--n-hidden", "5", "--sw", "4",
+            "--theta-samples", "16", "-o", str(out)]
+    assert run(args + ["--order", "401"]) == 1
+    assert "--order" in capsys.readouterr().err
+    assert not out.exists()
+    assert run(args) == 0
+    assert "order" not in read_embedded_config(str(out))
+
+
+@pytest.mark.parametrize("argv", [
+    ["curvature", "--nl", "relu", "--sw", "1.2"],
+    ["curvature", "--nl", "hard_tanh", "--sw", "2"],
+    ["boundary", "--nl", "hard_tanh", "--sw", "2", "--width", "20", "--depth", "3",
+     "--n-points", "2"],
+])
+def test_curvature_commands_refuse_activation_without_smooth_phi2(tmp_path, capsys, argv):
+    out = tmp_path / "out.csv"
+    assert run(argv + ["--sb", "0.3", "-o", str(out)]) == 2
+    assert "has no smooth phi''" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_autocorr_and_spectrum_run(tmp_path):
     ac = tmp_path / "ac.csv"
     assert run(["autocorr", "--sw", "4", "--sb", "0.3", "--depth", "2",

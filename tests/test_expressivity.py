@@ -163,7 +163,7 @@ def test_errors_lie_in_unit_interval():
     probe = ex.uniform_probe(12, 128)
     profile = ex.fourier_error_profile(rng.normal(size=(128, 20)), probe)
     assert np.all(profile.errors >= 0.0) and np.all(profile.errors <= 1.0)
-    assert profile.column_errors.shape == (25,)
+    assert profile.errors.shape == profile.frequencies.shape == (13,)
 
 
 def test_depth_one_tanh_has_no_even_harmonics():

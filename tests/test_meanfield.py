@@ -258,10 +258,11 @@ def test_chi_linear():
 
 def test_chi2_refuses_piecewise_linear():
     params = mf.EnsembleParams(1.5, 0.3, mf.builtin("hard_tanh"))
-    with pytest.raises(UnsupportedActivationError):
+    with pytest.raises(UnsupportedActivationError, match="phi''"):
         mf.chi2(params, RULE)
-    chi = mf.chi_factors(params, RULE)
-    assert chi.chi2 is None and chi.chi1 > 0
+    assert mf.chi1(params, RULE) > 0
+    # the correlation theory needs only chi1, so it still runs
+    assert mf.correlation_trajectory(0.5, 3, params, RULE).chi.chi1 > 0
 
 
 @pytest.mark.parametrize("sigma_w", [1.5, 2.5, 4.0])
@@ -350,7 +351,7 @@ def test_curvature_gE_ratio_is_chi1():
 
 def test_curvature_converges_to_closed_form():
     traj = mf.curvature_trajectory(20, CHAOTIC, RULE)
-    expected = 3.0 * traj.chi.chi2 / (traj.chi.chi1 * (traj.chi.chi1 - 1.0))
+    expected = 3.0 * traj.chi2 / (traj.chi.chi1 * (traj.chi.chi1 - 1.0))
     assert traj.kappa_star_sq == pytest.approx(expected, rel=1e-15)
     assert traj.kappa_sq[-1] == pytest.approx(expected, abs=1e-6)
     assert not traj.diverges
@@ -358,18 +359,17 @@ def test_curvature_converges_to_closed_form():
 
 @pytest.mark.parametrize("start", [1e-6, 1.0, 1e6])
 def test_curvature_recursion_fixed_point_attracts(start):
-    chi = mf.chi_factors(CHAOTIC, RULE)
+    x1, x2 = mf.chi1(CHAOTIC, RULE), mf.chi2(CHAOTIC, RULE)
     kappa_sq = start
     for _ in range(10_000):
-        kappa_sq = 3.0 * chi.chi2 / chi.chi1**2 + kappa_sq / chi.chi1
-    assert kappa_sq == pytest.approx(3.0 * chi.chi2 / (chi.chi1 * (chi.chi1 - 1.0)),
-                                     rel=1e-10)
+        kappa_sq = 3.0 * x2 / x1**2 + kappa_sq / x1
+    assert kappa_sq == pytest.approx(3.0 * x2 / (x1 * (x1 - 1.0)), rel=1e-10)
 
 
 def test_curvature_refuses_non_smooth():
     # sigma_w kept below sqrt(2) so the relu length map has a fixed point
     params = mf.EnsembleParams(1.2, 0.3, mf.builtin("relu"))
-    with pytest.raises(UnsupportedActivationError):
+    with pytest.raises(UnsupportedActivationError, match="phi''"):
         mf.curvature_trajectory(5, params, RULE)
 
 
@@ -421,7 +421,6 @@ def test_phase_boundary_refuses_a_scan_without_crossing():
         derivatives=lambda h, order: tuple(0.01 * d for d in tanh(h, order)),
         monotone_nondecreasing=True,
         dynamic_range=0.02,
-        has_smooth_second_derivative=True,
     )
     with pytest.raises(ConvergenceError, match="does not change sign"):
         mf.phase_boundary(0.3, faint, RULE)
@@ -487,20 +486,17 @@ def test_phase_grid_linear_boundary_column():
     assert np.allclose(grid.boundary[:, 1], 1.0, atol=1e-6)
 
 
-def test_c_star_helper_reports_convergence():
-    q_star = mf.length_fixed_point(CHAOTIC, RULE)
-    x1 = mf.chi1(CHAOTIC, RULE, q_star=q_star)
-    value, converged, evals = _c_star(CHAOTIC, RULE, q_star, x1)
-    assert converged and 0.0 < value < 0.1 and evals < 1000
+def test_c_star_helper_reports_convergence(monkeypatch):
+    value, converged, calls, q_star = _counted_c_star(monkeypatch, CHAOTIC, RULE)
+    assert converged and 0.0 < value < 0.1 and calls < 1000
     residual = abs(mf.c_map(value, CHAOTIC, RULE, q_star=q_star) - value)
     assert residual < 1e-10
 
 
-def test_c_star_is_one_in_ordered_phase():
-    q_star = mf.length_fixed_point(ORDERED, RULE)
-    x1 = mf.chi1(ORDERED, RULE, q_star=q_star)
-    assert x1 < 1.0
-    assert _c_star(ORDERED, RULE, q_star, x1) == (1.0, True, 0)
+def test_c_star_is_one_in_ordered_phase(monkeypatch):
+    assert mf.chi1(ORDERED, RULE) < 1.0
+    value, converged, calls, _ = _counted_c_star(monkeypatch, ORDERED, RULE)
+    assert (value, converged, calls) == (1.0, True, 0)
 
 
 def test_c_star_refuses_zero_length():
@@ -520,9 +516,8 @@ def _counted_c_star(monkeypatch, params, rule):
     q_star = mf.length_fixed_point(params, rule)
     x1 = mf.chi1(params, rule, q_star=q_star)
     monkeypatch.setattr(meanfield, "c_map", counting_c_map)
-    value, converged, evals = _c_star(params, rule, q_star, x1)
+    value, converged = _c_star(params, rule, q_star, x1)
     monkeypatch.undo()
-    assert evals == calls
     return value, converged, calls, q_star
 
 
@@ -550,7 +545,7 @@ def test_c_star_hard_tanh_matches_iteration():
                                mf.builtin("hard_tanh"))
     q_star = mf.length_fixed_point(params, RULE)
     x1 = mf.chi1(params, RULE, q_star=q_star)
-    value, converged, _ = _c_star(params, RULE, q_star, x1)
+    value, converged = _c_star(params, RULE, q_star, x1)
     c = 0.9
     for _ in range(3000):
         c = mf.c_map(c, params, RULE, q_star=q_star)
@@ -563,13 +558,12 @@ def test_c_star_without_bracket_is_unconverged_nan(monkeypatch):
     # gives no bracket; no value near 1 is made up
     monkeypatch.setattr(meanfield, "c_map", lambda c, params, rule, *, q_star: c + 1e-6)
     params = mf.EnsembleParams(2.0, 0.3, TANH)
-    value, converged, _ = _c_star(params, RULE, 1.0, 1.5)
+    value, converged = _c_star(params, RULE, 1.0, 1.5)
     assert math.isnan(value) and not converged
 
 
 def test_c_star_certified_on_default_grid():
-    grid = mf.phase_grid(np.linspace(0.1, 4.0, 30), np.linspace(0.0, 1.0, 15),
-                         TANH, RULE, with_boundary=False)
+    grid = mf.phase_grid(np.linspace(0.1, 4.0, 30), np.linspace(0.0, 1.0, 15), TANH, RULE)
     chaotic = grid.chi1 > 1.0
     assert chaotic.sum() > 100
     assert np.all(grid.c_converged[chaotic])

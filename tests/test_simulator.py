@@ -258,13 +258,15 @@ def test_jet_matches_unstacked_oracle_on_uneven_widths(name, acceleration):
 
 
 def test_jet_acceleration_requires_smooth_activation():
+    # depth 2: a depth-1 jet is the injected circle and evaluates no phi''
     params = mf.EnsembleParams(1.0, 0.1, mf.builtin("hard_tanh"))
-    net = sim.sample_network((20, 20), params, seed=17)
+    net = sim.sample_network((20, 20, 20), params, seed=17)
     circle = sim.CircleManifold.sample(20, 1.0, 16, seed=18)
-    with pytest.raises(UnsupportedActivationError):
+    with pytest.raises(UnsupportedActivationError, match="phi''"):
         sim.forward_jet(net, circle)
     records = sim.forward_jet(net, circle, acceleration=False)
-    assert records[0].a is None and records[0].v is not None
+    assert len(records) == 2
+    assert all(r.a is None and r.v is not None for r in records)
 
 
 # ---------------------------------------------------------------------------
