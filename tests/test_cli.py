@@ -226,6 +226,8 @@ def test_shallow_bound_takes_no_quadrature_order(tmp_path, capsys):
     ["curvature", "--nl", "hard_tanh", "--sw", "2"],
     ["boundary", "--nl", "hard_tanh", "--sw", "2", "--width", "20", "--depth", "3",
      "--n-points", "2"],
+    # an expansive relu map: phi'' is refused before the q* solve can fail
+    ["curvature", "--nl", "relu", "--sw", "2"],
 ])
 def test_curvature_commands_refuse_activation_without_smooth_phi2(tmp_path, capsys, argv):
     out = tmp_path / "out.csv"

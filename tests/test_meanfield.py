@@ -265,6 +265,18 @@ def test_chi2_refuses_piecewise_linear():
     assert mf.correlation_trajectory(0.5, 3, params, RULE).chi.chi1 > 0
 
 
+def test_chi2_refuses_before_solving_q_star():
+    # relu at sigma_w = 2 has no finite q* (expansive map); the refusal
+    # names phi'' instead of the failed q* solve
+    params = mf.EnsembleParams(2.0, 0.3, mf.builtin("relu"))
+    with pytest.raises(ConvergenceError, match="expansive map"):
+        mf.length_fixed_point(params, RULE)
+    with pytest.raises(UnsupportedActivationError, match="phi''"):
+        mf.chi2(params, RULE)
+    with pytest.raises(UnsupportedActivationError, match="phi''"):
+        mf.curvature_trajectory(5, params, RULE)
+
+
 @pytest.mark.parametrize("sigma_w", [1.5, 2.5, 4.0])
 def test_chi1_matches_c_map_slope(sigma_w):
     params = mf.EnsembleParams(sigma_w, 0.3, TANH)
@@ -562,8 +574,82 @@ def test_c_star_without_bracket_is_unconverged_nan(monkeypatch):
     assert math.isnan(value) and not converged
 
 
-def test_c_star_certified_on_default_grid():
-    grid = mf.phase_grid(np.linspace(0.1, 4.0, 30), np.linspace(0.0, 1.0, 15), TANH, RULE)
+@pytest.fixture(scope="module")
+def default_grid():
+    """The CLI-default tanh grid, with the c-map and length-map calls its
+    solves made: (grid, calls per map, c-map calls per c* solve)."""
+    calls = {"c_map": 0, "length_map": 0}
+    per_cell = []
+
+    def counted(name):
+        inner = getattr(meanfield, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        return wrapper
+
+    c_star = meanfield._c_star
+
+    def counted_c_star(*args):
+        before = calls["c_map"]
+        result = c_star(*args)
+        per_cell.append(calls["c_map"] - before)
+        return result
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in calls:
+            mp.setattr(meanfield, name, counted(name))
+        mp.setattr(meanfield, "_c_star", counted_c_star)
+        grid = mf.phase_grid(np.linspace(0.1, 4.0, 30), np.linspace(0.0, 1.0, 15), TANH, RULE)
+    return grid, calls, per_cell
+
+
+def test_default_grid_solves_within_call_budgets(default_grid):
+    # 450 cells and 15 boundaries; Illinois false position took 3450 c-map
+    # calls (27 in the worst cell) and 10359 length-map calls
+    _, calls, per_cell = default_grid
+    assert len(per_cell) > 300
+    assert calls["c_map"] <= 2400 and max(per_cell) <= 16
+    assert calls["length_map"] <= 6500
+
+
+def test_c_star_is_exactly_zero_without_bias(default_grid):
+    # odd phi without bias: c* = 0, not a rounding-level root next to it
+    grid = default_grid[0]
+    assert grid.sigma_b_axis[0] == 0.0
+    chaotic = grid.chi1[:, 0] > 1.0
+    assert chaotic.sum() > 10
+    assert np.all(grid.c_star[chaotic, 0] == 0.0)
+    assert np.all(grid.c_converged[chaotic, 0])
+
+
+@pytest.mark.parametrize("f, lo, hi", [
+    (lambda x: math.exp(x) - 2.0, 0.0, 3.0),
+    (lambda x: x**3 - x - 1.0, 1.0, 2.0),
+])
+def test_bracketed_root_closes_in_few_evaluations(f, lo, hi):
+    # both functions increase across their bracket, so the final bracket is
+    # the last point with g < 0 and the first with g >= 0
+    seen = []
+
+    def g(x):
+        seen.append((x, f(x)))
+        return seen[-1][1]
+
+    x, gx = meanfield._bracketed_root(g, lo, hi, f(lo), f(hi), 0.0)
+    assert len(seen) <= 10
+    points = seen + [(lo, f(lo)), (hi, f(hi))]
+    end_lo = max(p for p in points if p[1] < 0.0)
+    end_hi = min(p for p in points if p[1] >= 0.0)
+    assert (x, gx) in (end_lo, end_hi)
+    assert abs(gx) == min(abs(end_lo[1]), abs(end_hi[1]))
+    width = end_hi[0] - end_lo[0]
+    assert gx == 0.0 or width <= 4.0 * meanfield._EPS * max(abs(end_lo[0]), abs(end_hi[0]))
+
+
+def test_c_star_certified_on_default_grid(default_grid):
+    grid = default_grid[0]
     chaotic = grid.chi1 > 1.0
     assert chaotic.sum() > 100
     assert np.all(grid.c_converged[chaotic])

@@ -51,3 +51,25 @@ def test_curvature_script(tmp_path, monkeypatch):
     columns, rows = columns_and_rows(tmp_path / "boundary_curvature.csv")
     assert columns == ["layer", "point_id", "kappa_rank", "kappa_value"]
     assert {r[0] for r in rows} == {"0", "1", "2", "3", "4", "5"}
+
+
+def test_bench_record_summarizes_alternating_pairs():
+    summarize = runpy.run_path(str(SCRIPTS / "bench_record.py"))["summarize"]
+
+    def run(wall, rss):
+        return {"metrics": {"wall_s": {"value": wall}, "peak_rss_mb": {"value": rss}}}
+
+    walls = [(1.0, 0.5), (2.0, 0.6), (3.0, 3.0), (4.0, 0.8)]    # a tie in pair 3
+    rss = [(50.0, 55.0), (50.0, 45.0), (50.0, 56.0), (50.0, 57.0)]
+    pairs = [{"workload": "theory-sweep", "seed": seed, "parent": run(wp, rp),
+              "change": run(wc, rc)}
+             for seed, ((wp, wc), (rp, rc)) in enumerate(zip(walls, rss))]
+    end_to_end = [{"name": "wall_s", "better": "lower"},
+                  {"name": "peak_rss_mb", "better": "lower"}]
+    summary = summarize(pairs, end_to_end)["theory-sweep"]
+    assert summary["wall_s"]["wins"] == 3 and summary["wall_s"]["pairs"] == 4
+    assert summary["wall_s"]["parent"] == {"median": 2.5, "q1": 1.75, "q3": 3.25}
+    assert summary["wall_s"]["change"]["median"] == pytest.approx(0.7)
+    assert summary["peak_rss_mb"]["wins"] == 1
+    higher = summarize(pairs, [{"name": "wall_s", "better": "higher"}])
+    assert higher["theory-sweep"]["wall_s"]["wins"] == 0
