@@ -9,8 +9,8 @@ For each seed it runs `perfbench/run.py` on all three workloads with
 `acceptance.run_all` once each, and writes BENCH_<T>.json at the root of
 the checkout the script lives in:
 
-* runs: workload, seed and the run's last-line JSON (correct, attempted,
-  failed and the end-to-end metrics);
+* runs: workload, seed, the number of passes the run made and its
+  last-line JSON (correct, attempted, failed and the end-to-end metrics);
 * environment: perfbench's environment record (versions, BLAS build and
   thread count, CPU), which simulation timings and bytes depend on;
 * tier1: the pytest summary counts and the wall time of the suite;
@@ -48,14 +48,20 @@ TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
 
 
 def run_workload(workload: str, seed: int, checkout: Path = REPO) -> tuple[dict, dict]:
-    """(the run's last-line JSON with workload and seed, its environment)."""
+    """(the run's last-line JSON with workload, seed and pass count, its environment).
+
+    The pass count comes from the run's `.perfbench` record: a run of fixed
+    length holds more passes when each is faster, and perfbench keeps every
+    pass's outcomes, so `peak_rss_mb` is read against it.
+    """
     argv = [sys.executable, "perfbench/run.py", "--workload", workload,
             "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"]
     done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True, check=True)
     last = json.loads(done.stdout.strip().splitlines()[-1])
-    record = checkout / ".perfbench" / f"{workload}-seed{seed}-trace0.json"
-    environment = json.loads(record.read_text())["environment"]
-    return {"workload": workload, "seed": seed, **last}, environment
+    record = json.loads((checkout / ".perfbench" / f"{workload}-seed{seed}-trace0.json")
+                        .read_text())
+    return ({"workload": workload, "seed": seed, "passes": len(record["passes"]), **last},
+            record["environment"])
 
 
 def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
@@ -122,8 +128,9 @@ def main() -> int:
             for side, checkout in order:
                 pair[side], environment = run_workload(workload, seed, checkout)
             print(f"{workload} seed {seed}: " + "; ".join(
-                f"{side} wall_s {pair[side]['metrics']['wall_s']['value']:.3f}, correct "
-                f"{pair[side]['correct']}, failed {pair[side]['failed']}"
+                f"{side} wall_s {pair[side]['metrics']['wall_s']['value']:.3f}, passes "
+                f"{pair[side]['passes']}, correct {pair[side]['correct']}, "
+                f"failed {pair[side]['failed']}"
                 for side, _ in order), flush=True)
             pairs.append(pair)
     tier1 = run_tier1()

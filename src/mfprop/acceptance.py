@@ -214,15 +214,14 @@ def criterion_7() -> CriterionResult:
     def sphere_field(r, dim):
         def value_and_grad(x):
             return float(x @ x - r * r), 2.0 * x
-        return bd.ScalarField(dim=dim, layer=-1, value_and_grad=value_and_grad,
+        return bd.ScalarField(dim=dim, value_and_grad=value_and_grad,
                               hessian=lambda x: 2.0 * np.eye(dim), tol_scale=1.0)
 
     rng = np.random.default_rng(1)
     for r in (0.5, 2.0):
         f = sphere_field(r, 30)
-        point = bd.find_boundary_point(f, rng.normal(size=30))
-        report = bd.principal_curvatures(f, point)
-        dev = float(np.max(np.abs(report.kappas - 1.0 / r)))
+        kappas = bd.principal_curvatures(f, bd.find_boundary_point(f, rng.normal(size=30)))
+        dev = float(np.max(np.abs(kappas - 1.0 / r)))
         c.check(dev <= 1e-4,
                 f"sphere r={r}: curvatures within {dev:.1e} of 1/r = {1 / r}")
 
@@ -231,8 +230,7 @@ def criterion_7() -> CriterionResult:
     lin_readout = bd.LinearReadout(beta=rng.normal(size=100))
     lin_field = bd.readout_field(lin_net, lin_readout, 0)
     point = bd.find_boundary_point(lin_field, rng.normal(size=100))
-    report = bd.principal_curvatures(lin_field, point)
-    lin_max = float(np.max(np.abs(report.kappas)))
+    lin_max = float(np.max(np.abs(bd.principal_curvatures(lin_field, point))))
     c.check(lin_max <= 1e-8, f"linear suffix: max |kappa| = {lin_max:.1e} <= 1e-8")
 
     # chaotic tanh net; mean kappa_1 at 10 points per layer is a very noisy

@@ -61,19 +61,6 @@ class LinearReadout:
 
 
 @dataclass(frozen=True)
-class BoundaryPoint:
-    layer: int
-    x_star: np.ndarray
-    residual: float
-
-
-@dataclass(frozen=True)
-class PrincipalCurvatureReport:
-    layer: int
-    kappas: np.ndarray           # N-1 values, sorted descending
-
-
-@dataclass(frozen=True)
 class ScalarField:
     """A twice-differentiable scalar function of layer-l activity.
 
@@ -83,7 +70,6 @@ class ScalarField:
     """
 
     dim: int
-    layer: int
     value_and_grad: Callable[[np.ndarray], tuple[float, np.ndarray]]
     hessian: Callable[[np.ndarray], np.ndarray]
     tol_scale: float = 1.0
@@ -159,7 +145,6 @@ def readout_hessian(
 def readout_field(net: NetworkRealization, readout: LinearReadout, layer: int) -> ScalarField:
     return ScalarField(
         dim=net.widths[layer],
-        layer=layer,
         value_and_grad=lambda x: readout_value_and_gradient(net, readout, layer, x),
         hessian=lambda x: readout_hessian(net, readout, layer, x),
         tol_scale=readout.norm,
@@ -169,12 +154,13 @@ def readout_field(net: NetworkRealization, readout: LinearReadout, layer: int) -
 def find_boundary_point(
     field: ScalarField,
     x_init: np.ndarray,
-) -> BoundaryPoint:
-    """Descend G^2 to the level set G = 0 with a backtracking line search.
+) -> np.ndarray:
+    """A point x* with |G(x*)| below the boundary tolerance.
 
-    The initial trial step each iteration is the scalar-Newton step
-    G / |grad G|^2 along the gradient, halved until G^2 decreases
-    (Armijo condition); only the converged point matters.
+    Descends G^2 with a backtracking line search.  The initial trial step
+    each iteration is the scalar-Newton step G / |grad G|^2 along the
+    gradient, halved until G^2 decreases (Armijo condition); only the
+    converged point matters.
     """
     x = np.asarray(x_init, dtype=float).copy()
     if x.shape != (field.dim,):
@@ -185,7 +171,7 @@ def find_boundary_point(
     value, grad = field.value_and_grad(x)
     for _ in range(_MAX_ITERS):
         if abs(value) < tol:
-            return BoundaryPoint(layer=field.layer, x_star=x, residual=abs(value))
+            return x
         gnorm_sq = float(grad @ grad)
         f0 = value * value
         if gnorm_sq <= (np.finfo(float).eps * field.tol_scale) ** 2 * max(1.0, f0):
@@ -213,7 +199,7 @@ def find_boundary_point(
                 f"line search failed at |G|={abs(value):.3e}", last_value=abs(value)
             )
     if abs(value) < tol:
-        return BoundaryPoint(layer=field.layer, x_star=x, residual=abs(value))
+        return x
     raise ConvergenceError(
         f"boundary search did not converge in {_MAX_ITERS} iterations; "
         f"|G| = {abs(value):.3e} (tolerance {tol:.3e})",
@@ -221,8 +207,8 @@ def find_boundary_point(
     )
 
 
-def principal_curvatures(field: ScalarField, point: BoundaryPoint) -> PrincipalCurvatureReport:
-    """Signed principal curvatures of the level set at a boundary point.
+def principal_curvatures(field: ScalarField, x_star: np.ndarray) -> np.ndarray:
+    """The N-1 signed principal curvatures of the level set at x*, descending.
 
     The tangent basis T is columns 1..N-1 of the Householder reflector
     Q = I - 2 u u^T, u = (n + sign(n_0) e_0) / |n + sign(n_0) e_0|, which
@@ -233,7 +219,7 @@ def principal_curvatures(field: ScalarField, point: BoundaryPoint) -> PrincipalC
     exact Hessian (for a network suffix, the forward-over-reverse sum in
     the module docstring).
     """
-    x = np.asarray(point.x_star, dtype=float)
+    x = np.asarray(x_star, dtype=float)
     tol = BOUNDARY_TOL_FACTOR * field.tol_scale
     value, grad = field.value_and_grad(x)
     if abs(value) >= tol:
@@ -254,10 +240,7 @@ def principal_curvatures(field: ScalarField, point: BoundaryPoint) -> PrincipalC
     p = w - (u @ w) * u
     up = np.outer(u[1:], p[1:])
     block = hessian[1:, 1:] - 2.0 * (up + up.T)
-    return PrincipalCurvatureReport(
-        layer=point.layer,
-        kappas=np.linalg.eigvalsh(block)[::-1] / grad_norm,
-    )
+    return np.linalg.eigvalsh(block)[::-1] / grad_norm
 
 
 @dataclass(frozen=True)
@@ -266,7 +249,7 @@ class LayerCurvatureSummary:
     n_converged: int
     n_attempted: int
     mean_top: np.ndarray         # mean of kappa_1..kappa_4 across points
-    reports: tuple[PrincipalCurvatureReport, ...]
+    kappas: tuple[np.ndarray, ...]   # per converged point, descending
 
 
 def curvature_vs_depth(
@@ -293,26 +276,25 @@ def curvature_vs_depth(
         field = readout_field(net, readout, layer)
         # one child stream per (layer, point) keeps inits independent of
         # how many layers or points were requested before
-        reports = []
+        kappas = []
         for p in range(n_points):
             child = np.random.SeedSequence(entropy=seed, spawn_key=(layer, p))
             x_init = np.random.default_rng(child).normal(size=net.widths[0]) * init_scale
             if layer > 0:
                 x_init = net.nonlinearity.value(forward(net, x_init)[layer - 1].h)
             try:
-                pt = find_boundary_point(field, x_init)
-                reports.append(principal_curvatures(field, pt))
+                kappas.append(principal_curvatures(field, find_boundary_point(field, x_init)))
             except (ConvergenceError, DegenerateGeometryError):
                 continue
-        if reports:
-            tops = np.mean([r.kappas[:4] for r in reports], axis=0)
+        if kappas:
+            tops = np.mean([k[:4] for k in kappas], axis=0)
         else:
             tops = np.full(4, np.nan)
         summaries.append(LayerCurvatureSummary(
             layer=layer,
-            n_converged=len(reports),
+            n_converged=len(kappas),
             n_attempted=n_points,
             mean_top=tops,
-            reports=tuple(reports),
+            kappas=tuple(kappas),
         ))
     return summaries

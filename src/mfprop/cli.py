@@ -146,7 +146,6 @@ _COMMANDS: dict[str, list] = {
         ("width", ("--width",), int, 200, "width of every layer"),
         ("omega_max", ("--omega-max",), int, 50, "largest Fourier frequency"),
         ("theta_samples", ("--theta-samples",), int, 512, "circle resolution"),
-        ("ridge", ("--ridge",), float, None, "ridge strength (default: auto)"),
         ("seed", ("--seed",), int, 0, "seed"),
     ],
     "weight-chaos": _COMMON + [
@@ -370,11 +369,13 @@ def _run_boundary(cfg):
                                       cfg["n_points"], cfg["seed"], build_rule(cfg["order"]))
     rows = []
     for summary in summaries:
-        for pid, report in enumerate(summary.reports):
-            for rank in (1, 2, 3, 4):
-                rows.append((summary.layer, pid, rank, float(report.kappas[rank - 1])))
-            for rank in (-4, -3, -2, -1):
-                rows.append((summary.layer, pid, rank, float(report.kappas[rank])))
+        for pid, kappas in enumerate(summary.kappas):
+            # ranks 1..4 from the top and -4..-1 from the bottom; below
+            # width 9 the two ends overlap and each curvature is listed once
+            n = kappas.size
+            for rank in (*range(1, min(4, n) + 1), *range(max(4 - n, -4), 0)):
+                rows.append((summary.layer, pid, rank,
+                             float(kappas[rank - 1 if rank > 0 else rank])))
     footer = [
         f"layer {s.layer}: converged {s.n_converged}/{s.n_attempted}"
         for s in summaries
@@ -405,8 +406,7 @@ def _run_fourier(cfg):
     depths = _parse_depths(cfg["depths"])
     params = _ensemble(cfg)
     run = _circle_run(cfg, params, build_rule(cfg["order"]), max(depths))
-    probe = expr_mod.uniform_probe(cfg["omega_max"], cfg["theta_samples"],
-                                   ridge=cfg["ridge"])
+    probe = expr_mod.uniform_probe(cfg["omega_max"], cfg["theta_samples"])
     phi = params.nonlinearity.value
     rows = []
     for rec in run.records:

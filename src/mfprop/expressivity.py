@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -112,7 +111,6 @@ class FourierProbe:
 
     omega_max: int
     thetas: np.ndarray
-    ridge: Optional[float] = None   # None: 1e-6 * trace(Gram) / n_columns
 
     def __post_init__(self):
         thetas = np.asarray(self.thetas, dtype=float)
@@ -123,8 +121,6 @@ class FourierProbe:
             raise ValueError(
                 f"{thetas.size} theta samples cannot resolve omega_max={self.omega_max}"
             )
-        if self.ridge is not None and self.ridge < 0:
-            raise ValueError("ridge must be nonnegative")
         basis = self.basis()
         gram = basis.T @ basis
         off = gram - np.diag(np.diag(gram))
@@ -147,9 +143,9 @@ class FourierProbe:
         return np.asarray(freqs)
 
 
-def uniform_probe(omega_max: int, n_theta: int, ridge: Optional[float] = None) -> FourierProbe:
+def uniform_probe(omega_max: int, n_theta: int) -> FourierProbe:
     thetas = np.linspace(0.0, 2.0 * math.pi, n_theta, endpoint=False)
-    return FourierProbe(omega_max=omega_max, thetas=thetas, ridge=ridge)
+    return FourierProbe(omega_max=omega_max, thetas=thetas)
 
 
 @dataclass(frozen=True)
@@ -163,7 +159,10 @@ def fourier_error_profile(activations: np.ndarray, probe: FourierProbe) -> Fouri
 
     For each basis column y, ridge least squares predicts yhat from the
     activation columns (plus a constant column); the error is the squared
-    angle 1 - (yhat.y)^2 / (|yhat|^2 |y|^2), in [0, 1].
+    angle 1 - (yhat.y)^2 / (|yhat|^2 |y|^2), in [0, 1].  The ridge is
+    1e-6 tr(Gram) / n_columns, positive because the constant column adds
+    n_theta to the trace, so the system is positive definite even for
+    rank-deficient activations.
     """
     activations = np.asarray(activations, dtype=float)
     if activations.ndim != 2 or activations.shape[0] != probe.thetas.size:
@@ -171,23 +170,10 @@ def fourier_error_profile(activations: np.ndarray, probe: FourierProbe) -> Fouri
     design = np.concatenate([activations, np.ones((activations.shape[0], 1))], axis=1)
     gram = design.T @ design
     n_cols = gram.shape[0]
-    ridge = probe.ridge
-    if ridge is None:
-        ridge = 1e-6 * float(np.trace(gram)) / n_cols
+    ridge = 1e-6 * float(np.trace(gram)) / n_cols
     basis = probe.basis()
     rhs = design.T @ basis
-    if ridge == 0.0 and np.linalg.matrix_rank(design) < n_cols:
-        raise ValueError(
-            "activation matrix is rank-deficient with ridge = 0; set a positive ridge"
-        )
-    system = gram + ridge * np.eye(n_cols)
-    try:
-        chol = np.linalg.cholesky(system)
-    except np.linalg.LinAlgError:
-        raise ValueError(
-            "activation Gram matrix is not positive definite with ridge = 0; "
-            "set a positive ridge"
-        ) from None
+    chol = np.linalg.cholesky(gram + ridge * np.eye(n_cols))
     coef = np.linalg.solve(chol.T, np.linalg.solve(chol, rhs))
     predictions = design @ coef
     y_norm_sq = np.einsum("ij,ij->j", basis, basis)

@@ -70,15 +70,3 @@ def write_table(path, fmt, columns, rows, config, version, footer=()):
         write_json(path, columns, rows, config, version, footer)
     else:
         raise ValueError(f"unknown output format {fmt!r}")
-
-
-def read_embedded_config(path: str) -> dict:
-    """Recover the resolved config from an emitted artifact."""
-    if path.endswith(".json"):
-        with open(path) as fh:
-            return json.load(fh)["config"]
-    with open(path) as fh:
-        for line in fh:
-            if line.startswith("# config = "):
-                return json.loads(line[len("# config = "):])
-    raise ValueError(f"no embedded config found in {path}")

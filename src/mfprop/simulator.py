@@ -344,7 +344,6 @@ class SpectrumResult:
     singular_values: np.ndarray    # descending
     variance_fractions: np.ndarray
     top_k_fraction: float
-    degenerate: bool
 
 
 def singular_spectrum(h: np.ndarray, top_k: int = 5) -> SpectrumResult:
@@ -364,8 +363,7 @@ def singular_spectrum(h: np.ndarray, top_k: int = 5) -> SpectrumResult:
     s = np.linalg.svd(tall, compute_uv=False)
     total = float(np.sum(s * s))
     scale = float(np.abs(h).max())
-    degenerate = total <= (1e-12 * max(scale, 1.0)) ** 2
-    if degenerate:
+    if total <= (1e-12 * max(scale, 1.0)) ** 2:   # constant rows: report zeros
         fractions = np.zeros_like(s)
         s = np.zeros_like(s)
         top_fraction = 0.0
@@ -376,5 +374,4 @@ def singular_spectrum(h: np.ndarray, top_k: int = 5) -> SpectrumResult:
         singular_values=s,
         variance_fractions=fractions,
         top_k_fraction=top_fraction,
-        degenerate=degenerate,
     )

@@ -17,7 +17,7 @@ def sphere_field(r, dim):
     def value_and_grad(x):
         return float(x @ x - r * r), 2.0 * x
 
-    return bd.ScalarField(dim=dim, layer=-1, value_and_grad=value_and_grad,
+    return bd.ScalarField(dim=dim, value_and_grad=value_and_grad,
                           hessian=lambda x: 2.0 * np.eye(dim), tol_scale=1.0)
 
 
@@ -28,16 +28,15 @@ def quadric_field(axes):
     def value_and_grad(x):
         return float(inv_sq @ (x * x) - 1.0), 2.0 * inv_sq * x
 
-    return bd.ScalarField(dim=inv_sq.size, layer=-1, value_and_grad=value_and_grad,
+    return bd.ScalarField(dim=inv_sq.size, value_and_grad=value_and_grad,
                           hessian=lambda x: np.diag(2.0 * inv_sq), tol_scale=1.0)
 
 
-def assert_matches_projection_oracle(field, point, report):
-    x = point.x_star
+def assert_matches_projection_oracle(field, x, kappas):
     expected = principal_curvatures_projected(field.hessian(x), field.value_and_grad(x)[1])
-    assert report.kappas.shape == expected.shape == (field.dim - 1,)
+    assert kappas.shape == expected.shape == (field.dim - 1,)
     scale = np.max(np.abs(expected), initial=0.0)
-    assert np.all(np.abs(report.kappas - expected) <= 1e-12 * scale)
+    assert np.all(np.abs(kappas - expected) <= 1e-12 * scale)
 
 
 def small_net(params=CHAOTIC, widths=(12, 12, 12, 12), seed=0):
@@ -93,16 +92,16 @@ def test_boundary_point_on_readout_hyperplane():
     readout = bd.LinearReadout(beta=beta, beta0=0.7)
     field = bd.readout_field(net, readout, net.depth)
     x_init = np.random.default_rng(8).normal(size=12)
-    point = bd.find_boundary_point(field, x_init)
-    assert point.residual < 1e-8 * np.linalg.norm(beta)
+    x = bd.find_boundary_point(field, x_init)
+    assert abs(field.value_and_grad(x)[0]) < 1e-8 * np.linalg.norm(beta)
     projection = x_init - ((beta @ x_init - 0.7) / (beta @ beta)) * beta
-    assert np.allclose(point.x_star, projection, atol=1e-8)
+    assert np.allclose(x, projection, atol=1e-8)
 
 
 def test_sphere_level_set_hook():
     field = sphere_field(1.7, 9)
-    point = bd.find_boundary_point(field, np.random.default_rng(9).normal(size=9))
-    assert np.linalg.norm(point.x_star) == pytest.approx(1.7, abs=1e-6)
+    x = bd.find_boundary_point(field, np.random.default_rng(9).normal(size=9))
+    assert np.linalg.norm(x) == pytest.approx(1.7, abs=1e-6)
 
 
 def test_convergence_study_width_100():
@@ -140,11 +139,11 @@ def test_saturated_plateau_is_named_as_flat_not_a_saddle():
 def test_sphere_principal_curvatures():
     for r in (0.5, 2.0):
         field = sphere_field(r, 20)
-        point = bd.find_boundary_point(field, np.random.default_rng(13).normal(size=20))
-        report = bd.principal_curvatures(field, point)
-        assert report.kappas.shape == (19,)
-        assert np.allclose(report.kappas, 1.0 / r, atol=1e-4)
-        assert_matches_projection_oracle(field, point, report)
+        x = bd.find_boundary_point(field, np.random.default_rng(13).normal(size=20))
+        kappas = bd.principal_curvatures(field, x)
+        assert kappas.shape == (19,)
+        assert np.allclose(kappas, 1.0 / r, atol=1e-4)
+        assert_matches_projection_oracle(field, x, kappas)
 
 
 @pytest.mark.parametrize("axis, sign", [(0, 1.0), (0, -1.0), (1, 1.0)])
@@ -153,21 +152,19 @@ def test_sphere_curvatures_where_normal_is_a_coordinate_axis(axis, sign):
     field = sphere_field(2.0, 5)
     x = np.zeros(5)
     x[axis] = 2.0 * sign
-    point = bd.BoundaryPoint(layer=-1, x_star=x, residual=0.0)
-    report = bd.principal_curvatures(field, point)
-    assert np.allclose(report.kappas, 0.5, rtol=1e-14, atol=0.0)
-    assert_matches_projection_oracle(field, point, report)
+    kappas = bd.principal_curvatures(field, x)
+    assert np.allclose(kappas, 0.5, rtol=1e-14, atol=0.0)
+    assert_matches_projection_oracle(field, x, kappas)
 
 
 def test_curvatures_use_the_symmetric_part_of_the_hessian():
     # a field hook may return an asymmetric Hessian (say, from differences)
     skew = np.triu(np.random.default_rng(30).normal(size=(6, 6)), 1)
     exact = sphere_field(2.0, 6)
-    field = bd.ScalarField(dim=6, layer=-1, value_and_grad=exact.value_and_grad,
+    field = bd.ScalarField(dim=6, value_and_grad=exact.value_and_grad,
                            hessian=lambda x: 2.0 * np.eye(6) + skew - skew.T)
-    point = bd.find_boundary_point(field, np.random.default_rng(31).normal(size=6))
-    report = bd.principal_curvatures(field, point)
-    assert np.allclose(report.kappas, 0.5, rtol=1e-8, atol=0.0)
+    x = bd.find_boundary_point(field, np.random.default_rng(31).normal(size=6))
+    assert np.allclose(bd.principal_curvatures(field, x), 0.5, rtol=1e-8, atol=0.0)
 
 
 def test_low_dimensional_level_sets():
@@ -175,26 +172,25 @@ def test_low_dimensional_level_sets():
     # a pair of points on a line has none
     a, b, t = 3.0, 0.5, 0.7
     ellipse = quadric_field([a, b])
-    point = bd.find_boundary_point(ellipse, np.array([a * np.cos(t), b * np.sin(t)]))
-    report = bd.principal_curvatures(ellipse, point)
+    x = bd.find_boundary_point(ellipse, np.array([a * np.cos(t), b * np.sin(t)]))
+    kappas = bd.principal_curvatures(ellipse, x)
     expected = a * b / (a**2 * np.sin(t) ** 2 + b**2 * np.cos(t) ** 2) ** 1.5
-    assert report.kappas == pytest.approx([expected], rel=1e-12)
-    assert_matches_projection_oracle(ellipse, point, report)
+    assert kappas == pytest.approx([expected], rel=1e-12)
+    assert_matches_projection_oracle(ellipse, x, kappas)
 
     segment = quadric_field([1.5])
-    point = bd.find_boundary_point(segment, np.array([0.9]))
-    report = bd.principal_curvatures(segment, point)
-    assert report.kappas.shape == (0,)
-    assert_matches_projection_oracle(segment, point, report)
+    x = bd.find_boundary_point(segment, np.array([0.9]))
+    kappas = bd.principal_curvatures(segment, x)
+    assert kappas.shape == (0,)
+    assert_matches_projection_oracle(segment, x, kappas)
 
 
 def test_linear_network_has_flat_boundary():
     net = small_net(mf.EnsembleParams(1.2, 0.3, LINEAR), widths=(15, 15, 15), seed=14)
     readout = bd.LinearReadout(beta=np.random.default_rng(15).normal(size=15))
     field = bd.readout_field(net, readout, 0)
-    point = bd.find_boundary_point(field, np.random.default_rng(16).normal(size=15))
-    report = bd.principal_curvatures(field, point)
-    assert np.all(np.abs(report.kappas) <= 1e-8)
+    x = bd.find_boundary_point(field, np.random.default_rng(16).normal(size=15))
+    assert np.all(np.abs(bd.principal_curvatures(field, x)) <= 1e-8)
 
 
 def test_curvatures_invariant_under_readout_scaling():
@@ -206,8 +202,7 @@ def test_curvatures_invariant_under_readout_scaling():
     for c in (1.0, 13.7):
         readout = bd.LinearReadout(beta=c * beta, beta0=c * 0.2)
         field = bd.readout_field(net, readout, 0)
-        point = bd.find_boundary_point(field, x_init)
-        kappas[c] = bd.principal_curvatures(field, point).kappas
+        kappas[c] = bd.principal_curvatures(field, bd.find_boundary_point(field, x_init))
     assert np.allclose(kappas[1.0], kappas[13.7], atol=1e-8)
 
 
@@ -215,10 +210,10 @@ def test_hessian_symmetry_before_symmetrization():
     net = small_net(seed=19)
     readout = bd.LinearReadout(beta=np.random.default_rng(20).normal(size=12))
     field = bd.readout_field(net, readout, 1)
-    point = bd.find_boundary_point(field, np.random.default_rng(21).normal(size=12))
-    hessian = field.hessian(point.x_star)
+    x = bd.find_boundary_point(field, np.random.default_rng(21).normal(size=12))
+    hessian = field.hessian(x)
     assert np.linalg.norm(hessian - hessian.T) <= 1e-12 * np.linalg.norm(hessian)
-    assert_matches_projection_oracle(field, point, bd.principal_curvatures(field, point))
+    assert_matches_projection_oracle(field, x, bd.principal_curvatures(field, x))
 
 
 @pytest.mark.parametrize("layer", [0, 1, 2, 3])
@@ -227,10 +222,10 @@ def test_curvatures_match_projection_oracle_on_uneven_widths(layer):
     readout = bd.LinearReadout(beta=np.random.default_rng(41).normal(size=10), beta0=0.3)
     field = bd.readout_field(net, readout, layer)
     x_init = np.random.default_rng(60 + layer).uniform(-1.0, 1.0, size=field.dim)
-    point = bd.find_boundary_point(field, x_init)
-    report = bd.principal_curvatures(field, point)
-    assert np.max(np.abs(report.kappas)) > 0.0
-    assert_matches_projection_oracle(field, point, report)
+    x = bd.find_boundary_point(field, x_init)
+    kappas = bd.principal_curvatures(field, x)
+    assert np.max(np.abs(kappas)) > 0.0
+    assert_matches_projection_oracle(field, x, kappas)
 
 
 @pytest.mark.parametrize("layer", [0, 1, 2, 3])
@@ -265,10 +260,10 @@ def test_last_layer_suffix_is_flat(name):
     readout = bd.LinearReadout(beta=np.random.default_rng(46).normal(size=12), beta0=0.5)
     field = bd.readout_field(net, readout, net.depth)
     assert np.all(field.hessian(np.ones(12)) == 0.0)
-    point = bd.find_boundary_point(field, np.random.default_rng(47).normal(size=12))
-    report = bd.principal_curvatures(field, point)
-    assert report.kappas.shape == (11,)
-    assert np.all(report.kappas == 0.0)
+    x = bd.find_boundary_point(field, np.random.default_rng(47).normal(size=12))
+    kappas = bd.principal_curvatures(field, x)
+    assert kappas.shape == (11,)
+    assert np.all(kappas == 0.0)
 
 
 @pytest.mark.parametrize("name", ["relu", "hard_tanh"])
@@ -286,7 +281,7 @@ def test_principal_curvatures_makes_at_most_two_gradient_calls(monkeypatch):
     net = sim.sample_network((100,) * 7, CHAOTIC, seed=51)
     readout = bd.LinearReadout(beta=np.random.default_rng(52).normal(size=100))
     field = bd.readout_field(net, readout, 0)
-    point = bd.find_boundary_point(field, np.random.default_rng(53).normal(size=100))
+    x = bd.find_boundary_point(field, np.random.default_rng(53).normal(size=100))
     calls = []
     exact = bd.readout_value_and_gradient
 
@@ -295,8 +290,7 @@ def test_principal_curvatures_makes_at_most_two_gradient_calls(monkeypatch):
         return exact(*args)
 
     monkeypatch.setattr(bd, "readout_value_and_gradient", counted)
-    report = bd.principal_curvatures(field, point)
-    assert report.kappas.shape == (99,)
+    assert bd.principal_curvatures(field, x).shape == (99,)
     assert len(calls) <= 2
 
 
@@ -311,9 +305,8 @@ def test_eigenvalues_match_known_spectrum_oracle():
 
 def test_curvature_point_must_be_on_boundary():
     field = sphere_field(1.0, 6)
-    off = bd.BoundaryPoint(layer=-1, x_star=np.full(6, 1.0), residual=5.0)
     with pytest.raises(ValueError, match="not on the boundary"):
-        bd.principal_curvatures(field, off)
+        bd.principal_curvatures(field, np.full(6, 1.0))
 
 
 def test_curvature_vs_depth_linear_net_all_zero():
@@ -325,9 +318,9 @@ def test_curvature_vs_depth_linear_net_all_zero():
     for s in summaries:
         assert s.n_converged == 3
         assert np.all(np.abs(s.mean_top) <= 1e-8)
-        for report in s.reports:
-            assert report.kappas.shape == (9,)
-            assert np.all(np.abs(report.kappas) <= 1e-8)
+        for kappas in s.kappas:
+            assert kappas.shape == (9,)
+            assert np.all(np.abs(kappas) <= 1e-8)
 
 
 def test_curvature_vs_depth_zero_weights_reports_missing_layers():

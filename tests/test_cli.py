@@ -10,12 +10,20 @@ from mfprop.activations import builtin
 from mfprop.cli import run
 from mfprop.expressivity import fourier_error_profile, uniform_probe
 from mfprop.meanfield import EnsembleParams, correlation_trajectory
-from mfprop.output import read_embedded_config
-from mfprop.quadrature import build_rule
+from mfprop.quadrature import DEFAULT_ORDER, build_rule
 
 
 def invoke(tmp_path, *argv):
     return run([str(a) for a in argv])
+
+
+def read_embedded_config(path: str) -> dict:
+    """The resolved config from a CSV artifact's header."""
+    with open(path) as fh:
+        for line in fh:
+            if line.startswith("# config = "):
+                return json.loads(line[len("# config = "):])
+    raise ValueError(f"no embedded config found in {path}")
 
 
 def read_rows(path):
@@ -176,6 +184,22 @@ def test_boundary_command_kappa_ranks(tmp_path):
     assert columns == ["layer", "point_id", "kappa_rank", "kappa_value"]
     ranks = {r[2] for r in rows}
     assert ranks == {"1", "2", "3", "4", "-1", "-2", "-3", "-4"}
+
+
+@pytest.mark.parametrize("width, ranks", [(4, [1, 2, 3]), (6, [1, 2, 3, 4, -1])])
+def test_boundary_lists_each_curvature_once_at_small_widths(tmp_path, width, ranks):
+    # a point has width - 1 curvatures; below width 9 the top four and the
+    # bottom four overlap, and every curvature is listed once, in order
+    out = tmp_path / "bd.csv"
+    assert run(["boundary", "--sw", "4", "--sb", "0.3", "--depth", "3",
+                "--width", str(width), "--n-points", "2", "--seed", "1",
+                "-o", str(out)]) == 0
+    summaries = xp.boundary_curvature(EnsembleParams(4.0, 0.3, builtin("tanh")), 3, width,
+                                      2, 1, build_rule(DEFAULT_ORDER))
+    expected = [[str(s.layer), str(pid), str(rank), f"{k:.17g}"]
+                for s in summaries for pid, kappas in enumerate(s.kappas)
+                for rank, k in zip(ranks, kappas, strict=True)]
+    assert expected and read_rows(out)[1] == expected
 
 
 def test_boundary_refuses_activation_without_smooth_second_derivative(tmp_path, capsys):

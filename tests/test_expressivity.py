@@ -139,12 +139,17 @@ def test_constant_activations_fail_all_frequencies():
     assert np.all(profile.errors[1:] == 1.0)
 
 
-def test_rank_deficient_without_ridge_raises():
-    probe = ex.uniform_probe(4, 64, ridge=0.0)
+def test_rank_deficient_activations_give_errors_in_unit_interval():
+    # two equal columns: the automatic ridge keeps the system positive
+    # definite, and cos(theta) is still predicted exactly
+    probe = ex.uniform_probe(4, 64)
     column = np.cos(probe.thetas)[:, None]
     activations = np.concatenate([column, column], axis=1)
-    with pytest.raises(ValueError, match="ridge"):
-        ex.fourier_error_profile(activations, probe)
+    profile = ex.fourier_error_profile(activations, probe)
+    assert np.all(profile.errors >= 0.0) and np.all(profile.errors <= 1.0)
+    assert profile.errors[0] <= 1e-12
+    assert profile.errors[1] == pytest.approx(0.5, abs=1e-12)    # cos exact, sin missed
+    assert np.all(profile.errors[2:] == 1.0)
 
 
 def test_profile_invariant_under_activation_scaling():

@@ -1,7 +1,9 @@
 """Smoke tests of the dataset scripts in scripts/, run in-process."""
 
+import json
 import pathlib
 import runpy
+import subprocess
 import sys
 
 import pytest
@@ -73,3 +75,27 @@ def test_bench_record_summarizes_alternating_pairs():
     assert summary["peak_rss_mb"]["wins"] == 1
     higher = summarize(pairs, [{"name": "wall_s", "better": "higher"}])
     assert higher["theory-sweep"]["wall_s"]["wins"] == 0
+
+
+def test_bench_record_reads_each_runs_pass_count(tmp_path, monkeypatch):
+    # a stand-in for perfbench/run.py: its last stdout line and its record
+    run_workload = runpy.run_path(str(SCRIPTS / "bench_record.py"))["run_workload"]
+    last = {"correct": True, "attempted": 210, "failed": 0,
+            "metrics": {"wall_s": {"value": 29.5, "unit": "s"}}}
+    record = {"environment": {"numpy": "2.x"},
+              "passes": [{"seed": 44 + k, "wall_s": 0.9} for k in range(3)]}
+    (tmp_path / ".perfbench").mkdir()
+    (tmp_path / ".perfbench" / "theory-sweep-seed44-trace0.json").write_text(json.dumps(record))
+    argvs = []
+
+    def fake_run(argv, cwd, **kwargs):
+        argvs.append((argv, cwd))
+        return subprocess.CompletedProcess(argv, 0, stdout="pass 0 ...\n" + json.dumps(last))
+
+    monkeypatch.setattr(subprocess, "run", fake_run)
+    run, environment = run_workload("theory-sweep", 44, tmp_path)
+    assert run == {"workload": "theory-sweep", "seed": 44, "passes": 3, **last}
+    assert environment == {"numpy": "2.x"}
+    (argv, cwd), = argvs
+    assert cwd == tmp_path and argv[1:] == ["perfbench/run.py", "--workload", "theory-sweep",
+                                            "--seed", "44", "--seconds", "30", "--trace", "0"]

@@ -329,7 +329,6 @@ def test_singular_spectrum_circle_is_rank_two():
     assert spec.singular_values[0] == pytest.approx(spec.singular_values[1], rel=1e-9)
     assert spec.singular_values[2] < 1e-9 * spec.singular_values[0]
     assert spec.top_k_fraction == pytest.approx(1.0, abs=1e-12)
-    assert not spec.degenerate
 
 
 def test_singular_spectrum_matches_gram_oracle():
@@ -361,8 +360,8 @@ def test_singular_spectrum_rejects_nonpositive_top_k(top_k):
 def test_singular_spectrum_flags_degenerate_records():
     h = np.ones((10, 5))
     spec = sim.singular_spectrum(h)
-    assert spec.degenerate
     assert np.all(spec.singular_values == 0.0)
+    assert np.all(spec.variance_fractions == 0.0) and spec.top_k_fraction == 0.0
 
 
 def test_spectrum_flattens_with_depth_in_chaos():
