@@ -14,7 +14,9 @@ the checkout the script lives in:
 * environment: perfbench's environment record (versions, BLAS build and
   thread count, CPU), which simulation timings and bytes depend on;
 * tier1: the pytest summary counts and the wall time of the suite;
-* criteria: each acceptance criterion's result and time against its budget.
+* criteria: each acceptance criterion's result, its time against its
+  budget and its peak RSS in MB (`peak_rss_mb`, perfbench's unit), each run
+  in a child process of its own so that the peak is the criterion's.
 
 With --parent PATH (another checkout, typically the parent commit), each
 (workload, seed) runs on both checkouts back to back, the parent first on
@@ -45,6 +47,16 @@ REPO = Path(__file__).resolve().parent.parent
 WORKLOADS = ("theory-sweep", "ensemble-sim", "manifold-probe")
 SECONDS = 30    # perfbench --seconds, the run length BENCHMARK.json sets
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
+# run as `python -c CRITERION_CHILD <number>`; ru_maxrss is in KiB on Linux
+CRITERION_CHILD = """\
+import json, resource, sys
+from mfprop import acceptance
+(r,) = acceptance.run_all([int(sys.argv[1])])
+print(json.dumps({"number": r.number, "name": r.name, "passed": r.passed,
+                  "elapsed_s": r.elapsed, "budget_s": r.budget,
+                  "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+                  * 1024 / 1e6}))
+"""
 
 
 def run_workload(workload: str, seed: int, checkout: Path = REPO) -> tuple[dict, dict]:
@@ -85,11 +97,15 @@ def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
     return summary
 
 
-def run_tier1() -> dict:
+def _with_src() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, ["src", env.get("PYTHONPATH")]))
+    return env
+
+
+def run_tier1() -> dict:
     t0 = time.perf_counter()
-    done = subprocess.run([sys.executable] + TIER1, cwd=REPO, env=env,
+    done = subprocess.run([sys.executable] + TIER1, cwd=REPO, env=_with_src(),
                           capture_output=True, text=True)
     wall = time.perf_counter() - t0
     summary = done.stdout.strip().splitlines()[-1].strip("= ")
@@ -99,13 +115,18 @@ def run_tier1() -> dict:
             "wall_s": wall}
 
 
+def run_criterion(number: int) -> dict:
+    """Criterion `number` in a child process: its result, time, budget and peak RSS."""
+    done = subprocess.run([sys.executable, "-c", CRITERION_CHILD, str(number)], cwd=REPO,
+                          env=_with_src(), capture_output=True, text=True, check=True)
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
 def run_criteria() -> list[dict]:
     sys.path.insert(0, str(REPO / "src"))
     from mfprop import acceptance
 
-    return [{"number": r.number, "name": r.name, "passed": r.passed,
-             "elapsed_s": r.elapsed, "budget_s": r.budget}
-            for r in acceptance.run_all()]
+    return [run_criterion(number) for number in sorted(acceptance._CRITERIA)]
 
 
 def main() -> int:
@@ -138,7 +159,8 @@ def main() -> int:
     criteria = run_criteria()
     for c in criteria:
         print(f"criterion {c['number']}: {'PASS' if c['passed'] else 'FAIL'} "
-              f"{c['elapsed_s']:.1f} s / budget {c['budget_s']:.0f} s")
+              f"{c['elapsed_s']:.1f} s / budget {c['budget_s']:.0f} s, "
+              f"peak RSS {c['peak_rss_mb']:.1f} MB")
 
     record = {
         "tag": args.tag,

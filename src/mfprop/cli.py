@@ -195,6 +195,13 @@ def _read_config(path: str) -> dict:
 def _resolve_config(command: str, args: argparse.Namespace) -> dict:
     table = _COMMANDS[command]
     file_values = _read_config(args.config) if args.config else {}
+    # null means "the default", as for a defined key, so a key an older
+    # version wrote as null still replays
+    keys = {"command"} | {dest for dest, *_ in table}
+    unknown = [key for key, raw in file_values.items() if raw is not None and key not in keys]
+    if unknown:
+        raise UsageError(f"config file {args.config!r}: {command} has no option "
+                         + ", ".join(repr(key) for key in unknown))
     cfg = {"command": command}
     for dest, _flags, typ, default, _help in table:
         value = getattr(args, dest)

@@ -76,6 +76,15 @@ def _realization_seeds(seed: int, n_seeds: int) -> list[int]:
     return [seed + k for k in range(n_seeds)]
 
 
+def _from_first_layer(params: EnsembleParams, depth: int, width: int, seed: int,
+                      first: list[np.ndarray]) -> list[sim.LayerRecord]:
+    """`forward_from_first` (one block) or `forward_jet` (three) on the
+    network of `seed`, with its layers 2..depth drawn as they are needed and
+    W^1, b^1 never drawn."""
+    layers = sim._draw_layers((width,) * (depth + 1), params, seed, first=2)
+    return sim._propagate(layers, params.nonlinearity, first)
+
+
 def length_agreement(params: EnsembleParams, q0: float, depth: int, width: int,
                      seed: int, n_seeds: int, rule: QuadratureRule) -> LengthAgreement:
     """Per-layer squared length of an input at q0 against the length map."""
@@ -83,11 +92,15 @@ def length_agreement(params: EnsembleParams, q0: float, depth: int, width: int,
     theory = length_trajectory(q0, depth, params, rule)
     acc = np.zeros(depth)
     for s in seeds:
-        net = sim.sample_network((width,) * (depth + 1), params, s)
+        layers = sim._draw_layers((width,) * (depth + 1), params, s)
         rng = np.random.default_rng(np.random.SeedSequence(entropy=s, spawn_key=(101,)))
         x0 = rng.normal(size=width)
         x0 *= math.sqrt(width * q0) / np.linalg.norm(x0)
-        acc += np.array([sim.empirical_length(r.h) for r in sim.forward(net, x0)])
+        w1, b1 = next(layers)
+        h1 = x0[None] @ w1.T + b1
+        del w1    # held no longer than the product that reads it
+        records = sim._propagate(layers, params.nonlinearity, [h1])
+        acc += np.array([sim.empirical_length(r.h[0]) for r in records])
     acc /= len(seeds)
     return LengthAgreement(theory=theory, q_emp=acc)
 
@@ -100,14 +113,13 @@ def correlation_agreement(params: EnsembleParams, c0: float, depth: int, width: 
     theory = correlation_trajectory(c0, depth, params, rule)
     acc = np.zeros(depth)
     for s in seeds:
-        net = sim.sample_network((width,) * (depth + 1), params, s)
         # one pass: orientation o is rows 2o (A) and 2o + 1 (B)
         pairs = np.concatenate([
             sim.pair_at_correlation(width, theory.chi.q_star, c0,
                                     seed=1_000_000 * (orient + 1) + s)
             for orient in range(N_ORIENTATIONS)
         ])
-        records = sim.forward_from_first(net, pairs)
+        records = _from_first_layer(params, depth, width, s, [pairs])
         for orient in range(N_ORIENTATIONS):
             acc += np.array([
                 sim.empirical_correlation(r.h[2 * orient], r.h[2 * orient + 1])[3]
@@ -121,10 +133,10 @@ def curvature_agreement(params: EnsembleParams, depth: int, width: int, n_theta:
                         seed: int, rule: QuadratureRule) -> CurvatureAgreement:
     """Jets of a circle at q* against the metric and curvature recursions."""
     theory = curvature_trajectory(depth, params, rule)
-    net = sim.sample_network((width,) * (depth + 1), params, seed)
     circle = sim.CircleManifold.sample(width, theory.chi.q_star, n_theta, seed + 50)
+    jets = _from_first_layer(params, depth, width, seed, [circle.h1(), circle.v1(), circle.a1()])
     gE_bar, kappa_sq, lg = np.empty(depth), np.empty(depth), np.empty(depth)
-    for l, rec in enumerate(sim.forward_jet(net, circle)):
+    for l, rec in enumerate(jets):
         geom = curve_geometry(CurveJet(circle.thetas, rec.h, rec.v, rec.a))
         gE_bar[l] = geom.gE_norm.mean()
         kappa_sq[l] = (geom.kappa_norm**2).mean()
@@ -160,6 +172,6 @@ def circle_at_fixed_point(params: EnsembleParams, depth: int, width: int, n_thet
     """A circle of radius sqrt(N q*) at layer 1, propagated to layer `depth`."""
     q_star = _require_positive_q_star(length_fixed_point(params, rule),
                                       "a circle at the fixed-point radius")
-    net = sim.sample_network((width,) * (depth + 1), params, seed)
     circle = sim.CircleManifold.sample(width, q_star, n_theta, seed + 50)
-    return CircleRun(q_star=q_star, records=sim.forward_from_first(net, circle.h1()))
+    return CircleRun(q_star=q_star,
+                     records=_from_first_layer(params, depth, width, seed, [circle.h1()]))

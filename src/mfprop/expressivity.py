@@ -35,7 +35,7 @@ from .meanfield import (
     length_fixed_point,
 )
 from .quadrature import QuadratureRule
-from .simulator import CircleManifold, NetworkRealization, sample_network
+from .simulator import CircleManifold, _draw_layers
 
 
 @dataclass(frozen=True)
@@ -197,10 +197,13 @@ def fourier_error_profile(activations: np.ndarray, probe: FourierProbe) -> Fouri
 
 @dataclass(frozen=True)
 class WeightChaosFamily:
-    """A one-parameter family of networks differing only in layer-2 weights."""
+    """C^D(Delta) of a one-parameter family of networks differing only in
+    layer-2 weights.
 
-    base: NetworkRealization
-    d_weights: np.ndarray        # perturbation matrix for layer 2
+    The family holds no network: its layers are drawn, used once and
+    dropped (see `weight_chaos_empirical`).
+    """
+
     delta_grid: np.ndarray
     c_theory: np.ndarray         # C^D(Delta) from the mean-field recursion
     c_empirical: np.ndarray      # measured C^D(Delta)
@@ -251,7 +254,9 @@ def weight_chaos_empirical(
 
     The circle is injected at the first layer, so the interpolated matrix
     is W^2; the base network, the perturbation, and the circle draw from
-    independent child seeds of `seed`.
+    independent child seeds of `seed`.  W^1 and b^1 are never drawn, and
+    W^2..W^D are streamed: each is drawn when the batch reaches it and
+    dropped after its product, and dW after x^1 dW^T.
 
     The whole family runs as one batch.  Layer 2 is linear in its weights,
     so h^2(Delta) = sqrt(1-|Delta|) x^1 W^T + sqrt(|Delta|) x^1 dW^T + b^2
@@ -270,25 +275,28 @@ def weight_chaos_empirical(
     net_seed, dw_seed, circle_seed = (
         int(s) for s in np.random.SeedSequence(seed).generate_state(3)
     )
-    base = sample_network(widths, params, net_seed)
-    dw_rng = np.random.default_rng(np.random.SeedSequence(dw_seed))
-    w2_shape = base.weights[1].shape
-    d_weights = dw_rng.normal(0.0, params.sigma_w / math.sqrt(widths[1]), size=w2_shape)
     circle = CircleManifold.sample(widths[1], q_star, n_theta, circle_seed)
-
     deltas = delta_grid if np.any(delta_grid == 0.0) else np.append(delta_grid, 0.0)
     ref = int(np.flatnonzero(deltas == 0.0)[0])
     phi = params.nonlinearity.value
     x1 = phi(circle.h1())
-    x1_w = x1 @ base.weights[1].T
+
+    layers = _draw_layers(widths, params, net_seed, first=2)
+    w2, b2 = next(layers)
+    x1_w = x1 @ w2.T
+    del w2
+    dw_rng = np.random.default_rng(np.random.SeedSequence(dw_seed))
+    d_weights = dw_rng.normal(0.0, params.sigma_w / math.sqrt(widths[1]),
+                              size=(widths[2], widths[1]))
     x1_dw = x1 @ d_weights.T
+    del d_weights
     h = np.empty((deltas.size * n_theta, widths[2]))
     for k, delta in enumerate(deltas):
         block = h[k * n_theta:(k + 1) * n_theta]
         np.multiply(math.sqrt(1.0 - abs(delta)), x1_w, out=block)
         block += math.sqrt(abs(delta)) * x1_dw
-        block += base.biases[1]
-    for w, b in zip(base.weights[2:], base.biases[2:]):
+        block += b2
+    for w, b in layers:
         if w.shape[0] == h.shape[1]:
             h = np.matmul(phi(h), w.T, out=h)
         else:
@@ -301,14 +309,12 @@ def weight_chaos_empirical(
     q_cross = np.einsum("kij,ij->ki", outputs, outputs[ref]).mean(axis=1) / width_last
     c_emp = (q_cross / np.sqrt(q_self[ref] * q_self))[:delta_grid.size]
 
-    depth = base.depth
+    depth = len(widths) - 1
     c_theory = np.array([
         weight_chaos_theory(params, d, depth, rule, q_star=q_star)[-1]
         for d in delta_grid
     ])
     return WeightChaosFamily(
-        base=base,
-        d_weights=d_weights,
         delta_grid=delta_grid,
         c_theory=c_theory,
         c_empirical=c_emp,

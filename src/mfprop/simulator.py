@@ -19,8 +19,11 @@ once, as `derivatives(h, k)`, and multiplies W with the stacked rows
 
 Each layer draws from an independent child of the realization seed, so
 truncating the depth never changes shallower layers.  Layers are drawn
-concurrently on a process-wide thread pool with one worker per available
-core; the bytes are identical to drawing them one after another.
+as a stream, in order, on a process-wide thread pool with one worker per
+available core, at most one layer per worker ahead of the consumer; the
+bytes are identical to drawing them one after another.  A network used
+for one pass (weight chaos, the experiments) is propagated from that
+stream without being held whole; `sample_network` collects it.
 """
 
 from __future__ import annotations
@@ -28,9 +31,11 @@ from __future__ import annotations
 import math
 import os
 import threading
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Optional, Sequence
+from itertools import islice
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -131,13 +136,26 @@ _POOL: Optional[ThreadPoolExecutor] = None
 _POOL_LOCK = threading.Lock()
 
 
-def _parallel_map(fn: Callable, items: Iterable) -> list:
-    """[fn(item) for item in items], run on the process-wide draw pool.
+def _cores() -> int:
+    """The number of cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
-    The pool is created on first use with one worker per core this process
-    may run on; numpy's Generator fills arrays without holding the GIL, so
-    independent streams are drawn in parallel.  Results keep the order of
-    `items`.
+
+def _draw_layers(widths: Sequence[int], params: EnsembleParams, seed: int,
+                 first: int = 1) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield (W^l, b^l) for l = first..D, in order; deterministic for a given seed.
+
+    Layer l draws W^l then b^l from child l - 1 of SeedSequence(seed), so
+    the bytes of a layer depend on neither `first` nor the depth.  The
+    draws run on a process-wide thread pool with one worker per core this
+    process may run on; numpy's Generator fills arrays without holding the
+    GIL, so independent streams are drawn in parallel, and beside the
+    caller's products on earlier layers.  At most one layer per worker is
+    drawn ahead of the one last yielded, so a caller that keeps only the
+    current layer holds about (workers + 1) layers, not D.  A caller that
+    stops early leaves at most those draws to finish.
 
     The pool lives for the whole process.  A pool made per call starts its
     threads again on every `sample_network`, and on perfbench's ensemble-sim
@@ -146,25 +164,46 @@ def _parallel_map(fn: Callable, items: Iterable) -> list:
     (slower in 10/10) and from 187.7 to 194.8 ms in another set of 5
     (slower in 5/5), with no lower wall time in either set.
 
-    Rules for `fn`:
-    * it must not submit work to this pool itself: a task waiting on a
+    Rules for the pool's tasks:
+    * a task must not submit work to this pool itself: a task waiting on a
       nested task can deadlock a pool with as few workers as cores;
-    * it calls only numpy, never a public function of quadrature,
+    * a task calls only numpy, never a public function of quadrature,
       meanfield, simulator, geometry, boundary or expressivity, whose
       callers may trace them on a single per-process span stack that
       worker threads would corrupt.
     """
     global _POOL
+    widths = tuple(int(n) for n in widths)
+    if len(widths) < 2:
+        raise ValueError("widths must list N_0..N_D with depth >= 1")
+    if any(n < 1 for n in widths):
+        raise ValueError(f"all widths must be >= 1, got {widths}")
+    depth = len(widths) - 1
+    children = np.random.SeedSequence(seed).spawn(depth)
+
+    def draw_layer(l: int) -> tuple[np.ndarray, np.ndarray]:
+        rng = np.random.default_rng(children[l - 1])
+        fan_in = widths[l - 1]
+        w = rng.normal(0.0, params.sigma_w / math.sqrt(fan_in), size=(widths[l], fan_in))
+        b = rng.normal(0.0, params.sigma_b, size=widths[l])
+        return w, b
+
     if _POOL is None:
         with _POOL_LOCK:
             if _POOL is None:
-                if hasattr(os, "sched_getaffinity"):
-                    cores = len(os.sched_getaffinity(0))
-                else:
-                    cores = os.cpu_count() or 1
-                _POOL = ThreadPoolExecutor(max_workers=cores,
+                _POOL = ThreadPoolExecutor(max_workers=_cores(),
                                            thread_name_prefix="mfprop-draw")
-    return list(_POOL.map(fn, items))
+    pool = _POOL
+    todo = iter(range(first, depth + 1))
+    ahead = deque(pool.submit(draw_layer, l) for l in islice(todo, _cores()))
+    try:
+        while ahead:
+            current = ahead.popleft()
+            ahead.extend(pool.submit(draw_layer, l) for l in islice(todo, 1))
+            yield current.result()
+    finally:
+        for future in ahead:
+            future.cancel()
 
 
 def _forget_pool() -> None:
@@ -182,27 +221,11 @@ if hasattr(os, "register_at_fork"):
 def sample_network(widths: Sequence[int], params: EnsembleParams, seed: int) -> NetworkRealization:
     """Draw one realization; deterministic for a given seed.
 
-    Layer l draws W^l then b^l from child l of SeedSequence(seed); the
-    layers are drawn concurrently, with bytes identical to a serial loop.
+    The layers are `_draw_layers(widths, params, seed)`, collected.
     """
-    widths = tuple(int(n) for n in widths)
-    if len(widths) < 2:
-        raise ValueError("widths must list N_0..N_D with depth >= 1")
-    if any(n < 1 for n in widths):
-        raise ValueError(f"all widths must be >= 1, got {widths}")
-    depth = len(widths) - 1
-    children = np.random.SeedSequence(seed).spawn(depth)
-
-    def draw_layer(l: int) -> tuple[np.ndarray, np.ndarray]:
-        rng = np.random.default_rng(children[l - 1])
-        fan_in = widths[l - 1]
-        w = rng.normal(0.0, params.sigma_w / math.sqrt(fan_in), size=(widths[l], fan_in))
-        b = rng.normal(0.0, params.sigma_b, size=widths[l])
-        return w, b
-
-    weights, biases = zip(*_parallel_map(draw_layer, range(1, depth + 1)))
+    weights, biases = zip(*_draw_layers(widths, params, seed))
     return NetworkRealization(
-        widths=widths,
+        widths=tuple(int(n) for n in widths),
         weights=weights,
         biases=biases,
         nonlinearity=params.nonlinearity,
@@ -229,8 +252,8 @@ def forward_from_first(net: NetworkRealization, h1: np.ndarray) -> list[LayerRec
     H = np.atleast_2d(h1)
     if H.shape[1] != net.widths[1]:
         raise ValueError(f"h1 has dimension {H.shape[1]}, expected {net.widths[1]}")
-    return [LayerRecord(layer=l, h=blocks[0][0] if h1.ndim == 1 else blocks[0])
-            for l, blocks in enumerate(_propagate(net, [H]), start=1)]
+    records = _propagate(zip(net.weights[1:], net.biases[1:]), net.nonlinearity, [H])
+    return [LayerRecord(r.layer, r.h[0]) for r in records] if h1.ndim == 1 else records
 
 
 def forward_jet(
@@ -248,21 +271,24 @@ def forward_jet(
     if manifold.width != net.widths[1]:
         raise ValueError(f"manifold width {manifold.width} != first layer width {net.widths[1]}")
     first = [manifold.h1(), manifold.v1()] + ([manifold.a1()] if acceleration else [])
-    return [LayerRecord(l, *blocks) for l, blocks in enumerate(_propagate(net, first), start=1)]
+    return _propagate(zip(net.weights[1:], net.biases[1:]), net.nonlinearity, first)
 
 
-def _propagate(net: NetworkRealization, first: list[np.ndarray]) -> list[list[np.ndarray]]:
-    """[h], [h, v] or [h, v, a] at layers 1..D, from those of layer 1.
+def _propagate(layers: Iterable[tuple[np.ndarray, np.ndarray]], nonlinearity: Nonlinearity,
+               first: list[np.ndarray]) -> list[LayerRecord]:
+    """Records of layer 1 and of each of `layers` (W^l, b^l), from [h], [h, v]
+    or [h, v, a] at layer 1.
 
     The jet order is len(first) - 1.  The blocks of a layer are row blocks
     of its one product (module docstring); at order 0 that is phi(h) W^T.
+    `layers` is consumed once, in order, so it may be a stream of draws.
     """
-    derivatives = net.nonlinearity.derivatives
+    derivatives = nonlinearity.derivatives
     order = len(first) - 1
     n = first[0].shape[0]
-    layers = [first]
-    for W, b in zip(net.weights[1:], net.biases[1:]):
-        H, *jet = layers[-1]
+    computed = [first]
+    for W, b in layers:
+        H, *jet = computed[-1]
         d = derivatives(H, order)
         if order == 0:
             stacked = d[0]
@@ -275,8 +301,8 @@ def _propagate(net: NetworkRealization, first: list[np.ndarray]) -> list[list[np
         out = stacked @ W.T
         blocks = [out[k * n:(k + 1) * n] for k in range(order + 1)]
         blocks[0] += b
-        layers.append(blocks)
-    return layers
+        computed.append(blocks)
+    return [LayerRecord(l, *blocks) for l, blocks in enumerate(computed, start=1)]
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,17 @@
 
 Everything here is deliberately dumb and slow: dense trapezoid grids,
 bisection, triple-loop matrix products.  None of it shares code with the
-package beyond numpy itself.
+package beyond numpy itself, except the whole-network experiments, which
+hold every layer of a `sample_network` realization and run the public
+`forward*` passes on it: the path the experiments' layer streams must
+reproduce byte for byte.
 """
 
+import math
+
 import numpy as np
+
+from mfprop import simulator as sim
 
 
 def gauss_expect_trapezoid(f, n=10**6, lim=12.0):
@@ -192,3 +199,44 @@ def hermite_rule_extended(nodes, order, iterations=2):
     x_all = np.concatenate((-x[mirror][::-1], x))
     w_all = np.concatenate((w[mirror][::-1], w))
     return x_all, w_all / w_all.sum()
+
+
+# ---------------------------------------------------------------------------
+# experiments on whole networks (the experiments' seeds and inputs)
+
+
+def length_whole_network(params, q0, depth, width, seeds):
+    """Per-layer squared length of length_agreement's input, averaged over seeds."""
+    acc = np.zeros(depth)
+    for s in seeds:
+        net = sim.sample_network((width,) * (depth + 1), params, s)
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=s, spawn_key=(101,)))
+        x0 = rng.normal(size=width)
+        x0 *= math.sqrt(width * q0) / np.linalg.norm(x0)
+        acc += np.array([sim.empirical_length(r.h) for r in sim.forward(net, x0)])
+    return acc / len(seeds)
+
+
+def correlation_whole_network(params, q_star, c0, depth, width, seeds, n_orientations=8):
+    """Per-layer pair correlation of correlation_agreement's pairs, averaged."""
+    acc = np.zeros(depth)
+    for s in seeds:
+        net = sim.sample_network((width,) * (depth + 1), params, s)
+        pairs = np.concatenate([
+            sim.pair_at_correlation(width, q_star, c0, seed=1_000_000 * (o + 1) + s)
+            for o in range(n_orientations)])
+        records = sim.forward_from_first(net, pairs)
+        for o in range(n_orientations):
+            acc += np.array([sim.empirical_correlation(r.h[2 * o], r.h[2 * o + 1])[3]
+                             for r in records])
+    return acc / (len(seeds) * n_orientations)
+
+
+def circle_whole_network(params, q_star, depth, width, n_theta, seed, jets):
+    """(circle, records) for the circle at seed + 50 on the network of
+    `seed`: forward_jet's records if `jets`, else forward_from_first's."""
+    net = sim.sample_network((width,) * (depth + 1), params, seed)
+    circle = sim.CircleManifold.sample(width, q_star, n_theta, seed + 50)
+    if jets:
+        return circle, sim.forward_jet(net, circle)
+    return circle, sim.forward_from_first(net, circle.h1())

@@ -114,6 +114,31 @@ def test_bad_config_file_is_a_usage_error(tmp_path, capsys, text, message):
     assert not out.exists()
 
 
+def test_config_key_the_command_lacks_is_a_usage_error(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"command": "fourier", "widht": 30, "ridge": 0.5}))
+    out = tmp_path / "out.csv"
+    assert run(["fourier", "--config", str(cfg_path), "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "'widht'" in err and "'ridge'" in err and "cfg.json" in err
+    assert not out.exists()
+
+
+def test_config_key_the_command_lacks_is_ignored_when_null(tmp_path):
+    # fourier artifacts written while it took --ridge carry "ridge": null
+    args = ["fourier", "--sw", "2.5", "--sb", "0.3", "--depths", "1,2", "--width", "20",
+            "--omega-max", "5", "--theta-samples", "32"]
+    first = tmp_path / "first.csv"
+    assert run(args + ["-o", str(first)]) == 0
+    cfg = read_embedded_config(str(first))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**cfg, "ridge": None}))
+    second = tmp_path / "second.csv"
+    assert run(["fourier", "--config", str(cfg_path), "-o", str(second)]) == 0
+    assert (first.read_text().replace("first.csv", "X")
+            == second.read_text().replace("second.csv", "X"))
+
+
 def test_phase_grid_emits_boundary_file(tmp_path):
     out = tmp_path / "grid.csv"
     status = run(["phase-grid", "--sw", "0.5:4:4", "--sb", "0:0.6:3",

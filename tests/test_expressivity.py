@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -226,14 +227,26 @@ def test_weight_chaos_empirical_delta_zero_is_one():
     assert family.c_empirical[1] < 1.0
 
 
+def _weight_chaos_draws(widths, seed):
+    """The base network and the layer-2 perturbation weight_chaos_empirical
+    uses: each from its child seed of SeedSequence(seed), the circle's being
+    the third."""
+    net_seed, dw_seed, _ = (int(s) for s in np.random.SeedSequence(seed).generate_state(3))
+    base = sim.sample_network(widths, CHAOTIC, net_seed)
+    d_weights = np.random.default_rng(np.random.SeedSequence(dw_seed)).normal(
+        0.0, CHAOTIC.sigma_w / math.sqrt(widths[1]), size=base.weights[1].shape)
+    return base, d_weights
+
+
 def test_interpolated_weights_keep_ensemble_variance():
     family = ex.weight_chaos_empirical(
         CHAOTIC, (400,) * 4, np.array([0.0, 0.25, 0.5]), seed=13, n_theta=32, rule=RULE
     )
+    base, d_weights = _weight_chaos_draws((400,) * 4, 13)
     target = CHAOTIC.sigma_w**2 / 400
     for delta in family.delta_grid:
-        w2 = (math.sqrt(1 - abs(delta)) * family.base.weights[1]
-              + math.sqrt(abs(delta)) * family.d_weights)
+        w2 = (math.sqrt(1 - abs(delta)) * base.weights[1]
+              + math.sqrt(abs(delta)) * d_weights)
         se = target * math.sqrt(2.0 / w2.size)
         assert abs(w2.var() - target) <= 5.0 * se
 
@@ -254,14 +267,32 @@ def test_weight_chaos_batch_matches_per_delta_loop(widths, deltas):
     circle_seed = int(np.random.SeedSequence(seed).generate_state(3)[2])
     circle = sim.CircleManifold.sample(widths[1], mf.length_fixed_point(CHAOTIC, RULE),
                                        n_theta, circle_seed)
-    outputs, ref = weight_chaos_outputs_loop(family.base.weights, family.base.biases,
-                                             np.tanh, circle.h1(), family.d_weights, deltas)
+    base, d_weights = _weight_chaos_draws(widths, seed)
+    outputs, ref = weight_chaos_outputs_loop(base.weights, base.biases,
+                                             np.tanh, circle.h1(), d_weights, deltas)
 
     def q(a, b):
         return float(np.mean(np.einsum("ij,ij->i", a, b))) / widths[-1]
 
     expected = [q(ref, out) / math.sqrt(q(ref, ref) * q(out, out)) for out in outputs]
     assert np.max(np.abs(family.c_empirical - expected)) < 1e-13
+
+
+def test_weight_chaos_holds_a_few_layers_not_the_network():
+    # a short circle and two deltas keep the batch small beside one layer
+    widths, layer_bytes = (300,) * 11, 300 * 300 * 8
+    args = (CHAOTIC, widths, np.array([0.0, 0.3]), 3)
+    ex.weight_chaos_empirical(*args, n_theta=16, rule=RULE)    # start the draw pool
+    tracemalloc.start()
+    try:
+        ex.weight_chaos_empirical(*args, n_theta=16, rule=RULE)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the layer in use, the next one, at most one draw ahead per worker, and
+    # room for the batch; the whole network is 10 layers plus dW
+    ahead = min(sim._cores(), len(widths) - 3)
+    assert peak < (ahead + 3) * layer_bytes + 500_000
 
 
 def test_weight_chaos_rejects_bad_delta():

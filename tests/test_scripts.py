@@ -99,3 +99,26 @@ def test_bench_record_reads_each_runs_pass_count(tmp_path, monkeypatch):
     (argv, cwd), = argvs
     assert cwd == tmp_path and argv[1:] == ["perfbench/run.py", "--workload", "theory-sweep",
                                             "--seed", "44", "--seconds", "30", "--trace", "0"]
+
+
+def test_bench_record_runs_each_criterion_in_a_child_of_its_own(monkeypatch):
+    script = runpy.run_path(str(SCRIPTS / "bench_record.py"))
+    record = script["run_criterion"](2)
+    assert record["number"] == 2 and record["passed"] is True
+    assert 0.0 <= record["elapsed_s"] < record["budget_s"]
+    # the child imports numpy and mfprop
+    assert 10.0 < record["peak_rss_mb"] < 10_000.0
+
+    argvs = []
+
+    def fake_run(argv, **kwargs):
+        argvs.append(argv)
+        line = json.dumps({"number": int(argv[-1]), "peak_rss_mb": 100.0})
+        return subprocess.CompletedProcess(argv, 0, stdout=line + "\n")
+
+    monkeypatch.setattr(subprocess, "run", fake_run)
+    monkeypatch.setattr(sys, "path", sys.path[:])
+    criteria = script["run_criteria"]()
+    assert [c["number"] for c in criteria] == list(range(1, 11))
+    assert [argv[-1] for argv in argvs] == [str(n) for n in range(1, 11)]
+    assert all(argv[:2] == [sys.executable, "-c"] for argv in argvs)

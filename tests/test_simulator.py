@@ -1,21 +1,23 @@
 import hashlib
+import itertools
 import math
 import multiprocessing
 import os
 import sys
 import threading
-import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 import mfprop as mf
+from mfprop import experiments as xp
 from mfprop import geometry as geo
 from mfprop import simulator as sim
 from mfprop.errors import UnsupportedActivationError
 
-from oracles import gram_singular_values, jet_three_gemm, naive_matmul
+from oracles import (circle_whole_network, correlation_whole_network, gram_singular_values,
+                     jet_three_gemm, length_whole_network, naive_matmul)
 
 TANH = mf.builtin("tanh")
 LINEAR = mf.builtin("linear")
@@ -85,8 +87,9 @@ def test_concurrent_callers_get_identical_bytes():
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_forked_child_can_sample():
-    # Occupy every worker so the draw pool starts all its threads here.
-    sim._parallel_map(time.sleep, [0.05] * (os.cpu_count() or 1))
+    # One layer per worker is submitted at once, so the draw pool starts all
+    # its threads here.
+    list(sim._draw_layers((300,) * (sim._cores() + 1), CHAOTIC, 0))
     child = multiprocessing.get_context("fork").Process(
         target=sim.sample_network, args=((5, 5, 5), CHAOTIC, 1))
     child.start()
@@ -103,6 +106,32 @@ def test_truncating_depth_preserves_shallow_layers():
     for l in range(shallow.depth):
         assert np.array_equal(deep.weights[l], shallow.weights[l])
         assert np.array_equal(deep.biases[l], shallow.biases[l])
+
+
+# deeper than the draw pool has workers, so layers are drawn as they are asked for
+STREAM_WIDTHS = tuple(10 + 3 * l for l in range(sim._cores() + 5))
+
+
+@pytest.mark.parametrize("first", [1, 2, 5])
+def test_layer_stream_matches_whole_network(first):
+    net = sim.sample_network(STREAM_WIDTHS, CHAOTIC, seed=31)
+    layers = list(sim._draw_layers(STREAM_WIDTHS, CHAOTIC, 31, first=first))
+    assert len(layers) == net.depth - first + 1
+    for (w, b), l in zip(layers, range(first, net.depth + 1)):
+        assert np.array_equal(w, net.weights[l - 1])
+        assert np.array_equal(b, net.biases[l - 1])
+
+
+def test_layer_stream_stopped_early():
+    net = sim.sample_network(STREAM_WIDTHS, CHAOTIC, seed=31)
+    stream = sim._draw_layers(STREAM_WIDTHS, CHAOTIC, 31, first=2)
+    taken = list(itertools.islice(stream, 2))
+    stream.close()
+    for (w, b), l in zip(taken, (2, 3)):
+        assert np.array_equal(w, net.weights[l - 1])
+        assert np.array_equal(b, net.biases[l - 1])
+    # the draws left behind do not disturb the next caller
+    assert _digest(sim.sample_network(STREAM_WIDTHS, CHAOTIC, seed=31)) == _digest(net)
 
 
 def test_zero_weight_scale_gives_zero_weights():
@@ -389,3 +418,36 @@ def test_self_averaging_moments():
     var_se = q_l * math.sqrt(2.0 / n)
     assert abs(rec.h.mean()) <= 5.0 * mean_se
     assert abs(sim.empirical_length(rec.h) - q_l) <= 5.0 * var_se
+
+
+# ---------------------------------------------------------------------------
+# experiments on streamed layers
+
+
+def test_streamed_experiments_match_whole_network_oracles():
+    params = mf.EnsembleParams(2.5, 0.3, TANH)
+    rule = mf.build_rule(201)
+    width, depth, seed, n_theta = 40, sim._cores() + 3, 7, 16
+
+    length = xp.length_agreement(params, 0.5, depth, width, seed, 2, rule)
+    assert np.array_equal(length.q_emp,
+                          length_whole_network(params, 0.5, depth, width, [seed, seed + 1]))
+
+    corr = xp.correlation_agreement(params, 0.6, depth, width, seed, 2, rule)
+    assert np.array_equal(corr.c_emp, correlation_whole_network(
+        params, corr.theory.chi.q_star, 0.6, depth, width, [seed, seed + 1]))
+
+    run = xp.circle_at_fixed_point(params, depth, width, n_theta, rule, seed)
+    _, records = circle_whole_network(params, run.q_star, depth, width, n_theta, seed,
+                                      jets=False)
+    assert [r.layer for r in run.records] == [r.layer for r in records]
+    for mine, oracle in zip(run.records, records):
+        assert np.array_equal(mine.h, oracle.h)
+
+    curv = xp.curvature_agreement(params, depth, width, n_theta, seed, rule)
+    circle, jets = circle_whole_network(params, curv.theory.chi.q_star, depth, width,
+                                        n_theta, seed, jets=True)
+    geoms = [geo.curve_geometry(geo.CurveJet(circle.thetas, r.h, r.v, r.a)) for r in jets]
+    assert np.array_equal(curv.gE_bar, [g.gE_norm.mean() for g in geoms])
+    assert np.array_equal(curv.kappa_sq, [(g.kappa_norm**2).mean() for g in geoms])
+    assert np.array_equal(curv.LG, [g.LG for g in geoms])
