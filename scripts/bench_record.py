@@ -14,7 +14,8 @@ the checkout the script lives in:
 * environment: perfbench's environment record (versions, BLAS build and
   thread count, CPU), which simulation timings and bytes depend on;
 * tier1: the pytest summary counts and the wall time of the suite;
-* criteria: each acceptance criterion's result, its time against its
+* criteria: per acceptance criterion, its number, which side ran first
+  and, under `change` (this checkout), its result, its time against its
   budget and its peak RSS in MB (`peak_rss_mb`, perfbench's unit), each run
   in a child process of its own so that the peak is the criterion's.
 
@@ -25,8 +26,10 @@ drifting over the record falls on both sides alike.  The record then holds
 `pairs` (workload, seed, which side ran first, and both runs) instead of
 `runs`, and a `summary` per workload and end-to-end metric: each side's
 median and quartiles and the number of pairs this checkout won, by the
-metric's direction in BENCHMARK.json (ties count for neither side).
-Tier-1 and the criteria run on this checkout only.
+metric's direction in BENCHMARK.json (ties count for neither side).  Each
+criterion then runs on both checkouts too, in the same alternation, and
+its entry holds a `parent` result beside the `change` one.  Tier-1 runs on
+this checkout only.
 
 Records compare only when taken on the same machine.
 """
@@ -115,18 +118,29 @@ def run_tier1() -> dict:
             "wall_s": wall}
 
 
-def run_criterion(number: int) -> dict:
-    """Criterion `number` in a child process: its result, time, budget and peak RSS."""
-    done = subprocess.run([sys.executable, "-c", CRITERION_CHILD, str(number)], cwd=REPO,
-                          env=_with_src(), capture_output=True, text=True, check=True)
+def run_criterion(number: int, checkout: Path = REPO) -> dict:
+    """Criterion `number` of `checkout` in a child process: its result, time,
+    budget and peak RSS."""
+    done = subprocess.run([sys.executable, "-c", CRITERION_CHILD, str(number)],
+                          cwd=checkout, env=_with_src(), capture_output=True, text=True,
+                          check=True)
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
-def run_criteria() -> list[dict]:
+def run_criteria(sides: list[tuple[str, Path]]) -> list[dict]:
+    """Each criterion once per (side, checkout), the sides' order alternating
+    from one criterion to the next as the workload pairs' does."""
     sys.path.insert(0, str(REPO / "src"))
     from mfprop import acceptance
 
-    return [run_criterion(number) for number in sorted(acceptance._CRITERIA)]
+    criteria = []
+    for k, number in enumerate(sorted(acceptance._CRITERIA)):
+        order = sides if k % 2 == 0 else sides[::-1]
+        entry = {"number": number, "first": order[0][0]}
+        for side, checkout in order:
+            entry[side] = run_criterion(number, checkout)
+        criteria.append(entry)
+    return criteria
 
 
 def main() -> int:
@@ -156,11 +170,13 @@ def main() -> int:
             pairs.append(pair)
     tier1 = run_tier1()
     print(f"tier-1: {tier1['summary']} ({tier1['wall_s']:.1f} s)", flush=True)
-    criteria = run_criteria()
+    criteria = run_criteria(sides)
     for c in criteria:
-        print(f"criterion {c['number']}: {'PASS' if c['passed'] else 'FAIL'} "
-              f"{c['elapsed_s']:.1f} s / budget {c['budget_s']:.0f} s, "
-              f"peak RSS {c['peak_rss_mb']:.1f} MB")
+        print(f"criterion {c['number']}: " + "; ".join(
+            f"{side} {'PASS' if c[side]['passed'] else 'FAIL'} "
+            f"{c[side]['elapsed_s']:.1f} s / budget {c[side]['budget_s']:.0f} s, "
+            f"peak RSS {c[side]['peak_rss_mb']:.1f} MB"
+            for side, _ in sides))
 
     record = {
         "tag": args.tag,
@@ -176,7 +192,7 @@ def main() -> int:
     out = REPO / f"BENCH_{args.tag}.json"
     out.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {out.name}")
-    return 0 if tier1["exit_code"] == 0 and all(c["passed"] for c in criteria) else 1
+    return 0 if tier1["exit_code"] == 0 and all(c["change"]["passed"] for c in criteria) else 1
 
 
 if __name__ == "__main__":

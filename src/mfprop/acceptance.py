@@ -256,21 +256,17 @@ def criterion_8() -> CriterionResult:
     # structure still resolvable by width 200 at depth 8
     params = EnsembleParams(2.5, 0.3, TANH)
     rule = build_rule(401)
-    probe = ex.uniform_probe(50, 512)
-    phi = params.nonlinearity.value
 
-    def band_error(activations):
-        profile = ex.fourier_error_profile(activations, probe)
+    def band_error(profile):
         mask = (profile.frequencies >= 40) & (profile.frequencies <= 50)
         return float(profile.errors[mask].mean())
 
-    records = xp.circle_at_fixed_point(params, 8, 200, 512, rule, SEED).records
-    errors = {d: band_error(phi(records[d - 1].h)) for d in (1, 4, 8)}
+    profiles = xp.fourier_errors(params, (1, 4, 8), 200, 50, 512, SEED, rule)
+    errors = {d: band_error(profile) for d, profile in profiles.items()}
     c.check(errors[1] > errors[4] > errors[8],
             f"width 200 band error strictly decreases with depth: "
             f"{errors[1]:.3f} > {errors[4]:.3f} > {errors[8]:.3f}")
-    wide = xp.circle_at_fixed_point(params, 1, 2000, 512, rule, SEED + 1)
-    wide_error = band_error(phi(wide.records[0].h))
+    wide_error = band_error(xp.fourier_errors(params, (1,), 2000, 50, 512, SEED + 1, rule)[1])
     c.check(wide_error >= errors[8],
             f"depth-1 width-2000 error {wide_error:.3f} does not beat "
             f"depth-8 width-200 error {errors[8]:.3f}")

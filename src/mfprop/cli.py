@@ -330,19 +330,14 @@ def _run_simulate(cfg):
     _finish(cfg, ["layer", "c_theory", "c_emp"], rows, footer)
 
 
-def _circle_run(cfg, params, rule, depth):
-    return xp.circle_at_fixed_point(params, depth, cfg["width"], cfg["theta_samples"],
-                                    rule, cfg["seed"])
-
-
 def _run_autocorr(cfg):
     params = _ensemble(cfg)
     rule = build_rule(cfg["order"])
-    run = _circle_run(cfg, params, rule, cfg["depth"])
-    q_star = run.q_star
+    q_star, records = xp.circle_at_fixed_point(params, cfg["depth"], cfg["width"],
+                                               cfg["theta_samples"], rule, cfg["seed"])
     theory = np.cos(2.0 * math.pi * np.arange(cfg["theta_samples"]) / cfg["theta_samples"])
     rows = []
-    for rec in run.records:
+    for rec in records:
         dthetas, c_emp = sim_mod.autocorrelation(rec.h, q_star)
         for k in range(dthetas.size):
             rows.append((rec.layer, float(dthetas[k]), float(c_emp[k]), float(theory[k])))
@@ -352,11 +347,12 @@ def _run_autocorr(cfg):
 
 
 def _run_spectrum(cfg):
-    params = _ensemble(cfg)
-    run = _circle_run(cfg, params, build_rule(cfg["order"]), cfg["depth"])
+    _, records = xp.circle_at_fixed_point(_ensemble(cfg), cfg["depth"], cfg["width"],
+                                          cfg["theta_samples"], build_rule(cfg["order"]),
+                                          cfg["seed"])
     rows = []
     footer = []
-    for rec in run.records:
+    for rec in records:
         spec = sim_mod.singular_spectrum(rec.h, top_k=cfg["top_k"])
         for rank, (sv, fr) in enumerate(zip(spec.singular_values,
                                             spec.variance_fractions), start=1):
@@ -411,17 +407,11 @@ def _run_shallow_bound(cfg):
 
 def _run_fourier(cfg):
     depths = _parse_depths(cfg["depths"])
-    params = _ensemble(cfg)
-    run = _circle_run(cfg, params, build_rule(cfg["order"]), max(depths))
-    probe = expr_mod.uniform_probe(cfg["omega_max"], cfg["theta_samples"])
-    phi = params.nonlinearity.value
-    rows = []
-    for rec in run.records:
-        if rec.layer not in depths:
-            continue
-        profile = expr_mod.fourier_error_profile(phi(rec.h), probe)
-        for freq, err in zip(profile.frequencies, profile.errors):
-            rows.append((rec.layer, int(freq), float(err)))
+    profiles = xp.fourier_errors(_ensemble(cfg), depths, cfg["width"], cfg["omega_max"],
+                                 cfg["theta_samples"], cfg["seed"], build_rule(cfg["order"]))
+    rows = [(depth, int(freq), float(err))
+            for depth, profile in profiles.items()
+            for freq, err in zip(profile.frequencies, profile.errors)]
     _finish(cfg, ["depth", "frequency", "error"], rows)
 
 

@@ -19,10 +19,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from . import boundary as bd
+from . import expressivity as ex
 from . import simulator as sim
 from .errors import DegenerateGeometryError
 from .geometry import CurveJet, curve_geometry
@@ -64,12 +66,6 @@ class CurvatureAgreement:
     LG: np.ndarray            # per layer, Gauss-map length
 
 
-@dataclass(frozen=True)
-class CircleRun:
-    q_star: float
-    records: list             # LayerRecord per layer, h of shape (n_theta, width)
-
-
 def _realization_seeds(seed: int, n_seeds: int) -> list[int]:
     if n_seeds < 1:
         raise ValueError(f"need at least one network realization, got {n_seeds}")
@@ -77,10 +73,11 @@ def _realization_seeds(seed: int, n_seeds: int) -> list[int]:
 
 
 def _from_first_layer(params: EnsembleParams, depth: int, width: int, seed: int,
-                      first: list[np.ndarray]) -> list[sim.LayerRecord]:
-    """`forward_from_first` (one block) or `forward_jet` (three) on the
-    network of `seed`, with its layers 2..depth drawn as they are needed and
-    W^1, b^1 never drawn."""
+                      first: list[np.ndarray]) -> Iterator[sim.LayerRecord]:
+    """The records of `forward_from_first` (one block) or `forward_jet`
+    (three) on the network of `seed`, streamed: each layer 2..depth is drawn
+    as it is needed, each record is yielded when its product is done, and
+    W^1, b^1 are never drawn."""
     layers = sim._draw_layers((width,) * (depth + 1), params, seed, first=2)
     return sim._propagate(layers, params.nonlinearity, first)
 
@@ -99,8 +96,8 @@ def length_agreement(params: EnsembleParams, q0: float, depth: int, width: int,
         w1, b1 = next(layers)
         h1 = x0[None] @ w1.T + b1
         del w1    # held no longer than the product that reads it
-        records = sim._propagate(layers, params.nonlinearity, [h1])
-        acc += np.array([sim.empirical_length(r.h[0]) for r in records])
+        for rec in sim._propagate(layers, params.nonlinearity, [h1]):
+            acc[rec.layer - 1] += sim.empirical_length(rec.h[0])
     acc /= len(seeds)
     return LengthAgreement(theory=theory, q_emp=acc)
 
@@ -119,12 +116,10 @@ def correlation_agreement(params: EnsembleParams, c0: float, depth: int, width: 
                                     seed=1_000_000 * (orient + 1) + s)
             for orient in range(N_ORIENTATIONS)
         ])
-        records = _from_first_layer(params, depth, width, s, [pairs])
-        for orient in range(N_ORIENTATIONS):
-            acc += np.array([
-                sim.empirical_correlation(r.h[2 * orient], r.h[2 * orient + 1])[3]
-                for r in records
-            ])
+        for rec in _from_first_layer(params, depth, width, s, [pairs]):
+            for orient in range(N_ORIENTATIONS):
+                acc[rec.layer - 1] += sim.empirical_correlation(
+                    rec.h[2 * orient], rec.h[2 * orient + 1])[3]
     acc /= len(seeds) * N_ORIENTATIONS
     return CorrelationAgreement(theory=theory, c_emp=acc)
 
@@ -168,10 +163,24 @@ def boundary_curvature(params: EnsembleParams, depth: int, width: int, n_points:
 
 
 def circle_at_fixed_point(params: EnsembleParams, depth: int, width: int, n_theta: int,
-                          rule: QuadratureRule, seed: int) -> CircleRun:
-    """A circle of radius sqrt(N q*) at layer 1, propagated to layer `depth`."""
+                          rule: QuadratureRule,
+                          seed: int) -> tuple[float, Iterator[sim.LayerRecord]]:
+    """(q*, records): a circle of radius sqrt(N q*) at layer 1, propagated to
+    layer `depth`.  The records are a stream, made one layer at a time as
+    they are read, and can be read once."""
     q_star = _require_positive_q_star(length_fixed_point(params, rule),
                                       "a circle at the fixed-point radius")
     circle = sim.CircleManifold.sample(width, q_star, n_theta, seed + 50)
-    return CircleRun(q_star=q_star,
-                     records=_from_first_layer(params, depth, width, seed, [circle.h1()]))
+    return q_star, _from_first_layer(params, depth, width, seed, [circle.h1()])
+
+
+def fourier_errors(params: EnsembleParams, depths, width: int, omega_max: int, n_theta: int,
+                   seed: int, rule: QuadratureRule) -> dict[int, ex.FourierErrorProfile]:
+    """{l: Fourier regression error profile of phi(h^l) up to `omega_max`}
+    for each layer l in `depths`, in layer order, on `circle_at_fixed_point`'s
+    circle of `seed`."""
+    depths = set(depths)
+    probe = ex.uniform_probe(omega_max, n_theta)
+    _, records = circle_at_fixed_point(params, max(depths), width, n_theta, rule, seed)
+    return {rec.layer: ex.fourier_error_profile(params.nonlinearity.value(rec.h), probe)
+            for rec in records if rec.layer in depths}

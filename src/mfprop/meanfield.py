@@ -321,11 +321,9 @@ def c_map(
     params: EnsembleParams,
     rule: QuadratureRule,
     *,
-    q_star: float | None = None,
+    q_star: float,
 ) -> float:
-    """Correlation-coefficient map at the fixed-point length."""
-    if q_star is None:
-        q_star = length_fixed_point(params, rule)
+    """Correlation-coefficient map at the fixed-point length q_star."""
     _require_positive_q_star(q_star, "the c-map")
     moment = expect2_product(params.nonlinearity.value, c, q_star, rule)
     return (params.sigma_w**2 * moment + params.sigma_b**2) / q_star
@@ -347,18 +345,13 @@ def chi2(
     params: EnsembleParams,
     rule: QuadratureRule,
     *,
-    q_star: float | None = None,
+    q_star: float,
 ) -> float:
-    """Curvature injection factor: sigma_w^2 E[phi''(sqrt(q*) z)^2].
+    """Curvature injection factor at q_star: sigma_w^2 E[phi''(sqrt(q*) z)^2].
 
     Defined only for activations with a smooth second derivative; for
-    the others `derivatives` raises UnsupportedActivationError at order 2,
-    which is asked before the q* solve, as that fails first (expansive map)
-    for a kinked phi at large sigma_w.
+    the others `derivatives` raises UnsupportedActivationError at order 2.
     """
-    if q_star is None:
-        params.nonlinearity.derivatives(np.zeros(1), 2)
-        q_star = length_fixed_point(params, rule)
     return _weighted_moment(2, q_star, params, rule)
 
 

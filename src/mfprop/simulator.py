@@ -12,10 +12,11 @@ rule layer by layer:
     v^l = W^l ( phi'(h^{l-1}) . v^{l-1} )
     a^l = W^l ( phi''(h^{l-1}) . v^{l-1} . v^{l-1} + phi'(h^{l-1}) . a^{l-1} )
 
-Points and jets share one layer loop: at jet order k (0 for points, 1
-with velocities, 2 with accelerations) each layer evaluates the activation
-once, as `derivatives(h, k)`, and multiplies W with the stacked rows
-[phi; phi' v; phi'' v v + phi' a] in one product.
+Points and jets share one layer loop, a generator: at jet order k (0 for
+points, 1 with velocities, 2 with accelerations) each layer evaluates the
+activation once, as `derivatives(h, k)`, multiplies W with the stacked rows
+[phi; phi' v; phi'' v v + phi' a] in one product, and yields the layer's
+record.  `forward`, `forward_from_first` and `forward_jet` collect it.
 
 Each layer draws from an independent child of the realization seed, so
 truncating the depth never changes shallower layers.  Layers are drawn
@@ -23,14 +24,14 @@ as a stream, in order, on a process-wide thread pool with one worker per
 available core, at most one layer per worker ahead of the consumer; the
 bytes are identical to drawing them one after another.  A network used
 for one pass (weight chaos, the experiments) is propagated from that
-stream without being held whole; `sample_network` collects it.
+stream without being held whole, and the experiments reduce each layer's
+record before the next is made; `sample_network` collects the stream.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -132,15 +133,19 @@ class CircleManifold:
         return -self.h1()
 
 
-_POOL: Optional[ThreadPoolExecutor] = None
-_POOL_LOCK = threading.Lock()
-
-
 def _cores() -> int:
     """The number of cores this process may run on."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def _new_pool() -> ThreadPoolExecutor:
+    # starts no thread before its first submit
+    return ThreadPoolExecutor(max_workers=_cores(), thread_name_prefix="mfprop-draw")
+
+
+_POOL = _new_pool()
 
 
 def _draw_layers(widths: Sequence[int], params: EnsembleParams, seed: int,
@@ -172,7 +177,6 @@ def _draw_layers(widths: Sequence[int], params: EnsembleParams, seed: int,
       callers may trace them on a single per-process span stack that
       worker threads would corrupt.
     """
-    global _POOL
     widths = tuple(int(n) for n in widths)
     if len(widths) < 2:
         raise ValueError("widths must list N_0..N_D with depth >= 1")
@@ -188,11 +192,6 @@ def _draw_layers(widths: Sequence[int], params: EnsembleParams, seed: int,
         b = rng.normal(0.0, params.sigma_b, size=widths[l])
         return w, b
 
-    if _POOL is None:
-        with _POOL_LOCK:
-            if _POOL is None:
-                _POOL = ThreadPoolExecutor(max_workers=_cores(),
-                                           thread_name_prefix="mfprop-draw")
     pool = _POOL
     todo = iter(range(first, depth + 1))
     ahead = deque(pool.submit(draw_layer, l) for l in islice(todo, _cores()))
@@ -208,10 +207,9 @@ def _draw_layers(widths: Sequence[int], params: EnsembleParams, seed: int,
 
 def _forget_pool() -> None:
     # A forked child inherits the pool object but none of its threads; it
-    # would wait forever on its first task, so it starts a pool of its own.
-    global _POOL, _POOL_LOCK
-    _POOL = None
-    _POOL_LOCK = threading.Lock()
+    # would wait forever on its first task, so it gets a pool of its own.
+    global _POOL
+    _POOL = _new_pool()
 
 
 if hasattr(os, "register_at_fork"):
@@ -253,7 +251,7 @@ def forward_from_first(net: NetworkRealization, h1: np.ndarray) -> list[LayerRec
     if H.shape[1] != net.widths[1]:
         raise ValueError(f"h1 has dimension {H.shape[1]}, expected {net.widths[1]}")
     records = _propagate(zip(net.weights[1:], net.biases[1:]), net.nonlinearity, [H])
-    return [LayerRecord(r.layer, r.h[0]) for r in records] if h1.ndim == 1 else records
+    return [LayerRecord(r.layer, r.h[0]) if h1.ndim == 1 else r for r in records]
 
 
 def forward_jet(
@@ -271,24 +269,28 @@ def forward_jet(
     if manifold.width != net.widths[1]:
         raise ValueError(f"manifold width {manifold.width} != first layer width {net.widths[1]}")
     first = [manifold.h1(), manifold.v1()] + ([manifold.a1()] if acceleration else [])
-    return _propagate(zip(net.weights[1:], net.biases[1:]), net.nonlinearity, first)
+    return list(_propagate(zip(net.weights[1:], net.biases[1:]), net.nonlinearity, first))
 
 
 def _propagate(layers: Iterable[tuple[np.ndarray, np.ndarray]], nonlinearity: Nonlinearity,
-               first: list[np.ndarray]) -> list[LayerRecord]:
-    """Records of layer 1 and of each of `layers` (W^l, b^l), from [h], [h, v]
-    or [h, v, a] at layer 1.
+               first: list[np.ndarray]) -> Iterator[LayerRecord]:
+    """Yield the record of layer 1 and of each of `layers` (W^l, b^l), from
+    [h], [h, v] or [h, v, a] at layer 1.
 
     The jet order is len(first) - 1.  The blocks of a layer are row blocks
     of its one product (module docstring); at order 0 that is phi(h) W^T.
-    `layers` is consumed once, in order, so it may be a stream of draws.
+    `layers` is consumed once, in order, so it may be a stream of draws, and
+    each record is yielded as soon as its product is done: a consumer that
+    reduces one record before asking for the next holds one layer's arrays,
+    not the network's.
     """
     derivatives = nonlinearity.derivatives
     order = len(first) - 1
     n = first[0].shape[0]
-    computed = [first]
-    for W, b in layers:
-        H, *jet = computed[-1]
+    blocks = first
+    yield LayerRecord(1, *blocks)
+    for l, (W, b) in enumerate(layers, start=2):
+        H, *jet = blocks
         d = derivatives(H, order)
         if order == 0:
             stacked = d[0]
@@ -301,8 +303,7 @@ def _propagate(layers: Iterable[tuple[np.ndarray, np.ndarray]], nonlinearity: No
         out = stacked @ W.T
         blocks = [out[k * n:(k + 1) * n] for k in range(order + 1)]
         blocks[0] += b
-        computed.append(blocks)
-    return [LayerRecord(l, *blocks) for l, blocks in enumerate(computed, start=1)]
+        yield LayerRecord(l, *blocks)
 
 
 # ---------------------------------------------------------------------------

@@ -418,13 +418,14 @@ def test_simulate_pair_mode_averages_eight_orientations(tmp_path):
 
 def test_fourier_runs_the_shared_circle_experiment(tmp_path):
     # the CLI's circle is experiments.circle_at_fixed_point's: net seed s,
-    # circle seed s + 50, as in acceptance criterion 8
+    # circle seed s + 50, as in acceptance criterion 8 (both run
+    # experiments.fourier_errors)
     out = tmp_path / "fourier.csv"
     assert run(["fourier", "--sw", "2.5", "--sb", "0.3", "--depths", "1,2", "--width", "20",
                 "--omega-max", "5", "--theta-samples", "32", "--seed", "3",
                 "-o", str(out)]) == 0
     params = EnsembleParams(2.5, 0.3, builtin("tanh"))
-    records = xp.circle_at_fixed_point(params, 2, 20, 32, build_rule(201), 3).records
+    _, records = xp.circle_at_fixed_point(params, 2, 20, 32, build_rule(201), 3)
     expected = []
     for rec in records:
         profile = fourier_error_profile(params.nonlinearity.value(rec.h), uniform_probe(5, 32))
@@ -432,3 +433,9 @@ def test_fourier_runs_the_shared_circle_experiment(tmp_path):
                      for freq, err in enumerate(profile.errors)]
     _, rows = read_rows(out)
     assert rows == expected
+    # depths are reported once each, in layer order
+    shuffled = tmp_path / "shuffled.csv"
+    assert run(["fourier", "--sw", "2.5", "--sb", "0.3", "--depths", "2,1,2", "--width", "20",
+                "--omega-max", "5", "--theta-samples", "32", "--seed", "3",
+                "-o", str(shuffled)]) == 0
+    assert read_rows(shuffled)[1] == expected

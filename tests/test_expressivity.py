@@ -295,6 +295,21 @@ def test_weight_chaos_holds_a_few_layers_not_the_network():
     assert peak < (ahead + 3) * layer_bytes + 500_000
 
 
+def test_weight_chaos_multiplies_the_batch_in_place():
+    # a wide batch dwarfs the layers: each layer's product writes over the
+    # batch it reads, so a fresh array per layer would hold two more blocks
+    deltas, n_theta, width = np.linspace(0.0, 0.5, 11), 512, 200
+    block_bytes = deltas.size * n_theta * width * 8
+    tracemalloc.start()
+    try:
+        ex.weight_chaos_empirical(CHAOTIC, (width,) * 5, deltas, 3, n_theta=n_theta, rule=RULE)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the batch, its phi and one layer's temporaries (~2.35 blocks)
+    assert peak < 3 * block_bytes
+
+
 def test_weight_chaos_rejects_bad_delta():
     with pytest.raises(ValueError):
         ex.weight_chaos_theory(CHAOTIC, 1.5, 4, RULE)

@@ -218,17 +218,21 @@ def test_correlation_map_against_dense_grid():
 def test_c_map_has_fixed_point_at_one():
     for params in (CHAOTIC, ORDERED, mf.EnsembleParams(2.5, 0.3, TANH),
                    mf.EnsembleParams(1.2, 0.05, TANH)):
-        assert mf.c_map(1.0, params, RULE) == pytest.approx(1.0, abs=1e-10)
+        q_star = mf.length_fixed_point(params, RULE)
+        assert mf.c_map(1.0, params, RULE, q_star=q_star) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_c_map_odd_activation_maps_zero_to_zero():
     params = mf.EnsembleParams(2.0, 0.0, TANH)
-    assert mf.c_map(0.0, params, RULE) == pytest.approx(0.0, abs=1e-14)
+    q_star = mf.length_fixed_point(params, RULE)
+    assert mf.c_map(0.0, params, RULE, q_star=q_star) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_c_map_undefined_at_zero_length():
+    params = mf.EnsembleParams(0.5, 0.0, TANH)
+    q_star = mf.length_fixed_point(params, RULE)
     with pytest.raises(DegenerateGeometryError, match=r"q\* > 0, got q\* = 0"):
-        mf.c_map(0.5, mf.EnsembleParams(0.5, 0.0, TANH), RULE)
+        mf.c_map(0.5, params, RULE, q_star=q_star)
 
 
 def test_c_map_against_dense_grid():
@@ -247,19 +251,21 @@ def test_c_map_against_dense_grid():
 def test_chi_at_zero_length():
     params = mf.EnsembleParams(0.7, 0.0, TANH)
     assert mf.chi1(params, RULE) == pytest.approx(0.49, abs=1e-12)
-    assert mf.chi2(params, RULE) == pytest.approx(0.0, abs=1e-12)
+    q_star = mf.length_fixed_point(params, RULE)
+    assert mf.chi2(params, RULE, q_star=q_star) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_chi_linear():
     params = mf.EnsembleParams(0.9, 0.4, LINEAR)
     assert mf.chi1(params, RULE) == pytest.approx(0.81, abs=1e-12)
-    assert mf.chi2(params, RULE) == 0.0
+    assert mf.chi2(params, RULE, q_star=mf.length_fixed_point(params, RULE)) == 0.0
 
 
 def test_chi2_refuses_piecewise_linear():
     params = mf.EnsembleParams(1.5, 0.3, mf.builtin("hard_tanh"))
+    q_star = mf.length_fixed_point(params, RULE)
     with pytest.raises(UnsupportedActivationError, match="phi''"):
-        mf.chi2(params, RULE)
+        mf.chi2(params, RULE, q_star=q_star)
     assert mf.chi1(params, RULE) > 0
     # the correlation theory needs only chi1, so it still runs
     assert mf.correlation_trajectory(0.5, 3, params, RULE).chi.chi1 > 0
@@ -271,8 +277,6 @@ def test_chi2_refuses_before_solving_q_star():
     params = mf.EnsembleParams(2.0, 0.3, mf.builtin("relu"))
     with pytest.raises(ConvergenceError, match="expansive map"):
         mf.length_fixed_point(params, RULE)
-    with pytest.raises(UnsupportedActivationError, match="phi''"):
-        mf.chi2(params, RULE)
     with pytest.raises(UnsupportedActivationError, match="phi''"):
         mf.curvature_trajectory(5, params, RULE)
 
@@ -327,7 +331,7 @@ def test_correlation_trajectory_chaotic_decorrelates():
 
 @given(st.floats(min_value=-1.0, max_value=1.0))
 def test_c_map_keeps_unit_interval(c0):
-    value = mf.c_map(c0, CHAOTIC, RULE)
+    value = mf.c_map(c0, CHAOTIC, RULE, q_star=mf.length_fixed_point(CHAOTIC, RULE))
     assert -1.0 <= value <= 1.0 + 1e-12
 
 
@@ -371,7 +375,8 @@ def test_curvature_converges_to_closed_form():
 
 @pytest.mark.parametrize("start", [1e-6, 1.0, 1e6])
 def test_curvature_recursion_fixed_point_attracts(start):
-    x1, x2 = mf.chi1(CHAOTIC, RULE), mf.chi2(CHAOTIC, RULE)
+    q_star = mf.length_fixed_point(CHAOTIC, RULE)
+    x1, x2 = mf.chi1(CHAOTIC, RULE, q_star=q_star), mf.chi2(CHAOTIC, RULE, q_star=q_star)
     kappa_sq = start
     for _ in range(10_000):
         kappa_sq = 3.0 * x2 / x1**2 + kappa_sq / x1

@@ -109,16 +109,24 @@ def test_bench_record_runs_each_criterion_in_a_child_of_its_own(monkeypatch):
     # the child imports numpy and mfprop
     assert 10.0 < record["peak_rss_mb"] < 10_000.0
 
-    argvs = []
+    children = []
 
-    def fake_run(argv, **kwargs):
-        argvs.append(argv)
-        line = json.dumps({"number": int(argv[-1]), "peak_rss_mb": 100.0})
+    def fake_run(argv, cwd, **kwargs):
+        children.append((argv, cwd))
+        line = json.dumps({"number": int(argv[-1]), "peak_rss_mb": float(len(children))})
         return subprocess.CompletedProcess(argv, 0, stdout=line + "\n")
 
     monkeypatch.setattr(subprocess, "run", fake_run)
     monkeypatch.setattr(sys, "path", sys.path[:])
-    criteria = script["run_criteria"]()
+    parent, change = pathlib.Path("/parent"), pathlib.Path("/change")
+    criteria = script["run_criteria"]([("parent", parent), ("change", change)])
+    # two children per criterion, one per checkout, the first side alternating
     assert [c["number"] for c in criteria] == list(range(1, 11))
-    assert [argv[-1] for argv in argvs] == [str(n) for n in range(1, 11)]
-    assert all(argv[:2] == [sys.executable, "-c"] for argv in argvs)
+    assert [argv[-1] for argv, _ in children] == [str(n) for n in range(1, 11) for _ in "pc"]
+    assert all(argv[:2] == [sys.executable, "-c"] for argv, _ in children)
+    assert [cwd for _, cwd in children] == [parent, change, change, parent] * 5
+    assert [c["first"] for c in criteria] == ["parent", "change"] * 5
+    for k, c in enumerate(criteria):
+        assert c["parent"]["number"] == c["change"]["number"] == c["number"]
+        first, second = (c["parent"], c["change"]) if k % 2 == 0 else (c["change"], c["parent"])
+        assert (first["peak_rss_mb"], second["peak_rss_mb"]) == (2 * k + 1, 2 * k + 2)

@@ -5,6 +5,7 @@ import multiprocessing
 import os
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -437,12 +438,13 @@ def test_streamed_experiments_match_whole_network_oracles():
     assert np.array_equal(corr.c_emp, correlation_whole_network(
         params, corr.theory.chi.q_star, 0.6, depth, width, [seed, seed + 1]))
 
-    run = xp.circle_at_fixed_point(params, depth, width, n_theta, rule, seed)
-    _, records = circle_whole_network(params, run.q_star, depth, width, n_theta, seed,
+    q_star, stream = xp.circle_at_fixed_point(params, depth, width, n_theta, rule, seed)
+    mine = list(stream)    # a stream reads once
+    _, records = circle_whole_network(params, q_star, depth, width, n_theta, seed,
                                       jets=False)
-    assert [r.layer for r in run.records] == [r.layer for r in records]
-    for mine, oracle in zip(run.records, records):
-        assert np.array_equal(mine.h, oracle.h)
+    assert [r.layer for r in mine] == [r.layer for r in records] == list(range(1, depth + 1))
+    for rec, oracle in zip(mine, records):
+        assert np.array_equal(rec.h, oracle.h)
 
     curv = xp.curvature_agreement(params, depth, width, n_theta, seed, rule)
     circle, jets = circle_whole_network(params, curv.theory.chi.q_star, depth, width,
@@ -451,3 +453,17 @@ def test_streamed_experiments_match_whole_network_oracles():
     assert np.array_equal(curv.gE_bar, [g.gE_norm.mean() for g in geoms])
     assert np.array_equal(curv.kappa_sq, [(g.kappa_norm**2).mean() for g in geoms])
     assert np.array_equal(curv.LG, [g.LG for g in geoms])
+
+
+def test_curvature_agreement_holds_a_few_jets_not_the_network():
+    # a jet is one layer's h, v and a; keeping every layer's would be 12
+    depth, width, n_theta = 12, 300, 512
+    rule = mf.build_rule(201)
+    tracemalloc.start()
+    try:
+        xp.curvature_agreement(CHAOTIC, depth, width, n_theta, 5, rule)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the jet in use, the next one and the product's operands (~6 jets)
+    assert peak < 8 * (3 * n_theta * width * 8)
