@@ -195,15 +195,12 @@ def find_boundary_point(
                 break
             t *= 0.5
         if not accepted:
-            raise ConvergenceError(
-                f"line search failed at |G|={abs(value):.3e}", last_value=abs(value)
-            )
+            raise ConvergenceError(f"line search failed at |G|={abs(value):.3e}")
     if abs(value) < tol:
         return x
     raise ConvergenceError(
         f"boundary search did not converge in {_MAX_ITERS} iterations; "
-        f"|G| = {abs(value):.3e} (tolerance {tol:.3e})",
-        iterations=_MAX_ITERS, last_value=abs(value),
+        f"|G| = {abs(value):.3e} (tolerance {tol:.3e})"
     )
 
 

@@ -217,6 +217,12 @@ def _resolve_config(command: str, args: argparse.Namespace) -> dict:
         if value is None:
             value = default
         cfg[dest] = value
+    # a bad choice fails here, before a handler does any work
+    if "format" in cfg and cfg["format"] not in ("csv", "json"):
+        raise UsageError(f"unknown output format {cfg['format']!r}; choose csv or json")
+    if "nonlinearity" in cfg and cfg["nonlinearity"] not in builtin_names():
+        raise UsageError(f"unknown nonlinearity {cfg['nonlinearity']!r}; "
+                         f"available: {', '.join(builtin_names())}")
     return cfg
 
 
@@ -338,10 +344,11 @@ def _run_autocorr(cfg):
     theory = np.cos(2.0 * math.pi * np.arange(cfg["theta_samples"]) / cfg["theta_samples"])
     rows = []
     for rec in records:
+        if rec.layer > 1:    # the records start at layer 1, where theory is cos(dtheta)
+            theory = np.array([c_map(c, params, rule, q_star=q_star) for c in theory])
         dthetas, c_emp = sim_mod.autocorrelation(rec.h, q_star)
         for k in range(dthetas.size):
             rows.append((rec.layer, float(dthetas[k]), float(c_emp[k]), float(theory[k])))
-        theory = np.array([c_map(c, params, rule, q_star=q_star) for c in theory])
     footer = [f"q_star = {q_star:.17g}"]
     _finish(cfg, ["layer", "dtheta", "c_emp", "c_theory"], rows, footer)
 

@@ -8,12 +8,6 @@ class MFPropError(Exception):
 class ConvergenceError(MFPropError):
     """An iterative solve did not reach its tolerance within its budget."""
 
-    def __init__(self, message: str, *, iterations: int | None = None,
-                 last_value: float | None = None):
-        super().__init__(message)
-        self.iterations = iterations
-        self.last_value = last_value
-
 
 class UnsupportedActivationError(MFPropError):
     """An operation requires activation properties the nonlinearity lacks."""

@@ -107,45 +107,37 @@ def verify_shallow_bound(
 
 @dataclass(frozen=True)
 class FourierProbe:
-    """Fourier basis {1, cos k theta, sin k theta} on a uniform grid."""
+    """Fourier basis {1, cos k theta, sin k theta}, k <= omega_max, on the
+    uniform grid of n_theta angles in [0, 2 pi), where its columns are
+    orthogonal."""
 
     omega_max: int
-    thetas: np.ndarray
+    n_theta: int
 
     def __post_init__(self):
-        thetas = np.asarray(self.thetas, dtype=float)
-        object.__setattr__(self, "thetas", thetas)
         if self.omega_max < 1:
             raise ValueError("omega_max must be >= 1")
-        if thetas.size <= 2 * self.omega_max + 1:
+        if self.n_theta <= 2 * self.omega_max + 1:
             raise ValueError(
-                f"{thetas.size} theta samples cannot resolve omega_max={self.omega_max}"
+                f"{self.n_theta} theta samples cannot resolve omega_max={self.omega_max}"
             )
-        basis = self.basis()
-        gram = basis.T @ basis
-        off = gram - np.diag(np.diag(gram))
-        if np.max(np.abs(off)) > 1e-10 * np.max(np.diag(gram)):
-            raise ValueError("basis columns are not orthogonal on this theta grid")
+
+    @property
+    def thetas(self) -> np.ndarray:
+        return np.linspace(0.0, 2.0 * math.pi, self.n_theta, endpoint=False)
 
     def basis(self) -> np.ndarray:
         """(n_theta, 2*omega_max + 1) matrix; column 0 constant, then cos/sin pairs."""
-        n = self.thetas.size
-        cols = [np.ones(n)]
+        thetas = self.thetas
+        cols = [np.ones(self.n_theta)]
         for k in range(1, self.omega_max + 1):
-            cols.append(np.cos(k * self.thetas))
-            cols.append(np.sin(k * self.thetas))
+            cols.append(np.cos(k * thetas))
+            cols.append(np.sin(k * thetas))
         return np.stack(cols, axis=1)
-
-    def column_frequencies(self) -> np.ndarray:
-        freqs = [0]
-        for k in range(1, self.omega_max + 1):
-            freqs.extend([k, k])
-        return np.asarray(freqs)
 
 
 def uniform_probe(omega_max: int, n_theta: int) -> FourierProbe:
-    thetas = np.linspace(0.0, 2.0 * math.pi, n_theta, endpoint=False)
-    return FourierProbe(omega_max=omega_max, thetas=thetas)
+    return FourierProbe(omega_max=omega_max, n_theta=n_theta)
 
 
 @dataclass(frozen=True)
@@ -162,10 +154,10 @@ def fourier_error_profile(activations: np.ndarray, probe: FourierProbe) -> Fouri
     angle 1 - (yhat.y)^2 / (|yhat|^2 |y|^2), in [0, 1].  The ridge is
     1e-6 tr(Gram) / n_columns, positive because the constant column adds
     n_theta to the trace, so the system is positive definite even for
-    rank-deficient activations.
+    rank-deficient activations, and one solve fits every column.
     """
     activations = np.asarray(activations, dtype=float)
-    if activations.ndim != 2 or activations.shape[0] != probe.thetas.size:
+    if activations.ndim != 2 or activations.shape[0] != probe.n_theta:
         raise ValueError("activation rows must align with the probe theta grid")
     design = np.concatenate([activations, np.ones((activations.shape[0], 1))], axis=1)
     gram = design.T @ design
@@ -173,22 +165,20 @@ def fourier_error_profile(activations: np.ndarray, probe: FourierProbe) -> Fouri
     ridge = 1e-6 * float(np.trace(gram)) / n_cols
     basis = probe.basis()
     rhs = design.T @ basis
-    chol = np.linalg.cholesky(gram + ridge * np.eye(n_cols))
-    coef = np.linalg.solve(chol.T, np.linalg.solve(chol, rhs))
+    coef = np.linalg.solve(gram + ridge * np.eye(n_cols), rhs)
     predictions = design @ coef
     y_norm_sq = np.einsum("ij,ij->j", basis, basis)
     yhat_norm_sq = np.einsum("ij,ij->j", predictions, predictions)
     overlaps = np.einsum("ij,ij->j", predictions, basis)
     column_errors = np.ones(basis.shape[1])
-    usable = yhat_norm_sq > (np.finfo(float).eps * y_norm_sq) ** 1.0
+    usable = yhat_norm_sq > np.finfo(float).eps * y_norm_sq
     column_errors[usable] = 1.0 - overlaps[usable] ** 2 / (
         yhat_norm_sq[usable] * y_norm_sq[usable]
     )
     column_errors = np.clip(column_errors, 0.0, 1.0)
-    freqs = probe.column_frequencies()
-    frequencies = np.arange(probe.omega_max + 1)
-    errors = np.array([column_errors[freqs == k].mean() for k in frequencies])
-    return FourierErrorProfile(frequencies=frequencies, errors=errors)
+    # frequency 0 has one column; each k >= 1 averages its cos/sin pair
+    errors = np.concatenate([column_errors[:1], column_errors[1:].reshape(-1, 2).mean(axis=1)])
+    return FourierErrorProfile(frequencies=np.arange(probe.omega_max + 1), errors=errors)
 
 
 # ---------------------------------------------------------------------------
@@ -215,9 +205,9 @@ def weight_chaos_theory(
     depth: int,
     rule: QuadratureRule,
     *,
-    q_star: float | None = None,
+    q_star: float,
 ) -> np.ndarray:
-    """C^l(Delta) for l = 1..depth.
+    """C^l(Delta) for l = 1..depth at the fixed point q* of `params`.
 
     C^1 = 1; the layer-2 update scales the weight term by sqrt(1-|Delta|);
     all deeper layers follow the ordinary c-map at q*.
@@ -226,8 +216,6 @@ def weight_chaos_theory(
         raise ValueError(f"delta must lie in [-1, 1], got {delta!r}")
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    if q_star is None:
-        q_star = length_fixed_point(params, rule)
     _require_positive_q_star(q_star, "the weight-chaos recursion")
     out = np.empty(depth)
     out[0] = 1.0

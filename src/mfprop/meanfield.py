@@ -194,8 +194,7 @@ def length_fixed_point(
         if doubles == _Q_MAX_DOUBLINGS:
             raise ConvergenceError(
                 f"length map has no finite fixed point for sigma_w={params.sigma_w}, "
-                f"sigma_b={params.sigma_b} (expansive map); V(q) > q up to q={hi!r}",
-                iterations=doubles, last_value=hi,
+                f"sigma_b={params.sigma_b} (expansive map); V(q) > q up to q={hi!r}"
             )
         lo, g_lo = hi, g_hi
         hi *= 2.0
@@ -204,8 +203,7 @@ def length_fixed_point(
     q_star, residual = _bracketed_root(g, lo, hi, g_lo, g_hi, 0.0)
     if abs(residual) >= _residual_tol(q_star):
         raise ConvergenceError(
-            f"fixed-point residual {abs(residual):.3e} exceeds tolerance at q={float(q_star)!r}",
-            last_value=q_star,
+            f"fixed-point residual {abs(residual):.3e} exceeds tolerance at q={float(q_star)!r}"
         )
     noise = 64.0 * _EPS * q_star
     if noise > 1e-10 and not (g(q_star * (1.0 - _Q_SIGN_STEP)) > noise
@@ -213,8 +211,7 @@ def length_fixed_point(
         raise ConvergenceError(
             f"ill-conditioned fixed point at q={float(q_star)!r}: V(q) - q does not change "
             f"sign beyond rounding noise within {_Q_SIGN_STEP:g} relative (no finite "
-            f"fixed point for sigma_w={params.sigma_w}, sigma_b={params.sigma_b})",
-            last_value=q_star,
+            f"fixed point for sigma_w={params.sigma_w}, sigma_b={params.sigma_b})"
         )
     return q_star
 
@@ -519,8 +516,7 @@ def phase_boundary(
     if not abs(residual) < _BOUNDARY_RESIDUAL_TOL:
         raise ConvergenceError(
             f"phase boundary residual |chi1 - 1| = {abs(residual):.3e} exceeds "
-            f"{_BOUNDARY_RESIDUAL_TOL:g} at sigma_w = {sigma_w!r}, sigma_b={sigma_b}",
-            last_value=sigma_w,
+            f"{_BOUNDARY_RESIDUAL_TOL:g} at sigma_w = {sigma_w!r}, sigma_b={sigma_b}"
         )
     return sigma_w
 

@@ -91,6 +91,35 @@ def weight_chaos_outputs_loop(weights, biases, phi, h1, d_weights, deltas):
     return outputs, output_of(weights[1])
 
 
+def fourier_ridge_errors(activations, omega_max):
+    """Per-frequency Fourier regression error, the ridge fit done as one
+    augmented least-squares problem: min |D c - B|^2 + lam |c|^2 is
+    lstsq([D; sqrt(lam) I], [B; 0]).  D is the activations plus a constant
+    column, B the basis {1, cos k t, sin k t} on t_j = 2 pi j / n, and
+    lam = 1e-6 tr(D^T D) / n_columns.  A column whose prediction is below
+    roundoff (|yhat|^2 <= eps |y|^2) scores 1; each k >= 1 averages cos and
+    sin."""
+    n = activations.shape[0]
+    t = 2.0 * math.pi * np.arange(n) / n
+    basis = np.ones((n, 2 * omega_max + 1))
+    for k in range(1, omega_max + 1):
+        basis[:, 2 * k - 1] = np.cos(k * t)
+        basis[:, 2 * k] = np.sin(k * t)
+    design = np.column_stack([activations, np.ones(n)])
+    n_cols = design.shape[1]
+    lam = 1e-6 * float(np.sum(design * design)) / n_cols
+    augmented = np.vstack([design, math.sqrt(lam) * np.eye(n_cols)])
+    targets = np.vstack([basis, np.zeros((n_cols, basis.shape[1]))])
+    coef = np.linalg.lstsq(augmented, targets, rcond=None)[0]
+    errors = np.ones(basis.shape[1])
+    for j in range(basis.shape[1]):
+        y, yhat = basis[:, j], design @ coef[:, j]
+        if yhat @ yhat > np.finfo(float).eps * (y @ y):
+            errors[j] = min(1.0, max(0.0, 1.0 - (yhat @ y) ** 2 / ((yhat @ yhat) * (y @ y))))
+    return np.array([errors[0]] + [(errors[2 * k - 1] + errors[2 * k]) / 2.0
+                                   for k in range(1, omega_max + 1)])
+
+
 def jet_three_gemm(weights, biases, derivatives, h, v, a=None):
     """(h, v, a) at every layer from h^1, v^1 and optionally a^1, with three
     separate products per layer (two without a)."""

@@ -1,15 +1,18 @@
 import json
+import shlex
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mfprop import cli
 from mfprop import experiments as xp
 from mfprop import simulator as sim
 from mfprop.activations import builtin
 from mfprop.cli import run
 from mfprop.expressivity import fourier_error_profile, uniform_probe
-from mfprop.meanfield import EnsembleParams, correlation_trajectory
+from mfprop.meanfield import EnsembleParams, c_map, correlation_trajectory
 from mfprop.quadrature import DEFAULT_ORDER, build_rule
 
 
@@ -301,6 +304,22 @@ def test_autocorr_and_spectrum_run(tmp_path):
     assert columns == ["layer", "rank", "singular_value", "variance_fraction"]
 
 
+def test_autocorr_advances_the_theory_only_between_layers(tmp_path, monkeypatch):
+    calls = []
+
+    def counted_c_map(*args, **kwargs):
+        calls.append(args[0])
+        return c_map(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "c_map", counted_c_map)
+    depth, n_theta = 3, 8
+    out = tmp_path / "ac.csv"
+    assert invoke(tmp_path, "autocorr", "--sw", 4, "--sb", 0.3, "--depth", depth, "--width", 30,
+                  "--theta-samples", n_theta, "--seed", 1, "-o", out) == 0
+    assert len(read_rows(out)[1]) == depth * n_theta
+    assert len(calls) == (depth - 1) * n_theta
+
+
 @pytest.mark.parametrize("top_k", ["0", "-1"])
 def test_spectrum_nonpositive_top_k_exits_2(tmp_path, capsys, top_k):
     out = tmp_path / "sp.csv"
@@ -326,6 +345,46 @@ def test_usage_errors_exit_1(capsys):
     assert run([]) == 1
     assert run(["phase-grid", "--sw", "oops"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command, module, experiment, key, flag, value, message", [
+    ("weight-chaos", cli.expr_mod, "weight_chaos_empirical", "format", "--format", "xml",
+     "unknown output format 'xml'"),
+    ("length-map", cli, "length_trajectory", "nonlinearity", "--nl", "foo",
+     "unknown nonlinearity 'foo'"),
+], ids=["format", "nonlinearity"])
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_bad_choice_is_a_usage_error_before_any_work(tmp_path, capsys, monkeypatch, via,
+                                                     command, module, experiment, key,
+                                                     flag, value, message):
+    calls = []
+    monkeypatch.setattr(module, experiment, lambda *args, **kwargs: calls.append(args))
+    out = tmp_path / "out.csv"
+    if via == "flag":
+        argv = [command, flag, value]
+    else:
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({key: value}))
+        argv = [command, "--config", str(cfg_path)]
+    assert run(argv + ["-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "usage error" in err and message in err
+    assert not out.exists()
+    assert calls == []
+
+
+def test_every_readme_cli_line_parses():
+    # README's CLI block names every subcommand, and each line parses and
+    # resolves as the CLI would run it (no handler runs)
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```")[1]
+    lines = [line for line in block.splitlines() if line.startswith("mfprop ")]
+    parser = cli._build_parser()
+    commands = set()
+    for line in lines:
+        args = parser.parse_args(shlex.split(line, comments=True)[1:])
+        commands.add(cli._resolve_config(args.command, args)["command"])
+    assert commands == set(cli._COMMANDS)
 
 
 def test_numerical_failure_exits_2(tmp_path, capsys):

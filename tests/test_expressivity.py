@@ -11,11 +11,12 @@ from mfprop import expressivity as ex
 from mfprop import simulator as sim
 from mfprop.errors import UnsupportedActivationError
 
-from oracles import shallow_lengths_dense, weight_chaos_outputs_loop
+from oracles import fourier_ridge_errors, shallow_lengths_dense, weight_chaos_outputs_loop
 
 TANH = mf.builtin("tanh")
 CHAOTIC = mf.EnsembleParams(4.0, 0.3, TANH)
 RULE = mf.build_rule(201)
+Q_STAR = mf.length_fixed_point(CHAOTIC, RULE)
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +173,22 @@ def test_errors_lie_in_unit_interval():
     assert profile.errors.shape == profile.frequencies.shape == (13,)
 
 
+@pytest.mark.parametrize("case", ["random", "rank_deficient", "tanh_circle"])
+def test_profile_matches_augmented_least_squares(case):
+    rng = np.random.default_rng(17)
+    n_theta, omega_max = 128, 20
+    if case == "random":
+        activations = rng.normal(size=(n_theta, 30))
+    elif case == "rank_deficient":    # 24 columns of rank 4
+        activations = rng.normal(size=(n_theta, 4)) @ rng.normal(size=(4, 24))
+    else:
+        circle = sim.CircleManifold.sample(60, Q_STAR, n_theta, seed=18)
+        activations = np.tanh(circle.h1())
+    profile = ex.fourier_error_profile(activations, ex.uniform_probe(omega_max, n_theta))
+    expected = fourier_ridge_errors(activations, omega_max)
+    assert np.max(np.abs(profile.errors - expected)) <= 1e-8
+
+
 def test_depth_one_tanh_has_no_even_harmonics():
     # tanh of a centered circle is odd around the circle: even frequencies
     # are absent no matter the width
@@ -189,13 +206,14 @@ def test_depth_one_tanh_has_no_even_harmonics():
 
 
 def test_weight_chaos_theory_delta_zero_constant():
-    values = ex.weight_chaos_theory(CHAOTIC, 0.0, 8, RULE)
+    values = ex.weight_chaos_theory(CHAOTIC, 0.0, 8, RULE, q_star=Q_STAR)
     assert np.allclose(values, 1.0, atol=1e-12)
 
 
 def test_weight_chaos_theory_full_swap_kills_layer_two():
     params = mf.EnsembleParams(2.0, 0.0, TANH)
-    values = ex.weight_chaos_theory(params, 1.0, 5, RULE)
+    values = ex.weight_chaos_theory(params, 1.0, 5, RULE,
+                                    q_star=mf.length_fixed_point(params, RULE))
     assert values[0] == 1.0
     assert values[1] == pytest.approx(0.0, abs=1e-14)
     assert abs(values[2]) < 1e-10  # c-map of 0 stays 0 for odd phi, no bias
@@ -203,19 +221,20 @@ def test_weight_chaos_theory_full_swap_kills_layer_two():
 
 @given(st.floats(min_value=0.0, max_value=1.0))
 def test_weight_chaos_theory_even_in_delta(delta):
-    forward = ex.weight_chaos_theory(CHAOTIC, delta, 6, RULE)
-    backward = ex.weight_chaos_theory(CHAOTIC, -delta, 6, RULE)
+    forward = ex.weight_chaos_theory(CHAOTIC, delta, 6, RULE, q_star=Q_STAR)
+    backward = ex.weight_chaos_theory(CHAOTIC, -delta, 6, RULE, q_star=Q_STAR)
     assert np.array_equal(forward, backward)
 
 
 def test_weight_chaos_deep_layers_follow_c_map():
-    values = ex.weight_chaos_theory(CHAOTIC, 0.3, 9, RULE)
+    values = ex.weight_chaos_theory(CHAOTIC, 0.3, 9, RULE, q_star=Q_STAR)
     traj = mf.correlation_trajectory(values[1], 8, CHAOTIC, RULE)
     assert np.allclose(values[1:], traj.values, atol=1e-12)
 
 
 def test_weight_chaos_theory_decreases_with_depth():
-    values = [ex.weight_chaos_theory(CHAOTIC, 0.1, d, RULE)[-1] for d in (3, 6, 9, 12)]
+    values = [ex.weight_chaos_theory(CHAOTIC, 0.1, d, RULE, q_star=Q_STAR)[-1]
+              for d in (3, 6, 9, 12)]
     assert all(a > b for a, b in zip(values, values[1:]))
 
 
@@ -312,7 +331,7 @@ def test_weight_chaos_multiplies_the_batch_in_place():
 
 def test_weight_chaos_rejects_bad_delta():
     with pytest.raises(ValueError):
-        ex.weight_chaos_theory(CHAOTIC, 1.5, 4, RULE)
+        ex.weight_chaos_theory(CHAOTIC, 1.5, 4, RULE, q_star=Q_STAR)
     with pytest.raises(ValueError):
         ex.weight_chaos_empirical(CHAOTIC, (50,) * 4, np.array([0.0, 2.0]), seed=15,
                                   rule=RULE)

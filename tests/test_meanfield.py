@@ -396,7 +396,8 @@ def test_curvature_undefined_at_zero_length():
         mf.curvature_trajectory(5, zero, RULE)
     # the weight-chaos recursion is the c-map below layer 2
     with pytest.raises(DegenerateGeometryError, match=r"q\* > 0, got q\* = 0"):
-        expressivity.weight_chaos_theory(zero, 0.1, 3, RULE)
+        expressivity.weight_chaos_theory(zero, 0.1, 3, RULE,
+                                         q_star=mf.length_fixed_point(zero, RULE))
     with pytest.raises(DegenerateGeometryError, match=r"q\* > 0, got q\* = 0"):
         expressivity.weight_chaos_empirical(zero, (8, 8, 8), [0.1], 0, n_theta=8, rule=RULE)
 
