@@ -5,9 +5,9 @@
     python3 scripts/bench_record.py --tag T --seeds 44 45 46 --parent ../parent
 
 For each seed it runs `perfbench/run.py` on all three workloads with
---seconds 30 --trace 0, then the Tier-1 test suite and
-`acceptance.run_all` once each, and writes BENCH_<T>.json at the root of
-the checkout the script lives in:
+--seconds 30 --trace 0, then the Tier-1 test suite once and each
+acceptance criterion CRITERION_PAIRS times, and writes BENCH_<T>.json at
+the root of the checkout the script lives in:
 
 * runs: workload, seed, the number of passes the run made and its
   last-line JSON (correct, attempted, failed and the end-to-end metrics);
@@ -15,9 +15,11 @@ the checkout the script lives in:
   thread count, CPU), which simulation timings and bytes depend on;
 * tier1: the pytest summary counts and the wall time of the suite;
 * criteria: per acceptance criterion, its number, which side ran first
-  and, under `change` (this checkout), its result, its time against its
-  budget and its peak RSS in MB (`peak_rss_mb`, perfbench's unit), each run
-  in a child process of its own so that the peak is the criterion's.
+  in each of its CRITERION_PAIRS runs and, under `change` (this checkout),
+  every run (result, time against its budget, peak RSS in MB as
+  `peak_rss_mb`, perfbench's unit) and the median `elapsed_s` and
+  `peak_rss_mb` over them; each run is a child process of its own, so that
+  the peak is the criterion's.
 
 With --parent PATH (another checkout, typically the parent commit), each
 (workload, seed) runs on both checkouts back to back, the parent first on
@@ -27,9 +29,9 @@ drifting over the record falls on both sides alike.  The record then holds
 `runs`, and a `summary` per workload and end-to-end metric: each side's
 median and quartiles and the number of pairs this checkout won, by the
 metric's direction in BENCHMARK.json (ties count for neither side).  Each
-criterion then runs on both checkouts too, in the same alternation, and
-its entry holds a `parent` result beside the `change` one.  Tier-1 runs on
-this checkout only.
+criterion then runs CRITERION_PAIRS times on both checkouts too, in
+alternating pairs, and its entry holds a `parent` side beside the `change`
+one.  Tier-1 runs on this checkout only.
 
 Records compare only when taken on the same machine.
 """
@@ -50,6 +52,10 @@ REPO = Path(__file__).resolve().parent.parent
 WORKLOADS = ("theory-sweep", "ensemble-sim", "manifold-probe")
 SECONDS = 30    # perfbench --seconds, the run length BENCHMARK.json sets
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
+# Runs of each criterion per side.  One pair cannot resolve a 10 % bound:
+# criterion 5's peak RSS read 204-229 MB on one checkout and 220-245 MB on
+# another with no changed code on its path, over seven alternating pairs.
+CRITERION_PAIRS = 5
 # run as `python -c CRITERION_CHILD <number>`; ru_maxrss is in KiB on Linux
 CRITERION_CHILD = """\
 import json, resource, sys
@@ -128,17 +134,33 @@ def run_criterion(number: int, checkout: Path = REPO) -> dict:
 
 
 def run_criteria(sides: list[tuple[str, Path]]) -> list[dict]:
-    """Each criterion once per (side, checkout), the sides' order alternating
-    from one criterion to the next as the workload pairs' does."""
+    """Each criterion CRITERION_PAIRS times per (side, checkout), the sides'
+    order alternating from one pair to the next as the workload pairs' does.
+
+    A side holds its `runs`, its name and budget, whether every run passed,
+    and the median `elapsed_s` and `peak_rss_mb` over its runs.
+    """
     sys.path.insert(0, str(REPO / "src"))
     from mfprop import acceptance
 
-    criteria = []
-    for k, number in enumerate(sorted(acceptance._CRITERIA)):
-        order = sides if k % 2 == 0 else sides[::-1]
-        entry = {"number": number, "first": order[0][0]}
-        for side, checkout in order:
-            entry[side] = run_criterion(number, checkout)
+    criteria, n_pairs = [], 0
+    for number in sorted(acceptance._CRITERIA):
+        entry = {"number": number, "first": []}
+        runs = {side: [] for side, _ in sides}
+        for _ in range(CRITERION_PAIRS):
+            order = sides if n_pairs % 2 == 0 else sides[::-1]
+            entry["first"].append(order[0][0])
+            for side, checkout in order:
+                runs[side].append(run_criterion(number, checkout))
+            n_pairs += 1
+        for side, side_runs in runs.items():
+            entry[side] = {
+                "name": side_runs[0]["name"], "budget_s": side_runs[0]["budget_s"],
+                "passed": all(r["passed"] for r in side_runs),
+                **{key: float(np.median([r[key] for r in side_runs]))
+                   for key in ("elapsed_s", "peak_rss_mb")},
+                "runs": side_runs,
+            }
         criteria.append(entry)
     return criteria
 
@@ -173,7 +195,7 @@ def main() -> int:
     criteria = run_criteria(sides)
     for c in criteria:
         print(f"criterion {c['number']}: " + "; ".join(
-            f"{side} {'PASS' if c[side]['passed'] else 'FAIL'} "
+            f"{side} {'PASS' if c[side]['passed'] else 'FAIL'} median "
             f"{c[side]['elapsed_s']:.1f} s / budget {c[side]['budget_s']:.0f} s, "
             f"peak RSS {c[side]['peak_rss_mb']:.1f} MB"
             for side, _ in sides))

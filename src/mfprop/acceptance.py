@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -60,11 +61,25 @@ class _Checker:
         self.ok = self.ok and bool(condition)
 
 
-def _finish(number, name, budget, t0, checker) -> CriterionResult:
-    elapsed = time.perf_counter() - t0
-    checker.check(elapsed < budget, f"runtime {elapsed:.1f}s within {budget:.0f}s")
-    return CriterionResult(number=number, name=name, passed=checker.ok,
-                           elapsed=elapsed, budget=budget, lines=checker.lines)
+# number -> criterion, filled by @_criterion
+_CRITERIA: dict[int, Callable[[], CriterionResult]] = {}
+
+
+def _criterion(number: int, name: str, budget: float):
+    """Register `check(c)` as criterion `number`: a call with no argument
+    that times `check` on a fresh _Checker and checks it against `budget`."""
+    def register(check: Callable[[_Checker], None]) -> Callable[[], CriterionResult]:
+        def criterion() -> CriterionResult:
+            t0 = time.perf_counter()
+            c = _Checker()
+            check(c)
+            elapsed = time.perf_counter() - t0
+            c.check(elapsed < budget, f"runtime {elapsed:.1f}s within {budget:.0f}s")
+            return CriterionResult(number=number, name=name, passed=c.ok,
+                                   elapsed=elapsed, budget=budget, lines=c.lines)
+        _CRITERIA[number] = criterion
+        return criterion
+    return register
 
 
 def _dense_trapezoid_gauss(f, n=10**6, lim=12.0):
@@ -76,10 +91,9 @@ def _dense_trapezoid_gauss(f, n=10**6, lim=12.0):
 # ---------------------------------------------------------------------------
 
 
-def criterion_1() -> CriterionResult:
+@_criterion(1, "quadrature oracle", 1.0)
+def criterion_1(c: _Checker) -> None:
     """Gauss-Hermite expectation vs a dense trapezoid oracle."""
-    t0 = time.perf_counter()
-    c = _Checker()
     rule = build_rule(10_001)
     for q in (0.01, 0.1, 1.0, 10.0, 100.0):
         sq = math.sqrt(q)
@@ -87,13 +101,11 @@ def criterion_1() -> CriterionResult:
         truth = _dense_trapezoid_gauss(lambda z: np.tanh(sq * z) ** 2)
         c.check(abs(got - truth) <= 1e-10,
                 f"q={q}: |quadrature - trapezoid| = {abs(got - truth):.2e} <= 1e-10")
-    return _finish(1, "quadrature oracle", 1.0, t0, c)
 
 
-def criterion_2() -> CriterionResult:
+@_criterion(2, "analytic fixed points", 1.0)
+def criterion_2(c: _Checker) -> None:
     """Analytic fixed points of the bias-free tanh length map."""
-    t0 = time.perf_counter()
-    c = _Checker()
     rule = build_rule(201)
     for sw in (0.5, 0.9):
         q_star = length_fixed_point(EnsembleParams(sw, 0.0, TANH), rule)
@@ -104,13 +116,11 @@ def criterion_2() -> CriterionResult:
     boundary = phase_boundary(0.0, TANH, rule)
     c.check(abs(boundary - 1.0) <= 1e-6,
             f"phase boundary at sigma_b=0: {boundary:.9f} within 1e-6 of 1")
-    return _finish(2, "analytic fixed points", 1.0, t0, c)
 
 
-def criterion_3() -> CriterionResult:
+@_criterion(3, "length-map agreement", 30.0)
+def criterion_3(c: _Checker) -> None:
     """Length-map trajectories against finite-width simulation."""
-    t0 = time.perf_counter()
-    c = _Checker()
     rule = build_rule(401)
     for sw in (0.5, 2.5, 4.0):
         params = EnsembleParams(sw, 0.3, TANH)
@@ -124,13 +134,11 @@ def criterion_3() -> CriterionResult:
             layers = traj.iterations_to_1pct
             c.check(layers is not None and layers <= 10,
                     f"sigma_w={sw}, q0={q0:.4g}: layers to 1% = {layers} <= 10")
-    return _finish(3, "length-map agreement", 30.0, t0, c)
 
 
-def criterion_4() -> CriterionResult:
+@_criterion(4, "c-map agreement and phase partition", 120.0)
+def criterion_4(c: _Checker) -> None:
     """Correlation-map agreement and the order/chaos phase partition."""
-    t0 = time.perf_counter()
-    c = _Checker()
     rule = build_rule(201)
     # 5 realizations, each averaging 8 pair orientations
     for sw in (0.5, 2.5, 4.0):
@@ -150,13 +158,11 @@ def criterion_4() -> CriterionResult:
     c.check(ok_chaotic,
             f"{int((~ordered).sum())} chaotic cells have c* < 1 - 1e-3 "
             f"(sign(chi1 - 1) predicts the partition exactly)")
-    return _finish(4, "c-map agreement and phase partition", 120.0, t0, c)
 
 
-def criterion_5() -> CriterionResult:
+@_criterion(5, "curvature evolution", 120.0)
+def criterion_5(c: _Checker) -> None:
     """Curvature recursion against jet-propagation simulation."""
-    t0 = time.perf_counter()
-    c = _Checker()
     rule = build_rule(1601)
     params = EnsembleParams(4.0, 0.3, TANH)
     deep = curvature_trajectory(30, params, rule)
@@ -181,13 +187,11 @@ def criterion_5() -> CriterionResult:
                           / dlog_theory[window]))
     c.check(lg_dev <= 0.25,
             f"log L^G increments vs theory: max rel deviation {lg_dev:.3f} <= 0.25")
-    return _finish(5, "curvature evolution", 120.0, t0, c)
 
 
-def criterion_6() -> CriterionResult:
+@_criterion(6, "shallow length bound", 60.0)
+def criterion_6(c: _Checker) -> None:
     """Hard length bound for single-hidden-layer networks."""
-    t0 = time.perf_counter()
-    c = _Checker()
     circle = sim.CircleManifold.sample(1000, 1.0, 512, seed=314)
     for sw in (1.0, 4.0, 8.0):
         params = EnsembleParams(sw, 0.0, TANH)
@@ -203,13 +207,11 @@ def criterion_6() -> CriterionResult:
     exponent = float(np.polyfit(np.log([100, 400, 1600]), np.log(maxima), 1)[0])
     c.check(exponent <= 0.6,
             f"growth exponent of max normalized L^E vs width: {exponent:.3f} <= 0.6")
-    return _finish(6, "shallow length bound", 60.0, t0, c)
 
 
-def criterion_7() -> CriterionResult:
+@_criterion(7, "boundary curvature", 300.0)
+def criterion_7(c: _Checker) -> None:
     """Principal curvatures of backpropagated decision boundaries."""
-    t0 = time.perf_counter()
-    c = _Checker()
 
     def sphere_field(r, dim):
         def value_and_grad(x):
@@ -245,13 +247,11 @@ def criterion_7() -> CriterionResult:
     c.check(k1[0] > k1[1] > k1[2],
             f"mean kappa_1 increases toward the input: "
             f"layer2 {k1[2]:.2f} < layer1 {k1[1]:.2f} < layer0 {k1[0]:.2f}")
-    return _finish(7, "boundary curvature", 300.0, t0, c)
 
 
-def criterion_8() -> CriterionResult:
+@_criterion(8, "expressivity profile", 180.0)
+def criterion_8(c: _Checker) -> None:
     """Fourier regression: high frequencies need depth, not width."""
-    t0 = time.perf_counter()
-    c = _Checker()
     # chaotic point with chi1 = 1.59: strongly chaotic but with angular
     # structure still resolvable by width 200 at depth 8
     params = EnsembleParams(2.5, 0.3, TANH)
@@ -270,13 +270,11 @@ def criterion_8() -> CriterionResult:
     c.check(wide_error >= errors[8],
             f"depth-1 width-2000 error {wide_error:.3f} does not beat "
             f"depth-8 width-200 error {errors[8]:.3f}")
-    return _finish(8, "expressivity profile", 180.0, t0, c)
 
 
-def criterion_9() -> CriterionResult:
+@_criterion(9, "weight chaos", 120.0)
+def criterion_9(c: _Checker) -> None:
     """Weight chaos: function-space decorrelation under one-layer swaps."""
-    t0 = time.perf_counter()
-    c = _Checker()
     params = EnsembleParams(4.0, 0.3, TANH)
     rule = build_rule(201)
     deltas = np.round(np.arange(0.0, 0.5001, 0.05), 10)
@@ -292,13 +290,11 @@ def criterion_9() -> CriterionResult:
     c.check(monotone,
             "theory C^D(0.1) decreases with depth: "
             + " > ".join(f"{v:.3f}" for v in values))
-    return _finish(9, "weight chaos", 120.0, t0, c)
 
 
-def criterion_10() -> CriterionResult:
+@_criterion(10, "jet correctness", 30.0)
+def criterion_10(c: _Checker) -> None:
     """Forward-propagated jets against finite differences in theta."""
-    t0 = time.perf_counter()
-    c = _Checker()
     params = EnsembleParams(4.0, 0.3, TANH)
     rule = build_rule(401)
     q_star = length_fixed_point(params, rule)
@@ -319,28 +315,15 @@ def criterion_10() -> CriterionResult:
                              / np.linalg.norm(rec.a, axis=1)))
         c.check(v_err <= 1e-4, f"layer {layer}: velocity FD error {v_err:.1e} <= 1e-4")
         c.check(a_err <= 1e-4, f"layer {layer}: acceleration FD error {a_err:.1e} <= 1e-4")
-    return _finish(10, "jet correctness", 30.0, t0, c)
-
-
-_CRITERIA = {
-    1: criterion_1,
-    2: criterion_2,
-    3: criterion_3,
-    4: criterion_4,
-    5: criterion_5,
-    6: criterion_6,
-    7: criterion_7,
-    8: criterion_8,
-    9: criterion_9,
-    10: criterion_10,
-}
 
 
 def run_all(only=None) -> list[CriterionResult]:
+    """The results of criteria `only` (default: all), in number order.
+
+    An empty or unknown selection raises ValueError before any criterion runs.
+    """
     numbers = sorted(_CRITERIA) if only is None else sorted(only)
-    results = []
-    for number in numbers:
-        if number not in _CRITERIA:
-            raise ValueError(f"no criterion {number}; available: {sorted(_CRITERIA)}")
-        results.append(_CRITERIA[number]())
-    return results
+    unknown = [n for n in numbers if n not in _CRITERIA]
+    if not numbers or unknown:
+        raise ValueError(f"no criterion {unknown or 'selected'}; available: {sorted(_CRITERIA)}")
+    return [_CRITERIA[number]() for number in numbers]

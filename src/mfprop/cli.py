@@ -6,8 +6,9 @@ shallow bound, Fourier regression, weight chaos) plus `validate-all`,
 which runs the acceptance suite.  Every output embeds its resolved config
 and is byte-identical across reruns with the same seed.
 
-Exit codes: 0 success, 1 usage error, 2 numerical failure,
-3 acceptance failure.
+Exit codes: 0 success, 1 usage error (a flag or config value that does
+not parse, or an argument the library refuses), 2 numerical failure
+(MFPropError or LinAlgError), 3 acceptance failure.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import argparse
 import json
 import math
 import sys
+from typing import Callable
 
 import numpy as np
 
@@ -37,8 +39,8 @@ from . import expressivity as expr_mod
 from . import simulator as sim_mod
 
 
-class UsageError(Exception):
-    pass
+class UsageError(ValueError):
+    """A flag or config value that does not parse."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -64,13 +66,6 @@ def _parse_int_list(text: str) -> list[int]:
         raise UsageError(f"expected comma-separated integers, got {text!r}") from None
 
 
-def _parse_depths(text: str) -> list[int]:
-    depths = _parse_int_list(text)
-    if not depths or min(depths) < 1:
-        raise UsageError(f"depths must be a nonempty list of integers >= 1, got {text!r}")
-    return depths
-
-
 # Per-command flag tables: (dest, flags, type, default, help).  Flags parse
 # with default None so config-file values can fill unset ones; the resolved
 # config is what gets embedded in artifacts.
@@ -84,82 +79,16 @@ _COMMON = [
     ("format", ("--format",), str, "csv", "csv or json"),
 ]
 
-_COMMANDS: dict[str, list] = {
-    "length-map": _COMMON + [
-        ("q0", ("--q0",), float, 1.0, "input squared length per neuron"),
-        ("depth", ("--depth",), int, 10, "number of layers"),
-    ],
-    "c-map": _COMMON + [
-        ("c0", ("--c0",), float, 0.9, "initial correlation"),
-        ("depth", ("--depth",), int, 20, "number of layers"),
-    ],
-    "phase-grid": [
-        ("sw_range", ("--sw", "--sigma-w"), str, "0.1:4:30", "sigma_w grid lo:hi:count"),
-        ("sb_range", ("--sb", "--sigma-b"), str, "0:1:15", "sigma_b grid lo:hi:count"),
-        ("nonlinearity", ("--nonlinearity", "--nl"), str, "tanh", "activation"),
-        ("order", ("--order",), int, DEFAULT_ORDER, "quadrature order"),
-        ("out", ("--out", "-o"), str, None, "output path"),
-        ("format", ("--format",), str, "csv", "csv or json"),
-    ],
-    "curvature": _COMMON + [
-        ("depth", ("--depth",), int, 20, "number of layers"),
-    ],
-    "simulate": _COMMON + [
-        ("q0", ("--q0",), float, 1.0, "input squared length per neuron"),
-        ("c0", ("--c0",), float, None,
-         "if set, propagate pairs injected at the fixed-point radius "
-         f"({xp.N_ORIENTATIONS} orientations per realization)"),
-        ("depth", ("--depth",), int, 10, "number of layers"),
-        ("width", ("--width",), int, 1000, "width of every layer"),
-        ("seeds", ("--seeds",), int, 5, "number of network realizations"),
-        ("seed", ("--seed",), int, 0, "base seed"),
-    ],
-    "autocorr": _COMMON + [
-        ("depth", ("--depth",), int, 10, "number of layers"),
-        ("width", ("--width",), int, 1000, "width of every layer"),
-        ("theta_samples", ("--theta-samples",), int, 256, "circle resolution"),
-        ("seed", ("--seed",), int, 0, "seed"),
-    ],
-    "spectrum": _COMMON + [
-        ("depth", ("--depth",), int, 10, "number of layers"),
-        ("width", ("--width",), int, 1000, "width of every layer"),
-        ("theta_samples", ("--theta-samples",), int, 256, "circle resolution"),
-        ("top_k", ("--top-k",), int, 5, "report variance fraction of top k"),
-        ("seed", ("--seed",), int, 0, "seed"),
-    ],
-    "boundary": _COMMON + [
-        ("depth", ("--depth",), int, 6, "number of layers"),
-        ("width", ("--width",), int, 100, "width of every layer"),
-        ("n_points", ("--n-points",), int, 10, "boundary points per layer"),
-        ("seed", ("--seed",), int, 0, "seed"),
-    ],
-    # the bound draws networks and solves no theory, so it takes no --order
-    "shallow-bound": [f for f in _COMMON if f[0] != "order"] + [
-        ("n_trials", ("--n-trials",), int, 100, "number of sampled nets"),
-        ("n_hidden", ("--n-hidden",), int, 1000, "hidden width N1"),
-        ("q0", ("--q0",), float, 1.0, "circle squared radius per neuron"),
-        ("theta_samples", ("--theta-samples",), int, 512, "circle resolution"),
-        ("seed", ("--seed",), int, 0, "seed"),
-    ],
-    "fourier": _COMMON + [
-        ("depths", ("--depths",), str, "1,4,8", "comma-separated depths"),
-        ("width", ("--width",), int, 200, "width of every layer"),
-        ("omega_max", ("--omega-max",), int, 50, "largest Fourier frequency"),
-        ("theta_samples", ("--theta-samples",), int, 512, "circle resolution"),
-        ("seed", ("--seed",), int, 0, "seed"),
-    ],
-    "weight-chaos": _COMMON + [
-        ("depth", ("--depth",), int, 10, "number of layers"),
-        ("width", ("--width",), int, 1000, "width of every layer"),
-        ("deltas", ("--deltas",), str, "0:0.5:11", "delta grid lo:hi:count"),
-        ("theta_samples", ("--theta-samples",), int, 256, "circle resolution"),
-        ("seed", ("--seed",), int, 0, "seed"),
-    ],
-    "validate-all": [
-        ("only", ("--only",), str, None, "comma-separated criteria numbers"),
-        ("out", ("--out", "-o"), str, None, "optional report path"),
-    ],
-}
+# name -> (flag table, handler), in help order, filled by @_command; a
+# handler returns an exit status, or None once its artifact is written
+_COMMANDS: dict[str, tuple[list, Callable[[dict], int | None]]] = {}
+
+
+def _command(name: str, flags: list):
+    def register(handler):
+        _COMMANDS[name] = (flags, handler)
+        return handler
+    return register
 
 
 def _build_parser() -> _Parser:
@@ -167,7 +96,7 @@ def _build_parser() -> _Parser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version", version=f"mfprop {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="command")
-    for name, table in _COMMANDS.items():
+    for name, (table, _handler) in _COMMANDS.items():
         p = sub.add_parser(name)
         for dest, flags, typ, default, help_text in table:
             if default is not None:
@@ -193,7 +122,7 @@ def _read_config(path: str) -> dict:
 
 
 def _resolve_config(command: str, args: argparse.Namespace) -> dict:
-    table = _COMMANDS[command]
+    table, _handler = _COMMANDS[command]
     file_values = _read_config(args.config) if args.config else {}
     # null means "the default", as for a defined key, so a key an older
     # version wrote as null still replays
@@ -217,12 +146,9 @@ def _resolve_config(command: str, args: argparse.Namespace) -> dict:
         if value is None:
             value = default
         cfg[dest] = value
-    # a bad choice fails here, before a handler does any work
+    # write_table would refuse a bad format only after the handler's work
     if "format" in cfg and cfg["format"] not in ("csv", "json"):
         raise UsageError(f"unknown output format {cfg['format']!r}; choose csv or json")
-    if "nonlinearity" in cfg and cfg["nonlinearity"] not in builtin_names():
-        raise UsageError(f"unknown nonlinearity {cfg['nonlinearity']!r}; "
-                         f"available: {', '.join(builtin_names())}")
     return cfg
 
 
@@ -244,6 +170,10 @@ def _finish(cfg: dict, columns, rows, footer=()) -> str:
 # handlers
 
 
+@_command("length-map", _COMMON + [
+    ("q0", ("--q0",), float, 1.0, "input squared length per neuron"),
+    ("depth", ("--depth",), int, 10, "number of layers"),
+])
 def _run_length_map(cfg):
     params = _ensemble(cfg)
     rule = build_rule(cfg["order"])
@@ -255,6 +185,10 @@ def _run_length_map(cfg):
     _finish(cfg, ["layer", "q_theory"], rows, footer)
 
 
+@_command("c-map", _COMMON + [
+    ("c0", ("--c0",), float, 0.9, "initial correlation"),
+    ("depth", ("--depth",), int, 20, "number of layers"),
+])
 def _run_c_map(cfg):
     params = _ensemble(cfg)
     rule = build_rule(cfg["order"])
@@ -269,6 +203,14 @@ def _run_c_map(cfg):
     _finish(cfg, ["layer", "c_theory"], rows, footer)
 
 
+@_command("phase-grid", [
+    ("sw_range", ("--sw", "--sigma-w"), str, "0.1:4:30", "sigma_w grid lo:hi:count"),
+    ("sb_range", ("--sb", "--sigma-b"), str, "0:1:15", "sigma_b grid lo:hi:count"),
+    ("nonlinearity", ("--nonlinearity", "--nl"), str, "tanh", "activation"),
+    ("order", ("--order",), int, DEFAULT_ORDER, "quadrature order"),
+    ("out", ("--out", "-o"), str, None, "output path"),
+    ("format", ("--format",), str, "csv", "csv or json"),
+])
 def _run_phase_grid(cfg):
     grid = phase_grid(
         _parse_range(cfg["sw_range"]),
@@ -299,6 +241,9 @@ def _run_phase_grid(cfg):
     print(f"wrote {boundary_path}")
 
 
+@_command("curvature", _COMMON + [
+    ("depth", ("--depth",), int, 20, "number of layers"),
+])
 def _run_curvature(cfg):
     params = _ensemble(cfg)
     rule = build_rule(cfg["order"])
@@ -317,6 +262,16 @@ def _run_curvature(cfg):
     _finish(cfg, ["layer", "gE_bar", "kappa_sq_bar", "LE_bar", "LG"], rows, footer)
 
 
+@_command("simulate", _COMMON + [
+    ("q0", ("--q0",), float, 1.0, "input squared length per neuron"),
+    ("c0", ("--c0",), float, None,
+     "if set, propagate pairs injected at the fixed-point radius "
+     f"({xp.N_ORIENTATIONS} orientations per realization)"),
+    ("depth", ("--depth",), int, 10, "number of layers"),
+    ("width", ("--width",), int, 1000, "width of every layer"),
+    ("seeds", ("--seeds",), int, 5, "number of network realizations"),
+    ("seed", ("--seed",), int, 0, "base seed"),
+])
 def _run_simulate(cfg):
     params = _ensemble(cfg)
     rule = build_rule(cfg["order"])
@@ -336,6 +291,12 @@ def _run_simulate(cfg):
     _finish(cfg, ["layer", "c_theory", "c_emp"], rows, footer)
 
 
+@_command("autocorr", _COMMON + [
+    ("depth", ("--depth",), int, 10, "number of layers"),
+    ("width", ("--width",), int, 1000, "width of every layer"),
+    ("theta_samples", ("--theta-samples",), int, 256, "circle resolution"),
+    ("seed", ("--seed",), int, 0, "seed"),
+])
 def _run_autocorr(cfg):
     params = _ensemble(cfg)
     rule = build_rule(cfg["order"])
@@ -353,6 +314,13 @@ def _run_autocorr(cfg):
     _finish(cfg, ["layer", "dtheta", "c_emp", "c_theory"], rows, footer)
 
 
+@_command("spectrum", _COMMON + [
+    ("depth", ("--depth",), int, 10, "number of layers"),
+    ("width", ("--width",), int, 1000, "width of every layer"),
+    ("theta_samples", ("--theta-samples",), int, 256, "circle resolution"),
+    ("top_k", ("--top-k",), int, 5, "report variance fraction of top k"),
+    ("seed", ("--seed",), int, 0, "seed"),
+])
 def _run_spectrum(cfg):
     _, records = xp.circle_at_fixed_point(_ensemble(cfg), cfg["depth"], cfg["width"],
                                           cfg["theta_samples"], build_rule(cfg["order"]),
@@ -370,11 +338,13 @@ def _run_spectrum(cfg):
                    rows, footer)
 
 
+@_command("boundary", _COMMON + [
+    ("depth", ("--depth",), int, 6, "number of layers"),
+    ("width", ("--width",), int, 100, "width of every layer"),
+    ("n_points", ("--n-points",), int, 10, "boundary points per layer"),
+    ("seed", ("--seed",), int, 0, "seed"),
+])
 def _run_boundary(cfg):
-    if cfg["depth"] < 2:
-        raise UsageError(f"boundary needs --depth >= 2, got {cfg['depth']}")
-    if cfg["n_points"] < 1:
-        raise UsageError(f"boundary needs --n-points >= 1, got {cfg['n_points']}")
     summaries = xp.boundary_curvature(_ensemble(cfg), cfg["depth"], cfg["width"],
                                       cfg["n_points"], cfg["seed"], build_rule(cfg["order"]))
     rows = []
@@ -393,11 +363,15 @@ def _run_boundary(cfg):
     _finish(cfg, ["layer", "point_id", "kappa_rank", "kappa_value"], rows, footer)
 
 
+# the bound draws networks and solves no theory, so it takes no --order
+@_command("shallow-bound", [f for f in _COMMON if f[0] != "order"] + [
+    ("n_trials", ("--n-trials",), int, 100, "number of sampled nets"),
+    ("n_hidden", ("--n-hidden",), int, 1000, "hidden width N1"),
+    ("q0", ("--q0",), float, 1.0, "circle squared radius per neuron"),
+    ("theta_samples", ("--theta-samples",), int, 512, "circle resolution"),
+    ("seed", ("--seed",), int, 0, "seed"),
+])
 def _run_shallow_bound(cfg):
-    for dest in ("n_trials", "n_hidden"):
-        if cfg[dest] < 1:
-            flag = "--" + dest.replace("_", "-")
-            raise UsageError(f"shallow-bound needs {flag} >= 1, got {cfg[dest]}")
     params = _ensemble(cfg)
     # the bound's lengths depend on the circle only through q and its theta
     # grid, so it lies in the smallest input space a circle fits in
@@ -412,16 +386,30 @@ def _run_shallow_bound(cfg):
     _finish(cfg, ["trial", "LE", "bound"], rows, footer)
 
 
+@_command("fourier", _COMMON + [
+    ("depths", ("--depths",), str, "1,4,8", "comma-separated depths"),
+    ("width", ("--width",), int, 200, "width of every layer"),
+    ("omega_max", ("--omega-max",), int, 50, "largest Fourier frequency"),
+    ("theta_samples", ("--theta-samples",), int, 512, "circle resolution"),
+    ("seed", ("--seed",), int, 0, "seed"),
+])
 def _run_fourier(cfg):
-    depths = _parse_depths(cfg["depths"])
-    profiles = xp.fourier_errors(_ensemble(cfg), depths, cfg["width"], cfg["omega_max"],
-                                 cfg["theta_samples"], cfg["seed"], build_rule(cfg["order"]))
+    profiles = xp.fourier_errors(_ensemble(cfg), _parse_int_list(cfg["depths"]), cfg["width"],
+                                 cfg["omega_max"], cfg["theta_samples"], cfg["seed"],
+                                 build_rule(cfg["order"]))
     rows = [(depth, int(freq), float(err))
             for depth, profile in profiles.items()
             for freq, err in zip(profile.frequencies, profile.errors)]
     _finish(cfg, ["depth", "frequency", "error"], rows)
 
 
+@_command("weight-chaos", _COMMON + [
+    ("depth", ("--depth",), int, 10, "number of layers"),
+    ("width", ("--width",), int, 1000, "width of every layer"),
+    ("deltas", ("--deltas",), str, "0:0.5:11", "delta grid lo:hi:count"),
+    ("theta_samples", ("--theta-samples",), int, 256, "circle resolution"),
+    ("seed", ("--seed",), int, 0, "seed"),
+])
 def _run_weight_chaos(cfg):
     params = _ensemble(cfg)
     rule = build_rule(cfg["order"])
@@ -437,10 +425,14 @@ def _run_weight_chaos(cfg):
     _finish(cfg, ["delta", "C_theory", "C_empirical"], rows)
 
 
+@_command("validate-all", [
+    ("only", ("--only",), str, None, "comma-separated criteria numbers"),
+    ("out", ("--out", "-o"), str, None, "optional report path"),
+])
 def _run_validate_all(cfg):
     from . import acceptance
 
-    only = _parse_int_list(cfg["only"]) if cfg["only"] else None
+    only = None if cfg["only"] is None else _parse_int_list(cfg["only"])
     results = acceptance.run_all(only=only)
     lines = [acceptance.format_result(r) for r in results]
     for line in lines:
@@ -451,41 +443,21 @@ def _run_validate_all(cfg):
     return 0 if all(r.passed for r in results) else 3
 
 
-_HANDLERS = {
-    "length-map": _run_length_map,
-    "c-map": _run_c_map,
-    "phase-grid": _run_phase_grid,
-    "curvature": _run_curvature,
-    "simulate": _run_simulate,
-    "autocorr": _run_autocorr,
-    "spectrum": _run_spectrum,
-    "boundary": _run_boundary,
-    "shallow-bound": _run_shallow_bound,
-    "fourier": _run_fourier,
-    "weight-chaos": _run_weight_chaos,
-    "validate-all": _run_validate_all,
-}
-
-
 def run(argv) -> int:
-    parser = _build_parser()
+    """The exit status of one command, as the module docstring lists them."""
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
         if args.command is None:
             raise UsageError("a subcommand is required (see --help)")
-        cfg = _resolve_config(args.command, args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        # a handler returns an exit status, or None once its artifact is written
-        return _HANDLERS[args.command](cfg) or 0
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except (MFPropError, ValueError, np.linalg.LinAlgError) as exc:
+        _table, handler = _COMMANDS[args.command]
+        return handler(_resolve_config(args.command, args)) or 0
+    # LinAlgError subclasses ValueError, so this clause comes first
+    except (MFPropError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
+    except ValueError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 1
 
 
 def main() -> None:

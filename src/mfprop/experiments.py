@@ -180,6 +180,8 @@ def fourier_errors(params: EnsembleParams, depths, width: int, omega_max: int, n
     for each layer l in `depths`, in layer order, on `circle_at_fixed_point`'s
     circle of `seed`."""
     depths = set(depths)
+    if not depths or min(depths) < 1:
+        raise ValueError(f"depths must be a nonempty list of integers >= 1, got {sorted(depths)}")
     probe = ex.uniform_probe(omega_max, n_theta)
     _, records = circle_at_fixed_point(params, max(depths), width, n_theta, rule, seed)
     return {rec.layer: ex.fourier_error_profile(params.nonlinearity.value(rec.h), probe)

@@ -443,7 +443,7 @@ def curvature_trajectory(
     x1 = chi1(params, rule, q_star=q_star)
     x2 = chi2(params, rule, q_star=q_star)
     if x1 == 0.0:
-        raise ValueError("chi1 = 0: curvature recursion is degenerate")
+        raise DegenerateGeometryError("chi1 = 0: curvature recursion is degenerate")
     gE = np.empty(depth)
     kappa_sq = np.empty(depth)
     gE[0] = q_star

@@ -53,6 +53,8 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import ConvergenceError
+
 #: Default of the CLI's `--order` flags.  Its error grows fast with q (see
 #: the accuracy note above): chi1 is off by 3e-3 relative at the
 #: sigma_w = 4, sigma_b = 0.3 desk point (q* = 12.6).
@@ -129,7 +131,7 @@ def build_rule(order: int) -> QuadratureRule:
     w = np.ldexp(inv_sq, -2 * (exponent - exponent.min()))
     if todo.size or not (np.all(np.isfinite(x)) and np.all(np.isfinite(w))
                          and np.all(np.diff(x) > 0.0)):
-        raise ValueError(f"node computation failed to converge for order {order}")
+        raise ConvergenceError(f"node computation failed to converge for order {order}")
     positive = slice(1, None) if order % 2 else slice(None)
     nodes = np.concatenate((-x[positive][::-1], x))
     weights = np.concatenate((w[positive][::-1], w))

@@ -192,17 +192,21 @@ def _draw_layers(widths: Sequence[int], params: EnsembleParams, seed: int,
         b = rng.normal(0.0, params.sigma_b, size=widths[l])
         return w, b
 
-    pool = _POOL
-    todo = iter(range(first, depth + 1))
-    ahead = deque(pool.submit(draw_layer, l) for l in islice(todo, _cores()))
-    try:
-        while ahead:
-            current = ahead.popleft()
-            ahead.extend(pool.submit(draw_layer, l) for l in islice(todo, 1))
-            yield current.result()
-    finally:
-        for future in ahead:
-            future.cancel()
+    def layers() -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        pool = _POOL
+        todo = iter(range(first, depth + 1))
+        ahead = deque(pool.submit(draw_layer, l) for l in islice(todo, _cores()))
+        try:
+            while ahead:
+                current = ahead.popleft()
+                ahead.extend(pool.submit(draw_layer, l) for l in islice(todo, 1))
+                yield current.result()
+        finally:
+            for future in ahead:
+                future.cancel()
+
+    # the widths above are checked at the call, before the first layer is read
+    return layers()
 
 
 def _forget_pool() -> None:

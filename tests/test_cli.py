@@ -239,8 +239,8 @@ def test_boundary_refuses_activation_without_smooth_second_derivative(tmp_path, 
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["--depth", "3", "--n-points", "0"], "--n-points >= 1"),
-    (["--depth", "1", "--n-points", "2"], "--depth >= 2"),
+    (["--depth", "3", "--n-points", "0"], "n_points >= 1"),
+    (["--depth", "1", "--n-points", "2"], "depth >= 2"),
 ])
 def test_boundary_refuses_bad_sizes(tmp_path, capsys, argv, message):
     out = tmp_path / "bd.csv"
@@ -251,8 +251,8 @@ def test_boundary_refuses_bad_sizes(tmp_path, capsys, argv, message):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["--n-trials", "0", "--n-hidden", "10"], "--n-trials >= 1"),
-    (["--n-trials", "2", "--n-hidden", "0"], "--n-hidden >= 1"),
+    (["--n-trials", "0", "--n-hidden", "10"], "n_trials must be >= 1"),
+    (["--n-trials", "2", "--n-hidden", "0"], "n_hidden must be >= 1"),
 ])
 def test_shallow_bound_refuses_bad_sizes(tmp_path, capsys, argv, message):
     out = tmp_path / "sb.csv"
@@ -321,11 +321,11 @@ def test_autocorr_advances_the_theory_only_between_layers(tmp_path, monkeypatch)
 
 
 @pytest.mark.parametrize("top_k", ["0", "-1"])
-def test_spectrum_nonpositive_top_k_exits_2(tmp_path, capsys, top_k):
+def test_spectrum_nonpositive_top_k_is_a_usage_error(tmp_path, capsys, top_k):
     out = tmp_path / "sp.csv"
     assert run(["spectrum", "--sw", "4", "--sb", "0.3", "--depth", "2",
                 "--width", "30", "--theta-samples", "16", "--seed", "1",
-                "--top-k", top_k, "-o", str(out)]) == 2
+                "--top-k", top_k, "-o", str(out)]) == 1
     assert "top_k" in capsys.readouterr().err
     assert not out.exists()
 
@@ -395,6 +395,62 @@ def test_numerical_failure_exits_2(tmp_path, capsys):
     assert "numerical failure" in err
 
 
+# Arguments the library refuses, each with a ValueError before any work
+@pytest.mark.parametrize("argv", [
+    ["phase-grid", "--sw", "1:1:1"],
+    ["phase-grid", "--sw", "4:0.1:5"],
+    ["weight-chaos", "--sw", "4", "--sb", "0.3", "--deltas", "0:2:3"],
+    ["weight-chaos", "--sw", "4", "--sb", "0.3", "--depth", "1"],
+    ["simulate", "--width", "0"],
+    ["simulate", "--depth", "0"],
+    ["simulate", "--q0", "-1"],
+    ["length-map", "--depth", "0"],
+    ["length-map", "--sw", "-1"],
+    ["length-map", "--order", "1"],
+    ["c-map", "--sw", "2.5", "--sb", "0.3", "--c0", "2"],
+    ["autocorr", "--sw", "4", "--sb", "0.3", "--theta-samples", "0"],
+    ["fourier", "--sw", "2.5", "--sb", "0.3", "--omega-max", "50", "--theta-samples", "64"],
+    ["spectrum", "--sw", "4", "--sb", "0.3", "--width", "1"],
+    ["validate-all", "--only", "11"],
+], ids=" ".join)
+def test_library_refusals_are_usage_errors(tmp_path, capsys, argv):
+    out = tmp_path / "out.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv + ["-o", str(out)]) == 1
+    assert "usage error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_degenerate_curvature_recursion_exits_2(tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    assert run(["curvature", "--sw", "0", "--sb", "0.3", "-o", str(out)]) == 2
+    assert "numerical failure: chi1 = 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_linalg_error_is_a_numerical_failure(tmp_path, capsys, monkeypatch):
+    # LinAlgError subclasses ValueError, so the usage-error clause must not
+    # catch it first
+    def fail(cfg):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    flags, _handler = cli._COMMANDS["length-map"]
+    monkeypatch.setitem(cli._COMMANDS, "length-map", (flags, fail))
+    assert run(["length-map", "-o", str(tmp_path / "out.csv")]) == 2
+    assert "numerical failure: SVD did not converge" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("only", [",", " ", ""])
+def test_validate_all_refuses_an_empty_selection(tmp_path, capsys, only):
+    report = tmp_path / "report.txt"
+    assert run(["validate-all", "--only", only, "-o", str(report)]) == 1
+    captured = capsys.readouterr()
+    assert "no criterion selected" in captured.err
+    assert "criterion" not in captured.out
+    assert not report.exists()
+
+
 def test_validate_all_subset(capsys, tmp_path):
     report = tmp_path / "report.txt"
     assert run(["validate-all", "--only", "2", "--out", str(report)]) == 0
@@ -430,7 +486,7 @@ def test_simulate_refuses_zero_seeds(tmp_path, capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert run(["simulate", "--sw", "2", "--sb", "0.3", "--depth", "2",
-                    "--width", "20", "--seeds", "0", "-o", str(out)]) == 2
+                    "--width", "20", "--seeds", "0", "-o", str(out)]) == 1
     assert "realization" in capsys.readouterr().err
     assert not out.exists()
 

@@ -6,6 +6,7 @@ import runpy
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
@@ -113,20 +114,36 @@ def test_bench_record_runs_each_criterion_in_a_child_of_its_own(monkeypatch):
 
     def fake_run(argv, cwd, **kwargs):
         children.append((argv, cwd))
-        line = json.dumps({"number": int(argv[-1]), "peak_rss_mb": float(len(children))})
+        n = len(children)
+        line = json.dumps({"number": int(argv[-1]), "name": f"c{argv[-1]}", "passed": n != 7,
+                           "elapsed_s": 0.5 * n, "budget_s": 60.0, "peak_rss_mb": float(n)})
         return subprocess.CompletedProcess(argv, 0, stdout=line + "\n")
 
     monkeypatch.setattr(subprocess, "run", fake_run)
     monkeypatch.setattr(sys, "path", sys.path[:])
     parent, change = pathlib.Path("/parent"), pathlib.Path("/change")
     criteria = script["run_criteria"]([("parent", parent), ("change", change)])
-    # two children per criterion, one per checkout, the first side alternating
+    pairs = script["CRITERION_PAIRS"]
+    assert pairs == 5
+    # 2 * pairs children per criterion, one per checkout and pair, the
+    # first side alternating from pair to pair across the criteria
     assert [c["number"] for c in criteria] == list(range(1, 11))
-    assert [argv[-1] for argv, _ in children] == [str(n) for n in range(1, 11) for _ in "pc"]
+    assert [argv[-1] for argv, _ in children] == [str(n) for n in range(1, 11)
+                                                  for _ in range(2 * pairs)]
     assert all(argv[:2] == [sys.executable, "-c"] for argv, _ in children)
-    assert [cwd for _, cwd in children] == [parent, change, change, parent] * 5
-    assert [c["first"] for c in criteria] == ["parent", "change"] * 5
+    assert [cwd for _, cwd in children] == [parent, change, change, parent] * 5 * pairs
+    assert [first for c in criteria for first in c["first"]] == ["parent", "change"] * 5 * pairs
     for k, c in enumerate(criteria):
-        assert c["parent"]["number"] == c["change"]["number"] == c["number"]
-        first, second = (c["parent"], c["change"]) if k % 2 == 0 else (c["change"], c["parent"])
-        assert (first["peak_rss_mb"], second["peak_rss_mb"]) == (2 * k + 1, 2 * k + 2)
+        base = 2 * pairs * k
+        # child i (from 1) reported peak RSS i and time i / 2
+        expected = {"parent": [], "change": []}
+        for j in range(pairs):
+            first, second = ("parent", "change") if (k * pairs + j) % 2 == 0 else ("change", "parent")
+            expected[first].append(base + 2 * j + 1)
+            expected[second].append(base + 2 * j + 2)
+        for side in ("parent", "change"):
+            assert [r["peak_rss_mb"] for r in c[side]["runs"]] == expected[side]
+            assert c[side]["peak_rss_mb"] == float(np.median(expected[side]))
+            assert c[side]["elapsed_s"] == 0.5 * float(np.median(expected[side]))
+            assert c[side]["name"] == f"c{c['number']}" and c[side]["budget_s"] == 60.0
+            assert c[side]["passed"] == (7 not in expected[side])

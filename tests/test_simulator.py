@@ -135,6 +135,19 @@ def test_layer_stream_stopped_early():
     assert _digest(sim.sample_network(STREAM_WIDTHS, CHAOTIC, seed=31)) == _digest(net)
 
 
+@pytest.mark.parametrize("widths, message", [
+    ((10,), "depth >= 1"),
+    ((0, 10, 10), "all widths must be >= 1"),
+])
+def test_layer_stream_checks_widths_at_the_call(monkeypatch, widths, message):
+    # a bad width is refused before any layer is asked for or drawn
+    submitted = []
+    monkeypatch.setattr(sim._POOL, "submit", lambda *args: submitted.append(args))
+    with pytest.raises(ValueError, match=message):
+        sim._draw_layers(widths, CHAOTIC, 31)
+    assert submitted == []
+
+
 def test_zero_weight_scale_gives_zero_weights():
     net = sim.sample_network((10, 10), mf.EnsembleParams(0.0, 0.3, TANH), seed=1)
     assert np.all(net.weights[0] == 0.0)
