@@ -35,12 +35,18 @@ SEED = 2025
 
 @dataclass
 class CriterionResult:
+    """One criterion's run: its check lines, whether all passed, its time."""
+
     number: int
     name: str
-    passed: bool
-    elapsed: float
     budget: float
+    passed: bool = True
+    elapsed: float = 0.0
     lines: list[str] = field(default_factory=list)
+
+    def check(self, condition: bool, message: str) -> None:
+        self.lines.append(f"{'ok' if condition else 'FAILED'}: {message}")
+        self.passed = self.passed and bool(condition)
 
 
 def format_result(result: CriterionResult) -> str:
@@ -50,33 +56,21 @@ def format_result(result: CriterionResult) -> str:
     return "\n".join([head] + [f"    {line}" for line in result.lines])
 
 
-class _Checker:
-    def __init__(self):
-        self.lines: list[str] = []
-        self.ok = True
-
-    def check(self, condition: bool, message: str):
-        tag = "ok" if condition else "FAILED"
-        self.lines.append(f"{tag}: {message}")
-        self.ok = self.ok and bool(condition)
-
-
 # number -> criterion, filled by @_criterion
 _CRITERIA: dict[int, Callable[[], CriterionResult]] = {}
 
 
 def _criterion(number: int, name: str, budget: float):
     """Register `check(c)` as criterion `number`: a call with no argument
-    that times `check` on a fresh _Checker and checks it against `budget`."""
-    def register(check: Callable[[_Checker], None]) -> Callable[[], CriterionResult]:
+    that times `check` on a fresh result and checks it against `budget`."""
+    def register(check: Callable[[CriterionResult], None]) -> Callable[[], CriterionResult]:
         def criterion() -> CriterionResult:
             t0 = time.perf_counter()
-            c = _Checker()
+            c = CriterionResult(number, name, budget)
             check(c)
-            elapsed = time.perf_counter() - t0
-            c.check(elapsed < budget, f"runtime {elapsed:.1f}s within {budget:.0f}s")
-            return CriterionResult(number=number, name=name, passed=c.ok,
-                                   elapsed=elapsed, budget=budget, lines=c.lines)
+            c.elapsed = time.perf_counter() - t0
+            c.check(c.elapsed < budget, f"runtime {c.elapsed:.1f}s within {budget:.0f}s")
+            return c
         _CRITERIA[number] = criterion
         return criterion
     return register
@@ -92,7 +86,7 @@ def _dense_trapezoid_gauss(f, n=10**6, lim=12.0):
 
 
 @_criterion(1, "quadrature oracle", 1.0)
-def criterion_1(c: _Checker) -> None:
+def criterion_1(c: CriterionResult) -> None:
     """Gauss-Hermite expectation vs a dense trapezoid oracle."""
     rule = build_rule(10_001)
     for q in (0.01, 0.1, 1.0, 10.0, 100.0):
@@ -104,7 +98,7 @@ def criterion_1(c: _Checker) -> None:
 
 
 @_criterion(2, "analytic fixed points", 1.0)
-def criterion_2(c: _Checker) -> None:
+def criterion_2(c: CriterionResult) -> None:
     """Analytic fixed points of the bias-free tanh length map."""
     rule = build_rule(201)
     for sw in (0.5, 0.9):
@@ -119,7 +113,7 @@ def criterion_2(c: _Checker) -> None:
 
 
 @_criterion(3, "length-map agreement", 30.0)
-def criterion_3(c: _Checker) -> None:
+def criterion_3(c: CriterionResult) -> None:
     """Length-map trajectories against finite-width simulation."""
     rule = build_rule(401)
     for sw in (0.5, 2.5, 4.0):
@@ -137,7 +131,7 @@ def criterion_3(c: _Checker) -> None:
 
 
 @_criterion(4, "c-map agreement and phase partition", 120.0)
-def criterion_4(c: _Checker) -> None:
+def criterion_4(c: CriterionResult) -> None:
     """Correlation-map agreement and the order/chaos phase partition."""
     rule = build_rule(201)
     # 5 realizations, each averaging 8 pair orientations
@@ -161,7 +155,7 @@ def criterion_4(c: _Checker) -> None:
 
 
 @_criterion(5, "curvature evolution", 120.0)
-def criterion_5(c: _Checker) -> None:
+def criterion_5(c: CriterionResult) -> None:
     """Curvature recursion against jet-propagation simulation."""
     rule = build_rule(1601)
     params = EnsembleParams(4.0, 0.3, TANH)
@@ -190,7 +184,7 @@ def criterion_5(c: _Checker) -> None:
 
 
 @_criterion(6, "shallow length bound", 60.0)
-def criterion_6(c: _Checker) -> None:
+def criterion_6(c: CriterionResult) -> None:
     """Hard length bound for single-hidden-layer networks."""
     circle = sim.CircleManifold.sample(1000, 1.0, 512, seed=314)
     for sw in (1.0, 4.0, 8.0):
@@ -210,7 +204,7 @@ def criterion_6(c: _Checker) -> None:
 
 
 @_criterion(7, "boundary curvature", 300.0)
-def criterion_7(c: _Checker) -> None:
+def criterion_7(c: CriterionResult) -> None:
     """Principal curvatures of backpropagated decision boundaries."""
 
     def sphere_field(r, dim):
@@ -250,7 +244,7 @@ def criterion_7(c: _Checker) -> None:
 
 
 @_criterion(8, "expressivity profile", 180.0)
-def criterion_8(c: _Checker) -> None:
+def criterion_8(c: CriterionResult) -> None:
     """Fourier regression: high frequencies need depth, not width."""
     # chaotic point with chi1 = 1.59: strongly chaotic but with angular
     # structure still resolvable by width 200 at depth 8
@@ -273,7 +267,7 @@ def criterion_8(c: _Checker) -> None:
 
 
 @_criterion(9, "weight chaos", 120.0)
-def criterion_9(c: _Checker) -> None:
+def criterion_9(c: CriterionResult) -> None:
     """Weight chaos: function-space decorrelation under one-layer swaps."""
     params = EnsembleParams(4.0, 0.3, TANH)
     rule = build_rule(201)
@@ -293,7 +287,7 @@ def criterion_9(c: _Checker) -> None:
 
 
 @_criterion(10, "jet correctness", 30.0)
-def criterion_10(c: _Checker) -> None:
+def criterion_10(c: CriterionResult) -> None:
     """Forward-propagated jets against finite differences in theta."""
     params = EnsembleParams(4.0, 0.3, TANH)
     rule = build_rule(401)

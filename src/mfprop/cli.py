@@ -79,6 +79,14 @@ _COMMON = [
     ("format", ("--format",), str, "csv", "csv or json"),
 ]
 
+# the network and circle of the circle probes (autocorr, spectrum, weight-chaos)
+_CIRCLE = [
+    ("depth", ("--depth",), int, 10, "number of layers"),
+    ("width", ("--width",), int, 1000, "width of every layer"),
+    ("theta_samples", ("--theta-samples",), int, 256, "circle resolution"),
+    ("seed", ("--seed",), int, 0, "seed"),
+]
+
 # name -> (flag table, handler), in help order, filled by @_command; a
 # handler returns an exit status, or None once its artifact is written
 _COMMANDS: dict[str, tuple[list, Callable[[dict], int | None]]] = {}
@@ -206,11 +214,7 @@ def _run_c_map(cfg):
 @_command("phase-grid", [
     ("sw_range", ("--sw", "--sigma-w"), str, "0.1:4:30", "sigma_w grid lo:hi:count"),
     ("sb_range", ("--sb", "--sigma-b"), str, "0:1:15", "sigma_b grid lo:hi:count"),
-    ("nonlinearity", ("--nonlinearity", "--nl"), str, "tanh", "activation"),
-    ("order", ("--order",), int, DEFAULT_ORDER, "quadrature order"),
-    ("out", ("--out", "-o"), str, None, "output path"),
-    ("format", ("--format",), str, "csv", "csv or json"),
-])
+] + [f for f in _COMMON if f[0] not in ("sigma_w", "sigma_b")])
 def _run_phase_grid(cfg):
     grid = phase_grid(
         _parse_range(cfg["sw_range"]),
@@ -291,12 +295,7 @@ def _run_simulate(cfg):
     _finish(cfg, ["layer", "c_theory", "c_emp"], rows, footer)
 
 
-@_command("autocorr", _COMMON + [
-    ("depth", ("--depth",), int, 10, "number of layers"),
-    ("width", ("--width",), int, 1000, "width of every layer"),
-    ("theta_samples", ("--theta-samples",), int, 256, "circle resolution"),
-    ("seed", ("--seed",), int, 0, "seed"),
-])
+@_command("autocorr", _COMMON + _CIRCLE)
 def _run_autocorr(cfg):
     params = _ensemble(cfg)
     rule = build_rule(cfg["order"])
@@ -314,12 +313,8 @@ def _run_autocorr(cfg):
     _finish(cfg, ["layer", "dtheta", "c_emp", "c_theory"], rows, footer)
 
 
-@_command("spectrum", _COMMON + [
-    ("depth", ("--depth",), int, 10, "number of layers"),
-    ("width", ("--width",), int, 1000, "width of every layer"),
-    ("theta_samples", ("--theta-samples",), int, 256, "circle resolution"),
+@_command("spectrum", _COMMON + _CIRCLE + [
     ("top_k", ("--top-k",), int, 5, "report variance fraction of top k"),
-    ("seed", ("--seed",), int, 0, "seed"),
 ])
 def _run_spectrum(cfg):
     _, records = xp.circle_at_fixed_point(_ensemble(cfg), cfg["depth"], cfg["width"],
@@ -403,12 +398,8 @@ def _run_fourier(cfg):
     _finish(cfg, ["depth", "frequency", "error"], rows)
 
 
-@_command("weight-chaos", _COMMON + [
-    ("depth", ("--depth",), int, 10, "number of layers"),
-    ("width", ("--width",), int, 1000, "width of every layer"),
+@_command("weight-chaos", _COMMON + _CIRCLE + [
     ("deltas", ("--deltas",), str, "0:0.5:11", "delta grid lo:hi:count"),
-    ("theta_samples", ("--theta-samples",), int, 256, "circle resolution"),
-    ("seed", ("--seed",), int, 0, "seed"),
 ])
 def _run_weight_chaos(cfg):
     params = _ensemble(cfg)

@@ -69,6 +69,7 @@ _C_RESIDUAL_TOL = 1e-12
 _BOUNDARY_SCAN = (1e-3, 10.0, 9)
 _BOUNDARY_RESIDUAL_TOL = 1e-8
 _EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -80,10 +81,14 @@ class EnsembleParams:
     nonlinearity: Nonlinearity
 
     def __post_init__(self):
-        if not (np.isfinite(self.sigma_w) and self.sigma_w >= 0):
-            raise ValueError(f"sigma_w must be a finite nonnegative real, got {self.sigma_w!r}")
-        if not (np.isfinite(self.sigma_b) and self.sigma_b >= 0):
-            raise ValueError(f"sigma_b must be a finite nonnegative real, got {self.sigma_b!r}")
+        # every map takes sigma^2, so a nonzero sigma whose square overflows
+        # or is subnormal (sigma above ~1.3e154 or below ~1.5e-154) is refused
+        for name in ("sigma_w", "sigma_b"):
+            sigma = getattr(self, name)
+            square = float(sigma) * float(sigma)
+            if not (sigma >= 0 and (sigma == 0 or _TINY <= square < math.inf)):
+                raise ValueError(f"{name} must be 0 or a positive real whose square is a "
+                                 f"normal float (about 1.5e-154 to 1.3e154), got {sigma!r}")
 
 
 @dataclass(frozen=True)
@@ -293,6 +298,9 @@ def length_trajectory(
     values = np.empty(depth)
     iterations = None
     q = params.sigma_w**2 * q0 + params.sigma_b**2
+    if not math.isfinite(q):
+        raise ValueError(f"first-layer length sigma_w^2 q0 + sigma_b^2 overflows at "
+                         f"q0 = {q0!r}, sigma_w = {params.sigma_w!r}, sigma_b = {params.sigma_b!r}")
     for l in range(1, depth + 1):
         if l > 1:
             q = length_map(q, params, rule)
@@ -490,9 +498,6 @@ def phase_boundary(
     perturbations both grow without bound there, and for positively
     homogeneous activations expansiveness is exactly chi1 > 1.
     """
-    if sigma_b < 0:
-        raise ValueError(f"sigma_b must be nonnegative, got {sigma_b!r}")
-
     def g(sw: float) -> float:
         params = EnsembleParams(sw, sigma_b, nonlinearity)
         try:

@@ -166,6 +166,21 @@ def test_simulate_pair_mode(tmp_path):
     assert float(rows[0][1]) == pytest.approx(0.8)
 
 
+def test_simulate_length_mode(tmp_path):
+    # without --c0 the network propagates one input of squared length q0
+    args = ["simulate", "--sw", "2.5", "--sb", "0.3", "--depth", "4", "--width", "200",
+            "--seeds", "2", "--q0", "0.5"]
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert run(args + ["-o", str(a)]) == 0
+    assert run(args + ["-o", str(b)]) == 0
+    columns, rows = read_rows(a)
+    assert columns == ["layer", "q_theory", "q_emp"]
+    assert [row[0] for row in rows] == ["1", "2", "3", "4"]
+    assert float(rows[0][1]) == 2.5**2 * 0.5 + 0.3**2
+    assert a.read_text().rstrip("\n").splitlines()[-1].startswith("# q_star = ")
+    assert a.read_text().replace("a.csv", "X") == b.read_text().replace("b.csv", "X")
+
+
 def test_shallow_bound_columns(tmp_path, capsys):
     out = tmp_path / "bound.csv"
     args = ["shallow-bound", "--n-trials", "3", "--n-hidden", "50", "--sw", "4",
@@ -395,30 +410,43 @@ def test_numerical_failure_exits_2(tmp_path, capsys):
     assert "numerical failure" in err
 
 
-# Arguments the library refuses, each with a ValueError before any work
-@pytest.mark.parametrize("argv", [
-    ["phase-grid", "--sw", "1:1:1"],
-    ["phase-grid", "--sw", "4:0.1:5"],
-    ["weight-chaos", "--sw", "4", "--sb", "0.3", "--deltas", "0:2:3"],
-    ["weight-chaos", "--sw", "4", "--sb", "0.3", "--depth", "1"],
-    ["simulate", "--width", "0"],
-    ["simulate", "--depth", "0"],
-    ["simulate", "--q0", "-1"],
-    ["length-map", "--depth", "0"],
-    ["length-map", "--sw", "-1"],
-    ["length-map", "--order", "1"],
-    ["c-map", "--sw", "2.5", "--sb", "0.3", "--c0", "2"],
-    ["autocorr", "--sw", "4", "--sb", "0.3", "--theta-samples", "0"],
-    ["fourier", "--sw", "2.5", "--sb", "0.3", "--omega-max", "50", "--theta-samples", "64"],
-    ["spectrum", "--sw", "4", "--sb", "0.3", "--width", "1"],
-    ["validate-all", "--only", "11"],
-], ids=" ".join)
-def test_library_refusals_are_usage_errors(tmp_path, capsys, argv):
+# Arguments the library refuses, each with a ValueError before any work, and
+# the words of its message that name what was refused
+_REFUSALS = [
+    (["phase-grid", "--sw", "1:1:1"], "2 samples per axis"),
+    (["phase-grid", "--sw", "4:0.1:5"], "strictly increasing"),
+    (["weight-chaos", "--sw", "4", "--sb", "0.3", "--deltas", "0:2:3"], "deltas"),
+    (["weight-chaos", "--sw", "4", "--sb", "0.3", "--depth", "1"], "depth >= 2"),
+    (["simulate", "--width", "0"], "widths"),
+    (["simulate", "--depth", "0"], "depth"),
+    (["simulate", "--q0", "-1"], "q0"),
+    (["length-map", "--depth", "0"], "depth"),
+    (["length-map", "--sw", "-1"], "sigma_w must"),
+    (["length-map", "--order", "1"], "order"),
+    (["c-map", "--sw", "2.5", "--sb", "0.3", "--c0", "2"], "c0"),
+    (["autocorr", "--sw", "4", "--sb", "0.3", "--theta-samples", "0"], "n_theta"),
+    (["fourier", "--sw", "2.5", "--sb", "0.3", "--omega-max", "50", "--theta-samples", "64"],
+     "omega_max"),
+    (["spectrum", "--sw", "4", "--sb", "0.3", "--width", "1"], "width"),
+    (["validate-all", "--only", "11"], "no criterion [11]"),
+    # a nonzero sigma whose square overflows or underflows
+    (["length-map", "--sw", "1e200"], "sigma_w must"),
+    (["length-map", "--sb", "1e200"], "sigma_b must"),
+    (["c-map", "--sw", "1", "--sb", "1e-200"], "sigma_b must"),
+    # the first-layer length sigma_w^2 q0 + sigma_b^2 overflows
+    (["length-map", "--sw", "4", "--q0", "1e308"], "q0 = 1e+308, sigma_w = 4.0"),
+]
+
+
+@pytest.mark.parametrize("argv, named",
+                         [pytest.param(argv, named, id=" ".join(argv)) for argv, named in _REFUSALS])
+def test_library_refusals_are_usage_errors(tmp_path, capsys, argv, named):
     out = tmp_path / "out.csv"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert run(argv + ["-o", str(out)]) == 1
-    assert "usage error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and named in err
     assert not out.exists()
 
 

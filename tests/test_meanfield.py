@@ -492,6 +492,26 @@ def test_phase_grid_partition_and_errors():
     assert np.all(grid.c_star[chaotic] < 1.0 - 1e-3)
 
 
+def test_phase_grid_records_a_failed_boundary_solve(monkeypatch):
+    axes = (np.array([0.5, 4.0]), np.array([0.3, 0.6]))
+    expected = mf.phase_grid(*axes, TANH, RULE)
+    solve = meanfield.phase_boundary
+
+    def fail_at_second_sigma_b(sigma_b, nonlinearity, rule):
+        if sigma_b == 0.6:
+            raise ConvergenceError("no sign change")
+        return solve(sigma_b, nonlinearity, rule)
+
+    monkeypatch.setattr(meanfield, "phase_boundary", fail_at_second_sigma_b)
+    grid = mf.phase_grid(*axes, TANH, RULE)
+    for name in ("q_star", "c_star", "chi1", "c_converged"):
+        np.testing.assert_array_equal(getattr(grid, name), getattr(expected, name))
+    assert expected.cell_errors == {}
+    assert grid.cell_errors == {("boundary", 1): "no sign change"}
+    assert grid.boundary[0].tolist() == expected.boundary[0].tolist()
+    assert grid.boundary[1, 0] == 0.6 and np.isnan(grid.boundary[1, 1])
+
+
 def test_phase_grid_linear_boundary_column():
     grid = mf.phase_grid(
         np.array([0.5, 0.9, 1.5, 3.0]),

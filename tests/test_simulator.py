@@ -1,8 +1,9 @@
 import hashlib
 import itertools
 import math
-import multiprocessing
 import os
+import select
+import signal
 import sys
 import threading
 import tracemalloc
@@ -88,17 +89,26 @@ def test_concurrent_callers_get_identical_bytes():
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_forked_child_can_sample():
-    # One layer per worker is submitted at once, so the draw pool starts all
-    # its threads here.
-    list(sim._draw_layers((300,) * (sim._cores() + 1), CHAOTIC, 0))
-    child = multiprocessing.get_context("fork").Process(
-        target=sim.sample_network, args=((5, 5, 5), CHAOTIC, 1))
-    child.start()
-    child.join(timeout=30)
-    if child.is_alive():
-        child.kill()
-        child.join()
-    assert child.exitcode == 0
+    # One layer per worker is submitted at once, so this starts every thread
+    # of the draw pool.  The child inherits the pool but none of its threads;
+    # the fork handler gives it a pool of its own, which draws the same bytes.
+    widths = (300,) * (sim._cores() + 1)
+    expected = _digest(sim.sample_network(widths, CHAOTIC, 1))
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            os.write(write_end, _digest(sim.sample_network(widths, CHAOTIC, 1)).encode())
+        finally:
+            os._exit(0)
+    os.close(write_end)
+    ready, _, _ = select.select([read_end], [], [], 30)
+    if not ready:
+        os.kill(pid, signal.SIGKILL)
+    digest = os.read(read_end, 64).decode() if ready else None
+    os.close(read_end)
+    os.waitpid(pid, 0)
+    assert digest == expected
 
 
 def test_truncating_depth_preserves_shallow_layers():
