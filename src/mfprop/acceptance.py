@@ -116,32 +116,34 @@ def criterion_2(c: CriterionResult) -> None:
 def criterion_3(c: CriterionResult) -> None:
     """Length-map trajectories against finite-width simulation."""
     rule = build_rule(401)
+    cases = []
     for sw in (0.5, 2.5, 4.0):
         params = EnsembleParams(sw, 0.3, TANH)
         q_star = length_fixed_point(params, rule)
-        for q0 in (0.1, q_star, 5.0):
-            run = xp.length_agreement(params, q0, 10, 1000, SEED, 5, rule)
-            traj = run.theory
-            rel = float(np.max(np.abs(run.q_emp - traj.values) / traj.values))
-            c.check(rel <= 0.05,
-                    f"sigma_w={sw}, q0={q0:.4g}: max rel deviation {rel:.3f} <= 0.05")
-            layers = traj.iterations_to_1pct
-            c.check(layers is not None and layers <= 10,
-                    f"sigma_w={sw}, q0={q0:.4g}: layers to 1% = {layers} <= 10")
+        cases += [(params, q0) for q0 in (0.1, q_star, 5.0)]
+    # one call: the cases share each realization's draws
+    runs = xp.length_agreement(cases, 10, 1000, SEED, 5, rule)
+    for (params, q0), run in zip(cases, runs):
+        sw, traj = params.sigma_w, run.theory
+        rel = float(np.max(np.abs(run.q_emp - traj.values) / traj.values))
+        c.check(rel <= 0.05,
+                f"sigma_w={sw}, q0={q0:.4g}: max rel deviation {rel:.3f} <= 0.05")
+        layers = traj.iterations_to_1pct
+        c.check(layers is not None and layers <= 10,
+                f"sigma_w={sw}, q0={q0:.4g}: layers to 1% = {layers} <= 10")
 
 
 @_criterion(4, "c-map agreement and phase partition", 120.0)
 def criterion_4(c: CriterionResult) -> None:
     """Correlation-map agreement and the order/chaos phase partition."""
     rule = build_rule(201)
-    # 5 realizations, each averaging 8 pair orientations
-    for sw in (0.5, 2.5, 4.0):
-        params = EnsembleParams(sw, 0.3, TANH)
-        for c0 in (0.3, 0.9):
-            run = xp.correlation_agreement(params, c0, 20, 1000, SEED, 5, rule)
-            dev = float(np.max(np.abs(run.c_emp - run.theory.values)))
-            c.check(dev <= 0.05,
-                    f"sigma_w={sw}, c0={c0}: max |c_emp - c_theory| = {dev:.3f} <= 0.05")
+    # 5 realizations shared by the cases, each averaging 8 pair orientations
+    cases = [(EnsembleParams(sw, 0.3, TANH), c0) for sw in (0.5, 2.5, 4.0) for c0 in (0.3, 0.9)]
+    runs = xp.correlation_agreement(cases, 20, 1000, SEED, 5, rule)
+    for (params, c0), run in zip(cases, runs):
+        dev = float(np.max(np.abs(run.c_emp - run.theory.values)))
+        c.check(dev <= 0.05, f"sigma_w={params.sigma_w}, c0={c0}: "
+                f"max |c_emp - c_theory| = {dev:.3f} <= 0.05")
     grid = phase_grid(np.linspace(0.5, 4.0, 20), np.linspace(0.05, 1.0, 20), TANH, rule)
     c.check(len(grid.cell_errors) == 0 and bool(grid.c_converged.all()),
             "all 400 grid cells evaluated and converged")

@@ -280,15 +280,15 @@ def _run_simulate(cfg):
     params = _ensemble(cfg)
     rule = build_rule(cfg["order"])
     if cfg["c0"] is None:
-        run = xp.length_agreement(params, cfg["q0"], cfg["depth"], cfg["width"],
-                                  cfg["seed"], cfg["seeds"], rule)
+        run, = xp.length_agreement([(params, cfg["q0"])], cfg["depth"], cfg["width"],
+                                   cfg["seed"], cfg["seeds"], rule)
         rows = [(l + 1, float(q), float(e))
                 for l, (q, e) in enumerate(zip(run.theory.values, run.q_emp))]
         footer = [f"q_star = {run.theory.q_star:.17g}"]
         _finish(cfg, ["layer", "q_theory", "q_emp"], rows, footer)
         return
-    run = xp.correlation_agreement(params, cfg["c0"], cfg["depth"], cfg["width"],
-                                   cfg["seed"], cfg["seeds"], rule)
+    run, = xp.correlation_agreement([(params, cfg["c0"])], cfg["depth"], cfg["width"],
+                                    cfg["seed"], cfg["seeds"], rule)
     rows = [(l + 1, float(c), float(e))
             for l, (c, e) in enumerate(zip(run.theory.values, run.c_emp))]
     footer = [f"q_star = {run.theory.chi.q_star:.17g}", f"c_star = {run.theory.c_star:.17g}"]

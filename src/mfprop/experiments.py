@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -78,50 +78,81 @@ def _from_first_layer(params: EnsembleParams, depth: int, width: int, seed: int,
     (three) on the network of `seed`, streamed: each layer 2..depth is drawn
     as it is needed, each record is yielded when its product is done, and
     W^1, b^1 are never drawn."""
-    layers = sim._draw_layers((width,) * (depth + 1), params, seed, first=2)
+    layers = sim._network_layers((width,) * (depth + 1), params, seed, first=2)
     return sim._propagate(layers, params.nonlinearity, first)
 
 
-def length_agreement(params: EnsembleParams, q0: float, depth: int, width: int,
-                     seed: int, n_seeds: int, rule: QuadratureRule) -> LengthAgreement:
-    """Per-layer squared length of an input at q0 against the length map."""
+def _shared_layers(params: Sequence[EnsembleParams], normals: Iterator,
+                   first: int) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
+    """(l, k, W^l, b^l) at params[k], for each layer l = first, first + 1, ...
+    of the standard-normal stream `normals` (`sim._draw_layers`) and each k.
+
+    Each layer's normals are drawn once and scaled once per distinct
+    sigma_w, into one buffer that every sigma_w and layer reuses: a caller
+    is done with W^l before it reads the next item.  The bytes are those of
+    the network drawn at each params alone (common random numbers)."""
+    by_sigma_w: dict[float, list[int]] = {}
+    for k, p in enumerate(params):
+        by_sigma_w.setdefault(p.sigma_w, []).append(k)
+    w = None
+    for l, (z, z_b) in enumerate(normals, start=first):
+        for sigma_w, ks in by_sigma_w.items():
+            w = sim._scaled(z, sigma_w / math.sqrt(z.shape[1]), out=w)
+            for k in ks:
+                yield l, k, w, sim._scaled(z_b, params[k].sigma_b)
+
+
+def length_agreement(cases: Sequence[tuple[EnsembleParams, float]], depth: int, width: int,
+                     seed: int, n_seeds: int, rule: QuadratureRule) -> list[LengthAgreement]:
+    """Per-layer squared length of an input at q0 against the length map,
+    for each case (params, q0), on networks shared by the cases."""
     seeds = _realization_seeds(seed, n_seeds)
-    theory = length_trajectory(q0, depth, params, rule)
-    acc = np.zeros(depth)
+    params = [p for p, _ in cases]
+    theories = [length_trajectory(q0, depth, p, rule) for p, q0 in cases]
+    acc = np.zeros((len(cases), depth))
     for s in seeds:
-        layers = sim._draw_layers((width,) * (depth + 1), params, s)
+        normals = sim._draw_layers((width,) * (depth + 1), s)
         rng = np.random.default_rng(np.random.SeedSequence(entropy=s, spawn_key=(101,)))
-        x0 = rng.normal(size=width)
-        x0 *= math.sqrt(width * q0) / np.linalg.norm(x0)
-        w1, b1 = next(layers)
-        h1 = x0[None] @ w1.T + b1
-        del w1    # held no longer than the product that reads it
-        for rec in sim._propagate(layers, params.nonlinearity, [h1]):
-            acc[rec.layer - 1] += sim.empirical_length(rec.h[0])
+        g = rng.normal(size=width)
+        h = [g[None] * (math.sqrt(width * q0) / np.linalg.norm(g)) for _, q0 in cases]
+        for l, k, w, b in _shared_layers(params, normals, first=1):
+            if l == 1:    # the input enters through W^1 without phi
+                h[k] = h[k] @ w.T + b
+            else:
+                h[k], = sim._advance([h[k]], w, b, params[k].nonlinearity)
+            acc[k, l - 1] += sim.empirical_length(h[k][0])
     acc /= len(seeds)
-    return LengthAgreement(theory=theory, q_emp=acc)
+    return [LengthAgreement(theory=t, q_emp=a) for t, a in zip(theories, acc)]
 
 
-def correlation_agreement(params: EnsembleParams, c0: float, depth: int, width: int,
-                          seed: int, n_seeds: int,
-                          rule: QuadratureRule) -> CorrelationAgreement:
-    """Per-layer correlation of pairs injected at q* with correlation c0."""
+def correlation_agreement(cases: Sequence[tuple[EnsembleParams, float]], depth: int,
+                          width: int, seed: int, n_seeds: int,
+                          rule: QuadratureRule) -> list[CorrelationAgreement]:
+    """Per-layer correlation of pairs injected at q* with correlation c0,
+    for each case (params, c0), on networks shared by the cases."""
     seeds = _realization_seeds(seed, n_seeds)
-    theory = correlation_trajectory(c0, depth, params, rule)
-    acc = np.zeros(depth)
+    params = [p for p, _ in cases]
+    theories = [correlation_trajectory(c0, depth, p, rule) for p, c0 in cases]
+    acc = np.zeros((len(cases), depth))
+
+    def measure(k: int, l: int, h: np.ndarray) -> None:
+        # orientation o is rows 2o (A) and 2o + 1 (B)
+        for orient in range(N_ORIENTATIONS):
+            acc[k, l - 1] += sim.empirical_correlation(h[2 * orient], h[2 * orient + 1])[3]
+
     for s in seeds:
-        # one pass: orientation o is rows 2o (A) and 2o + 1 (B)
-        pairs = np.concatenate([
-            sim.pair_at_correlation(width, theory.chi.q_star, c0,
-                                    seed=1_000_000 * (orient + 1) + s)
+        normals = sim._draw_layers((width,) * (depth + 1), s, first=2)
+        h = [np.concatenate([
+            sim.pair_at_correlation(width, t.chi.q_star, c0, seed=1_000_000 * (orient + 1) + s)
             for orient in range(N_ORIENTATIONS)
-        ])
-        for rec in _from_first_layer(params, depth, width, s, [pairs]):
-            for orient in range(N_ORIENTATIONS):
-                acc[rec.layer - 1] += sim.empirical_correlation(
-                    rec.h[2 * orient], rec.h[2 * orient + 1])[3]
+        ]) for (_, c0), t in zip(cases, theories)]
+        for k in range(len(cases)):
+            measure(k, 1, h[k])
+        for l, k, w, b in _shared_layers(params, normals, first=2):
+            h[k], = sim._advance([h[k]], w, b, params[k].nonlinearity)
+            measure(k, l, h[k])
     acc /= len(seeds) * N_ORIENTATIONS
-    return CorrelationAgreement(theory=theory, c_emp=acc)
+    return [CorrelationAgreement(theory=t, c_emp=a) for t, a in zip(theories, acc)]
 
 
 def curvature_agreement(params: EnsembleParams, depth: int, width: int, n_theta: int,

@@ -35,7 +35,7 @@ from .meanfield import (
     length_fixed_point,
 )
 from .quadrature import QuadratureRule
-from .simulator import CircleManifold, _draw_layers
+from .simulator import CircleManifold, _network_layers
 
 
 @dataclass(frozen=True)
@@ -244,13 +244,15 @@ def weight_chaos_empirical(
     is W^2; the base network, the perturbation, and the circle draw from
     independent child seeds of `seed`.  W^1 and b^1 are never drawn, and
     W^2..W^D are streamed: each is drawn when the batch reaches it and
-    dropped after its product, and dW after x^1 dW^T.
+    dropped after its products, and dW after x^1 dW^T.
 
     The whole family runs as one batch.  Layer 2 is linear in its weights,
     so h^2(Delta) = sqrt(1-|Delta|) x^1 W^T + sqrt(|Delta|) x^1 dW^T + b^2
-    for every Delta comes from two products; each deeper layer is one
-    product on the stacked (n_Delta * n_theta, N) block.  The reference
-    network (Delta = 0) is one more block when the grid lacks it.
+    for every Delta comes from two products.  The batch stacks one
+    (n_theta, N) block per Delta; the reference network (Delta = 0) is one
+    more block when the grid lacks it.  Each deeper layer multiplies the
+    batch block by block, writing each product over the block it read, so
+    phi's temporary is one block, not the batch.
     """
     delta_grid = np.asarray(delta_grid, dtype=float)
     if np.any(np.abs(delta_grid) > 1.0):
@@ -269,7 +271,7 @@ def weight_chaos_empirical(
     phi = params.nonlinearity.value
     x1 = phi(circle.h1())
 
-    layers = _draw_layers(widths, params, net_seed, first=2)
+    layers = _network_layers(widths, params, net_seed, first=2)
     w2, b2 = next(layers)
     x1_w = x1 @ w2.T
     del w2
@@ -277,18 +279,20 @@ def weight_chaos_empirical(
     d_weights = dw_rng.normal(0.0, params.sigma_w / math.sqrt(widths[1]),
                               size=(widths[2], widths[1]))
     x1_dw = x1 @ d_weights.T
-    del d_weights
+    del d_weights, x1
     h = np.empty((deltas.size * n_theta, widths[2]))
     for k, delta in enumerate(deltas):
         block = h[k * n_theta:(k + 1) * n_theta]
         np.multiply(math.sqrt(1.0 - abs(delta)), x1_w, out=block)
         block += math.sqrt(abs(delta)) * x1_dw
         block += b2
+    del x1_w, x1_dw
     for w, b in layers:
-        if w.shape[0] == h.shape[1]:
-            h = np.matmul(phi(h), w.T, out=h)
-        else:
-            h = phi(h) @ w.T
+        out = h if w.shape[0] == h.shape[1] else np.empty((h.shape[0], w.shape[0]))
+        for k in range(deltas.size):
+            rows = slice(k * n_theta, (k + 1) * n_theta)
+            np.matmul(phi(h[rows]), w.T, out=out[rows])
+        h = out
         h += b
 
     width_last = widths[-1]

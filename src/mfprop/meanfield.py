@@ -297,7 +297,8 @@ def length_trajectory(
 
     values = np.empty(depth)
     iterations = None
-    q = params.sigma_w**2 * q0 + params.sigma_b**2
+    # Python floats: an overflow is an inf to refuse below, not a numpy warning
+    q = float(params.sigma_w)**2 * float(q0) + float(params.sigma_b)**2
     if not math.isfinite(q):
         raise ValueError(f"first-layer length sigma_w^2 q0 + sigma_b^2 overflows at "
                          f"q0 = {q0!r}, sigma_w = {params.sigma_w!r}, sigma_b = {params.sigma_b!r}")

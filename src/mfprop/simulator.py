@@ -18,14 +18,18 @@ activation once, as `derivatives(h, k)`, multiplies W with the stacked rows
 [phi; phi' v; phi'' v v + phi' a] in one product, and yields the layer's
 record.  `forward`, `forward_from_first` and `forward_jet` collect it.
 
-Each layer draws from an independent child of the realization seed, so
-truncating the depth never changes shallower layers.  Layers are drawn
-as a stream, in order, on a process-wide thread pool with one worker per
-available core, at most one layer per worker ahead of the consumer; the
-bytes are identical to drawing them one after another.  A network used
-for one pass (weight chaos, the experiments) is propagated from that
-stream without being held whole, and the experiments reduce each layer's
-record before the next is made; `sample_network` collects the stream.
+Each layer draws standard normals from an independent child of the
+realization seed, so truncating the depth never changes shallower layers,
+and scales them by sigma_w / sqrt(fan_in) and sigma_b, which gives the
+bytes of Generator.normal.  Layers are drawn as a stream, in order, on a
+process-wide thread pool with one worker per available core, at most one
+layer per worker ahead of the consumer, into arrays the consumer allocates
+(see `_draw_layers`); the bytes are identical to drawing them one after
+another.  A network used for one pass (weight chaos, the experiments) is
+propagated from that stream without being held whole, and the experiments
+reduce each layer's record before the next is made; the length and
+correlation experiments scale one draw for every sigma_w they run.
+`sample_network` collects the stream.
 """
 
 from __future__ import annotations
@@ -148,19 +152,35 @@ def _new_pool() -> ThreadPoolExecutor:
 _POOL = _new_pool()
 
 
-def _draw_layers(widths: Sequence[int], params: EnsembleParams, seed: int,
+def _draw_layers(widths: Sequence[int], seed: int,
                  first: int = 1) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield (W^l, b^l) for l = first..D, in order; deterministic for a given seed.
+    """Yield the standard normals (Z^l, z_b^l) of layers l = first..D, in
+    order; deterministic for a given seed.
 
-    Layer l draws W^l then b^l from child l - 1 of SeedSequence(seed), so
-    the bytes of a layer depend on neither `first` nor the depth.  The
-    draws run on a process-wide thread pool with one worker per core this
-    process may run on; numpy's Generator fills arrays without holding the
-    GIL, so independent streams are drawn in parallel, and beside the
+    Layer l fills Z^l, then z_b^l, from child l - 1 of SeedSequence(seed),
+    so the bytes of a layer depend on neither `first` nor the depth.  The
+    ensemble's layer is W^l = Z^l sigma_w / sqrt(N_{l-1}), b^l = z_b^l sigma_b
+    (`_scaled`), so one stream serves every sigma_w and sigma_b.
+
+    The draws run on a process-wide thread pool with one worker per core
+    this process may run on; numpy's Generator fills arrays without holding
+    the GIL, so independent streams are drawn in parallel, and beside the
     caller's products on earlier layers.  At most one layer per worker is
     drawn ahead of the one last yielded, so a caller that keeps only the
     current layer holds about (workers + 1) layers, not D.  A caller that
     stops early leaves at most those draws to finish.
+
+    The arrays are allocated here, on the consumer's thread, and the tasks
+    only fill them.  An array a worker allocates comes from that worker's
+    malloc arena, and once freed it goes back there, where the consumer's
+    next allocation cannot reuse it, so the process's peak grows by those
+    arenas.  On perfbench's manifold-probe workload (2-core box, three runs
+    each), allocating here alone took the peak RSS from 327-333 MB to
+    309-313 MB.  The price is page faults: the consumer's arena hands
+    freed layers back to the system more often, and ensemble-sim, which
+    drops a whole network after each operation, took 730-755 thousand
+    minor faults and 3.0-3.5 s of system time per run (three runs) against
+    350-430 thousand and 1.3-1.6 s with worker-allocated layers (two runs).
 
     The pool lives for the whole process.  A pool made per call starts its
     threads again on every `sample_network`, and on perfbench's ensemble-sim
@@ -185,21 +205,25 @@ def _draw_layers(widths: Sequence[int], params: EnsembleParams, seed: int,
     depth = len(widths) - 1
     children = np.random.SeedSequence(seed).spawn(depth)
 
-    def draw_layer(l: int) -> tuple[np.ndarray, np.ndarray]:
+    def fill(l: int, z: np.ndarray, z_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         rng = np.random.default_rng(children[l - 1])
-        fan_in = widths[l - 1]
-        w = rng.normal(0.0, params.sigma_w / math.sqrt(fan_in), size=(widths[l], fan_in))
-        b = rng.normal(0.0, params.sigma_b, size=widths[l])
-        return w, b
+        rng.standard_normal(out=z)
+        rng.standard_normal(out=z_b)
+        return z, z_b
 
     def layers() -> Iterator[tuple[np.ndarray, np.ndarray]]:
         pool = _POOL
+
+        def submit(l: int):
+            return pool.submit(fill, l, np.empty((widths[l], widths[l - 1])),
+                               np.empty(widths[l]))
+
         todo = iter(range(first, depth + 1))
-        ahead = deque(pool.submit(draw_layer, l) for l in islice(todo, _cores()))
+        ahead = deque(submit(l) for l in islice(todo, _cores()))
         try:
             while ahead:
                 current = ahead.popleft()
-                ahead.extend(pool.submit(draw_layer, l) for l in islice(todo, 1))
+                ahead.extend(submit(l) for l in islice(todo, 1))
                 yield current.result()
         finally:
             for future in ahead:
@@ -207,6 +231,25 @@ def _draw_layers(widths: Sequence[int], params: EnsembleParams, seed: int,
 
     # the widths above are checked at the call, before the first layer is read
     return layers()
+
+
+def _scaled(z: np.ndarray, scale: float, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """z * scale + 0.0, into `out` (z itself for in place, a new array if None).
+
+    The bytes are those of Generator.normal(0, scale), which computes
+    0 + scale * z: adding 0.0 turns the -0.0 of a negative draw times a
+    zero scale into +0.0."""
+    out = np.multiply(z, scale, out=out)
+    out += 0.0
+    return out
+
+
+def _network_layers(widths: Sequence[int], params: EnsembleParams, seed: int,
+                    first: int = 1) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(W^l, b^l) for l = first..D: `_draw_layers`, scaled in place."""
+    return ((_scaled(z, params.sigma_w / math.sqrt(z.shape[1]), out=z),
+             _scaled(z_b, params.sigma_b, out=z_b))
+            for z, z_b in _draw_layers(widths, seed, first))
 
 
 def _forget_pool() -> None:
@@ -223,9 +266,9 @@ if hasattr(os, "register_at_fork"):
 def sample_network(widths: Sequence[int], params: EnsembleParams, seed: int) -> NetworkRealization:
     """Draw one realization; deterministic for a given seed.
 
-    The layers are `_draw_layers(widths, params, seed)`, collected.
+    The layers are `_network_layers(widths, params, seed)`, collected.
     """
-    weights, biases = zip(*_draw_layers(widths, params, seed))
+    weights, biases = zip(*_network_layers(widths, params, seed))
     return NetworkRealization(
         widths=tuple(int(n) for n in widths),
         weights=weights,
@@ -288,26 +331,32 @@ def _propagate(layers: Iterable[tuple[np.ndarray, np.ndarray]], nonlinearity: No
     reduces one record before asking for the next holds one layer's arrays,
     not the network's.
     """
-    derivatives = nonlinearity.derivatives
-    order = len(first) - 1
-    n = first[0].shape[0]
     blocks = first
     yield LayerRecord(1, *blocks)
     for l, (W, b) in enumerate(layers, start=2):
-        H, *jet = blocks
-        d = derivatives(H, order)
-        if order == 0:
-            stacked = d[0]
-        else:
-            stacked = np.empty(((order + 1) * n, H.shape[1]))
-            stacked[:n] = d[0]
-            np.multiply(d[1], jet[0], out=stacked[n:2 * n])
-            if order == 2:
-                stacked[2 * n:] = d[2] * jet[0] * jet[0] + d[1] * jet[1]
-        out = stacked @ W.T
-        blocks = [out[k * n:(k + 1) * n] for k in range(order + 1)]
-        blocks[0] += b
+        blocks = _advance(blocks, W, b, nonlinearity)
         yield LayerRecord(l, *blocks)
+
+
+def _advance(blocks: list[np.ndarray], W: np.ndarray, b: np.ndarray,
+             nonlinearity: Nonlinearity) -> list[np.ndarray]:
+    """The next layer's [h], [h, v] or [h, v, a] from this layer's, through
+    (W, b): one product on the stacked rows (module docstring)."""
+    H, *jet = blocks
+    order, n = len(jet), H.shape[0]
+    d = nonlinearity.derivatives(H, order)
+    if order == 0:
+        stacked = d[0]
+    else:
+        stacked = np.empty(((order + 1) * n, H.shape[1]))
+        stacked[:n] = d[0]
+        np.multiply(d[1], jet[0], out=stacked[n:2 * n])
+        if order == 2:
+            stacked[2 * n:] = d[2] * jet[0] * jet[0] + d[1] * jet[1]
+    out = stacked @ W.T
+    blocks = [out[k * n:(k + 1) * n] for k in range(order + 1)]
+    blocks[0] += b
+    return blocks
 
 
 # ---------------------------------------------------------------------------

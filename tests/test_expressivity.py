@@ -316,17 +316,21 @@ def test_weight_chaos_holds_a_few_layers_not_the_network():
 
 def test_weight_chaos_multiplies_the_batch_in_place():
     # a wide batch dwarfs the layers: each layer's product writes over the
-    # batch it reads, so a fresh array per layer would hold two more blocks
+    # batch it reads, one Delta block at a time, so neither a fresh batch
+    # per layer nor phi of the whole batch is ever held
     deltas, n_theta, width = np.linspace(0.0, 0.5, 11), 512, 200
     block_bytes = deltas.size * n_theta * width * 8
+    delta_bytes, layer_bytes = n_theta * width * 8, width * width * 8
     tracemalloc.start()
     try:
         ex.weight_chaos_empirical(CHAOTIC, (width,) * 5, deltas, 3, n_theta=n_theta, rule=RULE)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the batch, its phi and one layer's temporaries (~2.35 blocks)
-    assert peak < 3 * block_bytes
+    # the batch, then while it is built x1 W^T, x1 dW^T and one scaled copy
+    # (three Delta blocks; one block's phi later), and the three layers
+    # W^2..W^4; phi of the whole batch would be 11 blocks more
+    assert peak < block_bytes + 3 * delta_bytes + 3 * layer_bytes + 100_000
 
 
 def test_weight_chaos_rejects_bad_delta():

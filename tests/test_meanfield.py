@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -182,6 +183,16 @@ def test_trajectory_first_layer_is_affine():
     traj = mf.length_trajectory(2.0, 3, CHAOTIC, RULE)
     assert traj.values[0] == pytest.approx(16.0 * 2.0 + 0.09, abs=1e-12)
     assert np.all(traj.values >= CHAOTIC.sigma_b**2)
+
+
+def test_trajectory_refuses_first_layer_overflow_from_numpy_scalars():
+    # numpy scalars would warn of the overflow in sigma_w^2 q0 before the
+    # refusal that names q0
+    params = mf.EnsembleParams(np.float64(4.0), np.float64(0.0), TANH)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="overflows at q0 = "):
+            mf.length_trajectory(np.float64(1e308), 3, params, RULE)
 
 
 # ---------------------------------------------------------------------------

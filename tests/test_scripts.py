@@ -147,3 +147,41 @@ def test_bench_record_runs_each_criterion_in_a_child_of_its_own(monkeypatch):
             assert c[side]["elapsed_s"] == 0.5 * float(np.median(expected[side]))
             assert c[side]["name"] == f"c{c['number']}" and c[side]["budget_s"] == 60.0
             assert c[side]["passed"] == (7 not in expected[side])
+
+
+def test_artifact_diff_finds_a_checkout_identical_to_itself(tmp_path):
+    script = runpy.run_path(str(SCRIPTS / "artifact_diff.py"))
+    lines = script["readme_lines"](only={"length-map", "c-map"})
+    assert [argv[0] for argv in lines] == ["length-map", "c-map"]
+    report = script["diff"](SCRIPTS.parent, lines, tmp_path)
+    assert report["identical"] is True
+    assert list(report["settings"]) == ["default", "OPENBLAS_NUM_THREADS=1"]
+    for entries in report["settings"].values():
+        assert [(e["artifact"], e["status"]) for e in entries] == [("q.csv", "identical"),
+                                                                    ("cmap.csv", "identical")]
+        assert all(e["exit_codes"] == {"parent": 0, "change": 0} for e in entries)
+
+
+def test_artifact_diff_reports_each_kind_of_change(tmp_path):
+    compare = runpy.run_path(str(SCRIPTS / "artifact_diff.py"))["compare"]
+    original = ("# mfprop 0.1\n# config = {}\nlayer,q\n1,0.5\n2,0.25\n3,2\n# q_star = 1\n")
+    parent = tmp_path / "parent.csv"
+    parent.write_text(original)
+
+    def against(text):
+        change = tmp_path / "change.csv"
+        change.write_text(text)
+        return compare(parent, change)
+
+    assert against(original) == {"status": "identical"}
+    assert against(original.replace("{}", '{"a":1}')) == {"status": "header only"}
+    assert against(original.replace("q_star = 1", "q_star = 2")) == {
+        "status": "footer differs", "lines": [["# q_star = 1", "# q_star = 2"]]}
+    doctored = against(original.replace("2,0.25", "2,0.3").replace("3,2\n", "3,2.5\n"))
+    assert doctored["status"] == "rows differ" and doctored["rows"] == [3, 3]
+    assert list(doctored["columns"]) == ["q"]
+    q = doctored["columns"]["q"]
+    assert q["rows"] == 2
+    assert q["max_abs"] == pytest.approx(0.5) and q["max_rel"] == pytest.approx(0.25)
+    assert compare(parent, tmp_path / "absent.csv") == {"status": "missing", "parent": True,
+                                                       "change": False}

@@ -40,9 +40,10 @@ def test_sampling_is_deterministic():
 
 
 # sha256 of each realization's weight and bias bytes (W^1, b^1, W^2, ...) at
-# seed 2025, recorded from a serial layer-by-layer loop.  sigma_w = 0 pins
-# the sign of the zero weights: rng.normal(0, 0) gives +0.0, while scaling a
-# standard normal in place would give -0.0 for negative draws.
+# seed 2025, recorded from a serial layer-by-layer loop of rng.normal(0, s).
+# sigma_w = 0 and sigma_b = 0 pin the sign of the zero weights and biases:
+# rng.normal(0, 0) gives +0.0, while a negative standard normal times 0
+# alone would give -0.0.
 STREAM_DIGESTS = [
     ((1000,) * 11, CHAOTIC,
      "f8b1190ddd6c9553b1f57a71bdfc3602193c05a18759c54c001f7a963915326a"),
@@ -50,6 +51,8 @@ STREAM_DIGESTS = [
      "0cc5a32f16484276a7cda74c67597dd394aeb6854670c533060bb93d57daf834"),
     ((10, 10, 10), mf.EnsembleParams(0.0, 0.3, TANH),
      "d30c6ce003c94d1b9ecec82236eb5622e1f131f434dafdac800924d7433e1df6"),
+    ((10, 10, 10), mf.EnsembleParams(1.5, 0.0, TANH),
+     "e8e00c5d8a11fc0584c07d08f0ff1c7ecf79e700308c05b63d0f31b798060f74"),
 ]
 
 
@@ -62,7 +65,7 @@ def _digest(net):
 
 
 @pytest.mark.parametrize("widths, params, digest", STREAM_DIGESTS,
-                         ids=["1000x11", "3-1", "sigma_w-0"])
+                         ids=["1000x11", "3-1", "sigma_w-0", "sigma_b-0"])
 def test_sampling_stream_is_pinned(widths, params, digest):
     assert _digest(sim.sample_network(widths, params, seed=2025)) == digest
 
@@ -123,24 +126,30 @@ def test_truncating_depth_preserves_shallow_layers():
 STREAM_WIDTHS = tuple(10 + 3 * l for l in range(sim._cores() + 5))
 
 
+def _assert_scales_to(layer, net, l):
+    # the standard normals of layer l, scaled, are the network's W^l and b^l
+    z, z_b = layer
+    w = sim._scaled(z, CHAOTIC.sigma_w / math.sqrt(net.widths[l - 1]))
+    assert np.array_equal(w, net.weights[l - 1])
+    assert np.array_equal(sim._scaled(z_b, CHAOTIC.sigma_b), net.biases[l - 1])
+
+
 @pytest.mark.parametrize("first", [1, 2, 5])
 def test_layer_stream_matches_whole_network(first):
     net = sim.sample_network(STREAM_WIDTHS, CHAOTIC, seed=31)
-    layers = list(sim._draw_layers(STREAM_WIDTHS, CHAOTIC, 31, first=first))
+    layers = list(sim._draw_layers(STREAM_WIDTHS, 31, first=first))
     assert len(layers) == net.depth - first + 1
-    for (w, b), l in zip(layers, range(first, net.depth + 1)):
-        assert np.array_equal(w, net.weights[l - 1])
-        assert np.array_equal(b, net.biases[l - 1])
+    for layer, l in zip(layers, range(first, net.depth + 1)):
+        _assert_scales_to(layer, net, l)
 
 
 def test_layer_stream_stopped_early():
     net = sim.sample_network(STREAM_WIDTHS, CHAOTIC, seed=31)
-    stream = sim._draw_layers(STREAM_WIDTHS, CHAOTIC, 31, first=2)
+    stream = sim._draw_layers(STREAM_WIDTHS, 31, first=2)
     taken = list(itertools.islice(stream, 2))
     stream.close()
-    for (w, b), l in zip(taken, (2, 3)):
-        assert np.array_equal(w, net.weights[l - 1])
-        assert np.array_equal(b, net.biases[l - 1])
+    for layer, l in zip(taken, (2, 3)):
+        _assert_scales_to(layer, net, l)
     # the draws left behind do not disturb the next caller
     assert _digest(sim.sample_network(STREAM_WIDTHS, CHAOTIC, seed=31)) == _digest(net)
 
@@ -154,7 +163,7 @@ def test_layer_stream_checks_widths_at_the_call(monkeypatch, widths, message):
     submitted = []
     monkeypatch.setattr(sim._POOL, "submit", lambda *args: submitted.append(args))
     with pytest.raises(ValueError, match=message):
-        sim._draw_layers(widths, CHAOTIC, 31)
+        sim._draw_layers(widths, 31)
     assert submitted == []
 
 
@@ -453,11 +462,11 @@ def test_streamed_experiments_match_whole_network_oracles():
     rule = mf.build_rule(201)
     width, depth, seed, n_theta = 40, sim._cores() + 3, 7, 16
 
-    length = xp.length_agreement(params, 0.5, depth, width, seed, 2, rule)
+    length, = xp.length_agreement([(params, 0.5)], depth, width, seed, 2, rule)
     assert np.array_equal(length.q_emp,
                           length_whole_network(params, 0.5, depth, width, [seed, seed + 1]))
 
-    corr = xp.correlation_agreement(params, 0.6, depth, width, seed, 2, rule)
+    corr, = xp.correlation_agreement([(params, 0.6)], depth, width, seed, 2, rule)
     assert np.array_equal(corr.c_emp, correlation_whole_network(
         params, corr.theory.chi.q_star, 0.6, depth, width, [seed, seed + 1]))
 
@@ -476,6 +485,32 @@ def test_streamed_experiments_match_whole_network_oracles():
     assert np.array_equal(curv.gE_bar, [g.gE_norm.mean() for g in geoms])
     assert np.array_equal(curv.kappa_sq, [(g.kappa_norm**2).mean() for g in geoms])
     assert np.array_equal(curv.LG, [g.LG for g in geoms])
+
+
+def test_shared_draws_match_each_case_alone():
+    # 2 sigma_w x 2 inputs, listed so that the sigma_w alternate: each case
+    # gets the bytes of its own whole-network run, as if drawn alone
+    rule = mf.build_rule(201)
+    width, depth, seed = 40, sim._cores() + 3, 7
+    seeds = [seed, seed + 1]
+    ensembles = [mf.EnsembleParams(1.5, 0.3, TANH), mf.EnsembleParams(2.5, 0.05, TANH)]
+
+    cases = [(params, q0) for q0 in (0.5, 3.0) for params in ensembles]
+    runs = xp.length_agreement(cases, depth, width, seed, len(seeds), rule)
+    assert len(runs) == len(cases)
+    for (params, q0), run in zip(cases, runs):
+        assert np.array_equal(run.theory.values,
+                              mf.length_trajectory(q0, depth, params, rule).values)
+        assert np.array_equal(run.q_emp, length_whole_network(params, q0, depth, width, seeds))
+
+    cases = [(params, c0) for c0 in (0.3, 0.9) for params in ensembles]
+    runs = xp.correlation_agreement(cases, depth, width, seed, len(seeds), rule)
+    assert len(runs) == len(cases)
+    for (params, c0), run in zip(cases, runs):
+        theory = mf.correlation_trajectory(c0, depth, params, rule)
+        assert np.array_equal(run.theory.values, theory.values)
+        assert np.array_equal(run.c_emp, correlation_whole_network(
+            params, theory.chi.q_star, c0, depth, width, seeds))
 
 
 def test_curvature_agreement_holds_a_few_jets_not_the_network():
