@@ -1,13 +1,11 @@
 #!/usr/bin/env python3
 """Compare the artifacts of README's CLI block between two checkouts.
 
-    python3 scripts/artifact_diff.py --parent ../parent
-    python3 scripts/artifact_diff.py --parent ../parent --only length-map c-map --out diff.json
+    python3 scripts/artifact_diff.py --parent ../parent --out diff.json
 
-Reads the CLI block of this checkout's README.md as
-`tests/test_cli.py::test_every_readme_cli_line_parses` does (every line
-that starts with `mfprop`, parsed and resolved by this checkout's CLI),
-skips `validate-all`, and runs each line on both checkouts, each line in a
+Reads the CLI block of this checkout's README.md (every line that starts
+with `mfprop`, parsed and resolved by this checkout's CLI), skips
+`validate-all`, and runs each line on both checkouts, each line in a
 directory of its own, once at the default BLAS thread count and once with
 OPENBLAS_NUM_THREADS=1: simulation bytes depend on the thread count.  Each
 file a line writes is reported as
@@ -40,13 +38,14 @@ REPO = Path(__file__).resolve().parent.parent
 SETTINGS = {"default": None, "OPENBLAS_NUM_THREADS=1": "1"}
 
 
-def readme_lines(checkout: Path = REPO, only=None) -> list[list[str]]:
-    """The argv of each `mfprop` line of README's CLI block but `validate-all`,
-    limited to the subcommands in `only` if given."""
-    sys.path.insert(0, str(checkout / "src"))
+def readme_lines() -> list[list[str]]:
+    """The argv of each `mfprop` line of README's CLI block, each checked to
+    parse and resolve as the CLI would run it (no handler runs).
+    `tests/test_cli.py` checks with it that the block names every command."""
+    sys.path.insert(0, str(REPO / "src"))
     from mfprop import cli
 
-    readme = (checkout / "README.md").read_text()
+    readme = (REPO / "README.md").read_text()
     block = readme.split("\n## CLI\n", 1)[1].split("```")[1]
     parser = cli._build_parser()
     lines = []
@@ -55,9 +54,8 @@ def readme_lines(checkout: Path = REPO, only=None) -> list[list[str]]:
             continue
         argv = shlex.split(line, comments=True)[1:]
         args = parser.parse_args(argv)
-        command = cli._resolve_config(args.command, args)["command"]
-        if command != "validate-all" and (only is None or command in only):
-            lines.append(argv)
+        cli._resolve_config(args.command, args)
+        lines.append(argv)
     return lines
 
 
@@ -153,12 +151,11 @@ def main() -> int:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--parent", type=Path, required=True,
                         help="the checkout to compare this one against")
-    parser.add_argument("--only", nargs="+", metavar="COMMAND",
-                        help="run only README's lines of these subcommands")
     parser.add_argument("--out", type=Path, help="write the JSON report here")
     args = parser.parse_args()
     with tempfile.TemporaryDirectory() as tmp:
-        report = diff(args.parent.resolve(), readme_lines(REPO, args.only), Path(tmp))
+        lines = [argv for argv in readme_lines() if argv[0] != "validate-all"]
+        report = diff(args.parent.resolve(), lines, Path(tmp))
     text = json.dumps(report, indent=1) + "\n"
     if args.out is None:
         sys.stdout.write(text)

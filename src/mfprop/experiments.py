@@ -88,16 +88,23 @@ def _shared_layers(params: Sequence[EnsembleParams], normals: Iterator,
     of the standard-normal stream `normals` (`sim._draw_layers`) and each k.
 
     Each layer's normals are drawn once and scaled once per distinct
-    sigma_w, into one buffer that every sigma_w and layer reuses: a caller
-    is done with W^l before it reads the next item.  The bytes are those of
-    the network drawn at each params alone (common random numbers)."""
+    sigma_w: the last sigma_w in place, since Z^l is not read after it, and
+    the others into one buffer that they and every layer reuse, so a single
+    sigma_w holds no array beyond the stream's.  A caller is done with W^l
+    before it reads the next item.  The bytes are those of the network
+    drawn at each params alone (common random numbers)."""
     by_sigma_w: dict[float, list[int]] = {}
     for k, p in enumerate(params):
         by_sigma_w.setdefault(p.sigma_w, []).append(k)
-    w = None
+    last = len(by_sigma_w) - 1
+    buf = None
     for l, (z, z_b) in enumerate(normals, start=first):
-        for sigma_w, ks in by_sigma_w.items():
-            w = sim._scaled(z, sigma_w / math.sqrt(z.shape[1]), out=w)
+        for i, (sigma_w, ks) in enumerate(by_sigma_w.items()):
+            scale = sigma_w / math.sqrt(z.shape[1])
+            if i < last:
+                w = buf = sim._scaled(z, scale, out=buf)
+            else:
+                w = sim._scaled(z, scale, out=z)
             for k in ks:
                 yield l, k, w, sim._scaled(z_b, params[k].sigma_b)
 

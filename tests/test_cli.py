@@ -1,5 +1,5 @@
 import json
-import shlex
+import runpy
 import warnings
 from pathlib import Path
 
@@ -391,15 +391,9 @@ def test_bad_choice_is_a_usage_error_before_any_work(tmp_path, capsys, monkeypat
 def test_every_readme_cli_line_parses():
     # README's CLI block names every subcommand, and each line parses and
     # resolves as the CLI would run it (no handler runs)
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    block = readme.split("\n## CLI\n", 1)[1].split("```")[1]
-    lines = [line for line in block.splitlines() if line.startswith("mfprop ")]
-    parser = cli._build_parser()
-    commands = set()
-    for line in lines:
-        args = parser.parse_args(shlex.split(line, comments=True)[1:])
-        commands.add(cli._resolve_config(args.command, args)["command"])
-    assert commands == set(cli._COMMANDS)
+    script = Path(__file__).resolve().parent.parent / "scripts" / "artifact_diff.py"
+    lines = runpy.run_path(str(script))["readme_lines"]()
+    assert {argv[0] for argv in lines} == set(cli._COMMANDS)
 
 
 def test_numerical_failure_exits_2(tmp_path, capsys):

@@ -513,6 +513,24 @@ def test_shared_draws_match_each_case_alone():
             params, theory.chi.q_star, c0, depth, width, seeds))
 
 
+def test_one_sigma_w_is_scaled_in_place():
+    # with one sigma_w, W^l is Z^l scaled in place: the stream's arrays only
+    # (the one in use and min(cores, depth) + 1 drawn or being drawn), no
+    # buffer of its own
+    depth, width = 12, 300
+    rule = mf.build_rule(201)
+    # the first draw in a process starts the pool's threads, whose own
+    # allocations are no layer's
+    xp.length_agreement([(CHAOTIC, 0.5)], 2, width, 5, 1, rule)
+    tracemalloc.start()
+    try:
+        xp.length_agreement([(CHAOTIC, 0.5)], depth, width, 5, 2, rule)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (min(sim._cores(), depth) + 2.5) * width * width * 8
+
+
 def test_curvature_agreement_holds_a_few_jets_not_the_network():
     # a jet is one layer's h, v and a; keeping every layer's would be 12
     depth, width, n_theta = 12, 300, 512
