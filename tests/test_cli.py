@@ -404,8 +404,8 @@ def test_numerical_failure_exits_2(tmp_path, capsys):
     assert "numerical failure" in err
 
 
-# Arguments the library refuses, each with a ValueError before any work, and
-# the words of its message that name what was refused
+# Arguments refused with a ValueError before any work, and the words of its
+# message that name what was refused
 _REFUSALS = [
     (["phase-grid", "--sw", "1:1:1"], "2 samples per axis"),
     (["phase-grid", "--sw", "4:0.1:5"], "strictly increasing"),
@@ -429,6 +429,17 @@ _REFUSALS = [
     (["c-map", "--sw", "1", "--sb", "1e-200"], "sigma_b must"),
     # the first-layer length sigma_w^2 q0 + sigma_b^2 overflows
     (["length-map", "--sw", "4", "--q0", "1e308"], "q0 = 1e+308, sigma_w = 4.0"),
+    # NaN fails every range check, before any work and at any depth
+    (["c-map", "--c0", "nan", "--depth", "1"], "c0 must"),
+    (["c-map", "--sw", "2.5", "--sb", "0.3", "--c0", "nan"], "c0 must"),
+    (["simulate", "--c0", "nan", "--depth", "1"], "c0 must"),
+    (["shallow-bound", "--q0", "nan"], "q must"),
+    (["shallow-bound", "--q0", "inf"], "q must"),
+    (["weight-chaos", "--sw", "4", "--sb", "0.3", "--deltas", "nan:0.5:3"], "deltas must"),
+    # a range that does not convert is named whole
+    (["phase-grid", "--sw", "0.1:4:x"], "range must be lo:hi:count, got '0.1:4:x'"),
+    (["phase-grid", "--sb", "a:1:5"], "range must be lo:hi:count, got 'a:1:5'"),
+    (["weight-chaos", "--deltas", "0:0.5:2.5"], "range must be lo:hi:count, got '0:0.5:2.5'"),
 ]
 
 

@@ -315,9 +315,9 @@ def test_weight_chaos_holds_a_few_layers_not_the_network():
 
 
 def test_weight_chaos_multiplies_the_batch_in_place():
-    # a wide batch dwarfs the layers: each layer's product writes over the
-    # batch it reads, one Delta block at a time, so neither a fresh batch
-    # per layer nor phi of the whole batch is ever held
+    # a wide family of Delta blocks dwarfs the layers: each layer replaces
+    # one block at a time with its product, so neither a fresh family per
+    # layer nor phi of the whole family is ever held
     deltas, n_theta, width = np.linspace(0.0, 0.5, 11), 512, 200
     block_bytes = deltas.size * n_theta * width * 8
     delta_bytes, layer_bytes = n_theta * width * 8, width * width * 8
@@ -327,15 +327,17 @@ def test_weight_chaos_multiplies_the_batch_in_place():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the batch, then while it is built x1 W^T, x1 dW^T and one scaled copy
-    # (three Delta blocks; one block's phi later), and the three layers
-    # W^2..W^4; phi of the whole batch would be 11 blocks more
+    # the 11 blocks, then while they are built x1 W^T, x1 dW^T and one
+    # scaled copy (three Delta blocks; later one block's phi and its
+    # product), and the three layers W^2..W^4; phi of the whole family
+    # would be 11 blocks more
     assert peak < block_bytes + 3 * delta_bytes + 3 * layer_bytes + 100_000
 
 
 def test_weight_chaos_rejects_bad_delta():
-    with pytest.raises(ValueError):
-        ex.weight_chaos_theory(CHAOTIC, 1.5, 4, RULE, q_star=Q_STAR)
-    with pytest.raises(ValueError):
-        ex.weight_chaos_empirical(CHAOTIC, (50,) * 4, np.array([0.0, 2.0]), seed=15,
-                                  rule=RULE)
+    for bad in (1.5, math.nan):
+        with pytest.raises(ValueError, match="delta must"):
+            ex.weight_chaos_theory(CHAOTIC, bad, 4, RULE, q_star=Q_STAR)
+        with pytest.raises(ValueError, match="deltas must"):
+            ex.weight_chaos_empirical(CHAOTIC, (50,) * 4, np.array([0.0, 2 * bad]), seed=15,
+                                      rule=RULE)

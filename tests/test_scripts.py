@@ -56,6 +56,21 @@ def test_curvature_script(tmp_path, monkeypatch):
     assert {r[0] for r in rows} == {"0", "1", "2", "3", "4", "5"}
 
 
+def test_expressivity_script(tmp_path, monkeypatch):
+    assert run_script(monkeypatch, "run_expressivity_experiment.py", "--outdir", tmp_path) == 0
+    assert {p.name for p in tmp_path.iterdir()} == {"fourier_errors.csv", "shallow_bound.csv",
+                                                    "weight_chaos.csv"}
+    columns, rows = columns_and_rows(tmp_path / "fourier_errors.csv")
+    assert columns == ["depth", "frequency", "error"]
+    assert len(rows) == 5 * 51 and {r[0] for r in rows} == {"1", "2", "4", "6", "8"}
+    columns, rows = columns_and_rows(tmp_path / "shallow_bound.csv")
+    assert columns == ["trial", "LE", "bound"] and len(rows) == 100
+    columns, rows = columns_and_rows(tmp_path / "weight_chaos.csv")
+    assert columns == ["delta", "C_theory", "C_empirical"] and len(rows) == 11
+    # Delta = 0 is the reference network itself
+    assert float(rows[0][0]) == 0.0 and float(rows[0][2]) == 1.0
+
+
 def test_bench_record_summarizes_alternating_pairs():
     summarize = runpy.run_path(str(SCRIPTS / "bench_record.py"))["summarize"]
 

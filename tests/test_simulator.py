@@ -362,6 +362,18 @@ def test_pair_at_correlation_exact_gram():
     assert c12 == pytest.approx(0.37, abs=1e-12)
 
 
+@pytest.mark.parametrize("c", [1.5, math.nan])
+def test_pair_at_correlation_refuses_c_outside_unit_interval(c):
+    with pytest.raises(ValueError, match="c must lie in"):
+        sim.pair_at_correlation(50, 1.0, c, seed=20)
+
+
+@pytest.mark.parametrize("q", [-1.0, math.nan, math.inf])
+def test_circle_refuses_a_radius_that_is_not_finite_and_nonnegative(q):
+    with pytest.raises(ValueError, match="q must be"):
+        sim.CircleManifold.sample(4, q, 8, seed=0)
+
+
 def test_autocorrelation_of_circle_is_cosine():
     circle = sim.CircleManifold.sample(400, 1.2, 64, seed=21)
     dthetas, c = sim.autocorrelation(circle.h1(), q_star=1.2)
