@@ -54,6 +54,11 @@ class LinearReadout:
         object.__setattr__(self, "beta", beta)
         if beta.ndim != 1 or float(np.linalg.norm(beta)) == 0.0:
             raise ValueError("readout weight vector must be a nonzero 1-D vector")
+        if not np.all(np.isfinite(beta)):
+            raise ValueError(f"readout weights beta must be finite, got "
+                             f"{np.count_nonzero(~np.isfinite(beta))} non-finite entries")
+        if not np.isfinite(self.beta0):
+            raise ValueError(f"readout offset beta0 must be finite, got {self.beta0!r}")
 
     @property
     def norm(self) -> float:

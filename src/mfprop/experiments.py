@@ -91,14 +91,16 @@ def _shared_layers(params: Sequence[EnsembleParams], normals: Iterator,
     sigma_w: the last sigma_w in place, since Z^l is not read after it, and
     the others into one buffer that they and every layer reuse, so a single
     sigma_w holds no array beyond the stream's.  A caller is done with W^l
-    before it reads the next item.  The bytes are those of the network
-    drawn at each params alone (common random numbers)."""
+    and drops it before it reads the next item, so that Z^l is freed before
+    the next layer is drawn.  The bytes are those of the network drawn at
+    each params alone (common random numbers)."""
     by_sigma_w: dict[float, list[int]] = {}
     for k, p in enumerate(params):
         by_sigma_w.setdefault(p.sigma_w, []).append(k)
     last = len(by_sigma_w) - 1
     buf = None
-    for l, (z, z_b) in enumerate(normals, start=first):
+    l = first
+    for z, z_b in normals:
         for i, (sigma_w, ks) in enumerate(by_sigma_w.items()):
             scale = sigma_w / math.sqrt(z.shape[1])
             if i < last:
@@ -107,6 +109,8 @@ def _shared_layers(params: Sequence[EnsembleParams], normals: Iterator,
                 w = sim._scaled(z, scale, out=z)
             for k in ks:
                 yield l, k, w, sim._scaled(z_b, params[k].sigma_b)
+        l += 1
+        z = z_b = w = None    # Z^l is freed before the next layer is drawn
 
 
 def length_agreement(cases: Sequence[tuple[EnsembleParams, float]], depth: int, width: int,
@@ -127,6 +131,7 @@ def length_agreement(cases: Sequence[tuple[EnsembleParams, float]], depth: int, 
                 h[k] = h[k] @ w.T + b
             else:
                 h[k], = sim._advance([h[k]], w, b, params[k].nonlinearity)
+            del w, b
             acc[k, l - 1] += sim.empirical_length(h[k][0])
     acc /= len(seeds)
     return [LengthAgreement(theory=t, q_emp=a) for t, a in zip(theories, acc)]
@@ -157,6 +162,7 @@ def correlation_agreement(cases: Sequence[tuple[EnsembleParams, float]], depth: 
             measure(k, 1, h[k])
         for l, k, w, b in _shared_layers(params, normals, first=2):
             h[k], = sim._advance([h[k]], w, b, params[k].nonlinearity)
+            del w, b
             measure(k, l, h[k])
     acc /= len(seeds) * N_ORIENTATIONS
     return [CorrelationAgreement(theory=t, c_emp=a) for t, a in zip(theories, acc)]

@@ -242,19 +242,21 @@ def weight_chaos_empirical(
 
     The circle is injected at the first layer, so the interpolated matrix
     is W^2; the base network, the perturbation, and the circle draw from
-    independent child seeds of `seed`.  W^1 and b^1 are never drawn, and
-    W^2..W^D are streamed: each is drawn when the blocks reach it and
-    dropped after its products, and dW after x^1 dW^T.
+    independent child seeds of `seed`.  W^1 and b^1 are never drawn.  dW is
+    drawn, used for x^1 dW^T and dropped before the layer stream starts;
+    W^2..W^D are then streamed, one drawn ahead of the one in use, and each
+    is dropped after its products, before the next is asked for.
 
-    The family is a list of (n_theta, N) blocks, one per Delta; the
-    reference network (Delta = 0) is one more block when the grid lacks it.
-    Layer 2 is linear in its weights, so h^2(Delta) = sqrt(1-|Delta|) x^1 W^T
-    + sqrt(|Delta|) x^1 dW^T + b^2 for every Delta comes from two products.
-    Each deeper layer advances one block at a time with `_advance`, the step
-    of every other propagation, and the new block replaces the old, so a
-    layer holds two blocks beyond the family (phi's temporary and the
-    product), not a second family.  At the CLI defaults (width 1000, depth
-    10, 11 deltas, 256 angles) a call's traced peak is 54.6 MB.
+    The family is one (n_delta n_theta, N) array of row blocks, one per
+    Delta; the reference network (Delta = 0) is one more block when the
+    grid lacks it.  Layer 2 is linear in its weights, so h^2(Delta) =
+    sqrt(1-|Delta|) x^1 W^T + sqrt(|Delta|) x^1 dW^T + b^2 for every Delta
+    comes from two products.  Each deeper layer advances one block at a
+    time with `_advance`, the step of every other propagation, writing the
+    product over the block itself (into a new family only where the width
+    changes), so a layer holds the family, phi of one block and two layers.
+    At the CLI defaults (width 1000, depth 10, 11 deltas, 256 angles) a
+    call's traced peak is 41 MB.
     """
     delta_grid = np.asarray(delta_grid, dtype=float)
     if not np.all(np.abs(delta_grid) <= 1.0):
@@ -272,20 +274,28 @@ def weight_chaos_empirical(
     ref = int(np.flatnonzero(deltas == 0.0)[0])
     x1 = params.nonlinearity.value(circle.h1())
 
-    layers = _network_layers(widths, params, net_seed, first=2)
-    w2, b2 = next(layers)
-    x1_w = x1 @ w2.T
-    del w2
     dw_rng = np.random.default_rng(np.random.SeedSequence(dw_seed))
     d_weights = dw_rng.normal(0.0, params.sigma_w / math.sqrt(widths[1]),
                               size=(widths[2], widths[1]))
     x1_dw = x1 @ d_weights.T
-    del d_weights, x1
-    h = [math.sqrt(1.0 - abs(d)) * x1_w + math.sqrt(abs(d)) * x1_dw + b2 for d in deltas]
+    del d_weights
+    layers = _network_layers(widths, params, net_seed, first=2)
+    w2, b2 = next(layers)
+    x1_w = x1 @ w2.T
+    del w2, x1
+    family = np.empty((deltas.size * n_theta, widths[2]))
+    for block, d in zip(np.split(family, deltas.size), deltas):
+        np.multiply(x1_w, math.sqrt(1.0 - abs(d)), out=block)
+        block += math.sqrt(abs(d)) * x1_dw
+        block += b2
     del x1_w, x1_dw
     for w, b in layers:
-        for k in range(deltas.size):
-            h[k], = _advance([h[k]], w, b, params.nonlinearity)
+        out = family if w.shape[0] == family.shape[1] else np.empty((family.shape[0], w.shape[0]))
+        for block, into in zip(np.split(family, deltas.size), np.split(out, deltas.size)):
+            _advance([block], w, b, params.nonlinearity, out=into)
+        family = out
+        del w, b
+    h = np.split(family, deltas.size)
 
     width_last = widths[-1]
     q_self = np.array([np.einsum("ij,ij->i", out, out).mean() for out in h]) / width_last

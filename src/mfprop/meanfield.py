@@ -140,11 +140,16 @@ class PhaseGrid:
 # length map
 
 
+def _require_length(name: str, q: float) -> float:
+    """q itself, or ValueError naming it unless it is finite and >= 0 (NaN fails)."""
+    if not (math.isfinite(q) and q >= 0):
+        raise ValueError(f"{name} must be a finite nonnegative real, got {q!r}")
+    return q
+
+
 def length_map(q: float, params: EnsembleParams, rule: QuadratureRule) -> float:
     """One application of the variance map V(q)."""
-    if not (np.isfinite(q) and q >= 0):
-        raise ValueError(f"q must be a finite nonnegative real, got {q!r}")
-    return _weighted_moment(0, q, params, rule) + params.sigma_b**2
+    return _weighted_moment(0, _require_length("q", q), params, rule) + params.sigma_b**2
 
 
 def _weighted_moment(k: int, q: float, params: EnsembleParams, rule: QuadratureRule) -> float:
@@ -286,8 +291,7 @@ def length_trajectory(
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
-    if not (np.isfinite(q0) and q0 >= 0):
-        raise ValueError(f"q0 must be a finite nonnegative real, got {q0!r}")
+    _require_length("q0", q0)
     q_star = length_fixed_point(params, rule)
 
     def close(q):
@@ -316,9 +320,12 @@ def length_trajectory(
 
 
 def _require_positive_q_star(q_star: float, what: str) -> float:
-    """q_star itself, or DegenerateGeometryError when q* = 0."""
-    if q_star <= 0.0:
+    """q_star itself; DegenerateGeometryError when q* = 0, and ValueError
+    naming q_star when it is not a finite positive real (NaN fails)."""
+    if q_star == 0.0:
         raise DegenerateGeometryError(f"{what} needs q* > 0, got q* = {q_star!r}")
+    if not (math.isfinite(q_star) and q_star > 0.0):
+        raise ValueError(f"{what} needs a finite q_star > 0, got q_star = {q_star!r}")
     return q_star
 
 
@@ -344,7 +351,7 @@ def chi1(
     """Slope of the c-map at c = 1: sigma_w^2 E[phi'(sqrt(q*) z)^2]."""
     if q_star is None:
         q_star = length_fixed_point(params, rule)
-    return _weighted_moment(1, q_star, params, rule)
+    return _weighted_moment(1, _require_length("q_star", q_star), params, rule)
 
 
 def chi2(
@@ -358,7 +365,7 @@ def chi2(
     Defined only for activations with a smooth second derivative; for
     the others `derivatives` raises UnsupportedActivationError at order 2.
     """
-    return _weighted_moment(2, q_star, params, rule)
+    return _weighted_moment(2, _require_length("q_star", q_star), params, rule)
 
 
 def _c_star(

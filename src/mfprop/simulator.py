@@ -22,14 +22,16 @@ Each layer draws standard normals from an independent child of the
 realization seed, so truncating the depth never changes shallower layers,
 and scales them by sigma_w / sqrt(fan_in) and sigma_b, which gives the
 bytes of Generator.normal.  Layers are drawn as a stream, in order, on a
-process-wide thread pool with one worker per available core, at most one
-layer per worker ahead of the consumer, into arrays the consumer allocates
-(see `_draw_layers`); the bytes are identical to drawing them one after
-another.  A network used for one pass (weight chaos, the experiments) is
-propagated from that stream without being held whole, and the experiments
-reduce each layer's record before the next is made; the length and
-correlation experiments scale one draw for every sigma_w they run.
-`sample_network` collects the stream.
+process-wide thread pool with one worker per available core, into arrays
+the consumer allocates (see `_draw_layers`); the bytes are identical to
+drawing them one after another.  A network used for one pass (weight
+chaos, the experiments) is propagated from that stream without being held
+whole: one layer is drawn ahead of the one in use, and the stream keeps no
+layer it has yielded, so a consumer that drops each layer before asking for
+the next holds two.  The experiments reduce each layer's record before the
+next is made; the length and correlation experiments scale one draw for
+every sigma_w they run.  `sample_network` keeps every layer, so it asks
+for all of them at once and they are drawn in parallel.
 """
 
 from __future__ import annotations
@@ -152,8 +154,8 @@ def _new_pool() -> ThreadPoolExecutor:
 _POOL = _new_pool()
 
 
-def _draw_layers(widths: Sequence[int], seed: int,
-                 first: int = 1) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _draw_layers(widths: Sequence[int], seed: int, first: int = 1,
+                 ahead: int = 1) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield the standard normals (Z^l, z_b^l) of layers l = first..D, in
     order; deterministic for a given seed.
 
@@ -165,10 +167,14 @@ def _draw_layers(widths: Sequence[int], seed: int,
     The draws run on a process-wide thread pool with one worker per core
     this process may run on; numpy's Generator fills arrays without holding
     the GIL, so independent streams are drawn in parallel, and beside the
-    caller's products on earlier layers.  At most one layer per worker is
-    drawn ahead of the one last yielded, so a caller that keeps only the
-    current layer holds about (workers + 1) layers, not D.  A caller that
-    stops early leaves at most those draws to finish.
+    caller's products on earlier layers.  `ahead` layers are drawn or being
+    drawn beyond the one last yielded, and the stream keeps no reference
+    to a layer it has yielded, so a caller that releases each layer before
+    asking for the next holds ahead + 1 layers, not D.  A stream read once,
+    layer by layer, takes ahead = 1: one draw overlaps the caller's work on
+    the layer before.  `sample_network`, which keeps every layer anyway,
+    takes ahead = D and draws them all in parallel.  A caller that stops
+    early leaves at most `ahead` draws to finish.
 
     The arrays are allocated here, on the consumer's thread, and the tasks
     only fill them.  An array a worker allocates comes from that worker's
@@ -219,14 +225,14 @@ def _draw_layers(widths: Sequence[int], seed: int,
                                np.empty(widths[l]))
 
         todo = iter(range(first, depth + 1))
-        ahead = deque(submit(l) for l in islice(todo, _cores()))
+        in_flight = deque(submit(l) for l in islice(todo, ahead))
         try:
-            while ahead:
-                current = ahead.popleft()
-                ahead.extend(submit(l) for l in islice(todo, 1))
-                yield current.result()
+            while in_flight:
+                in_flight.extend(submit(l) for l in islice(todo, 1))
+                # no name here keeps the layer once it is yielded
+                yield in_flight.popleft().result()
         finally:
-            for future in ahead:
+            for future in in_flight:
                 future.cancel()
 
     # the widths above are checked at the call, before the first layer is read
@@ -245,11 +251,16 @@ def _scaled(z: np.ndarray, scale: float, out: Optional[np.ndarray] = None) -> np
 
 
 def _network_layers(widths: Sequence[int], params: EnsembleParams, seed: int,
-                    first: int = 1) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(W^l, b^l) for l = first..D: `_draw_layers`, scaled in place."""
-    return ((_scaled(z, params.sigma_w / math.sqrt(z.shape[1]), out=z),
-             _scaled(z_b, params.sigma_b, out=z_b))
-            for z, z_b in _draw_layers(widths, seed, first))
+                    first: int = 1, ahead: int = 1) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(W^l, b^l) for l = first..D: `_draw_layers`, scaled in place.
+
+    A `map`, not a generator, so no yielded layer stays referenced here
+    while the next is drawn."""
+    def scale(layer: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        z, z_b = layer
+        return (_scaled(z, params.sigma_w / math.sqrt(z.shape[1]), out=z),
+                _scaled(z_b, params.sigma_b, out=z_b))
+    return map(scale, _draw_layers(widths, seed, first, ahead))
 
 
 def _forget_pool() -> None:
@@ -266,9 +277,10 @@ if hasattr(os, "register_at_fork"):
 def sample_network(widths: Sequence[int], params: EnsembleParams, seed: int) -> NetworkRealization:
     """Draw one realization; deterministic for a given seed.
 
-    The layers are `_network_layers(widths, params, seed)`, collected.
+    The layers are `_network_layers(widths, params, seed)`, collected, all
+    asked for at once.
     """
-    weights, biases = zip(*_network_layers(widths, params, seed))
+    weights, biases = zip(*_network_layers(widths, params, seed, ahead=len(widths) - 1))
     return NetworkRealization(
         widths=tuple(int(n) for n in widths),
         weights=weights,
@@ -329,19 +341,26 @@ def _propagate(layers: Iterable[tuple[np.ndarray, np.ndarray]], nonlinearity: No
     `layers` is consumed once, in order, so it may be a stream of draws, and
     each record is yielded as soon as its product is done: a consumer that
     reduces one record before asking for the next holds one layer's arrays,
-    not the network's.
+    not the network's.  A layer of `layers` is released before the record
+    is yielded, so a stream of draws holds two layers, not three.
     """
     blocks = first
     yield LayerRecord(1, *blocks)
-    for l, (W, b) in enumerate(layers, start=2):
+    l = 1
+    for W, b in layers:
+        l += 1
         blocks = _advance(blocks, W, b, nonlinearity)
+        del W, b
         yield LayerRecord(l, *blocks)
 
 
 def _advance(blocks: list[np.ndarray], W: np.ndarray, b: np.ndarray,
-             nonlinearity: Nonlinearity) -> list[np.ndarray]:
+             nonlinearity: Nonlinearity, out: Optional[np.ndarray] = None) -> list[np.ndarray]:
     """The next layer's [h], [h, v] or [h, v, a] from this layer's, through
-    (W, b): one product on the stacked rows (module docstring)."""
+    (W, b): one product on the stacked rows (module docstring), written into
+    `out` of shape ((order + 1) n, N_l) if given.  `out` may be the memory
+    of `blocks` (numpy copies an operand that overlaps it first), with the
+    bytes of a new array."""
     H, *jet = blocks
     order, n = len(jet), H.shape[0]
     d = nonlinearity.derivatives(H, order)
@@ -353,7 +372,7 @@ def _advance(blocks: list[np.ndarray], W: np.ndarray, b: np.ndarray,
         np.multiply(d[1], jet[0], out=stacked[n:2 * n])
         if order == 2:
             stacked[2 * n:] = d[2] * jet[0] * jet[0] + d[1] * jet[1]
-    out = stacked @ W.T
+    out = np.matmul(stacked, W.T, out=out)
     blocks = [out[k * n:(k + 1) * n] for k in range(order + 1)]
     blocks[0] += b
     return blocks
@@ -405,8 +424,8 @@ def autocorrelation(h: np.ndarray, q_star: float) -> tuple[np.ndarray, np.ndarra
     (delta_thetas, c) where c[k] averages (1/N) h(theta).h(theta+dtheta_k)
     over theta, normalized by q_star.
     """
-    if q_star <= 0.0:
-        raise ValueError(f"q_star must be positive, got {q_star!r}")
+    if not (math.isfinite(q_star) and q_star > 0.0):
+        raise ValueError(f"q_star must be a finite positive real, got {q_star!r}")
     h = np.asarray(h, dtype=float)
     if h.ndim != 2 or h.shape[0] < 1:
         raise ValueError("h must have shape (n_theta, N)")

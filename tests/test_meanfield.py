@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 import mfprop as mf
+from mfprop import boundary
 from mfprop import meanfield
 from mfprop import expressivity
+from mfprop import simulator
 from mfprop.errors import ConvergenceError, DegenerateGeometryError, UnsupportedActivationError
 from mfprop.meanfield import _c_star
 
@@ -244,6 +246,26 @@ def test_c_map_undefined_at_zero_length():
     q_star = mf.length_fixed_point(params, RULE)
     with pytest.raises(DegenerateGeometryError, match=r"q\* > 0, got q\* = 0"):
         mf.c_map(0.5, params, RULE, q_star=q_star)
+
+
+# a NaN fails each check (it compares false), and the refusal names the
+# argument; q* = 0 stays a DegenerateGeometryError (above)
+@pytest.mark.parametrize("call, name", [
+    (lambda: mf.c_map(0.5, CHAOTIC, RULE, q_star=math.nan), "q_star"),
+    (lambda: mf.c_map(0.5, CHAOTIC, RULE, q_star=math.inf), "q_star"),
+    (lambda: expressivity.weight_chaos_theory(CHAOTIC, 0.1, 3, RULE, q_star=math.nan),
+     "q_star"),
+    (lambda: simulator.autocorrelation(np.ones((4, 3)), math.nan), "q_star"),
+    (lambda: mf.chi1(CHAOTIC, RULE, q_star=-1.0), "q_star"),
+    (lambda: mf.chi2(CHAOTIC, RULE, q_star=-1.0), "q_star"),
+    (lambda: mf.chi2(CHAOTIC, RULE, q_star=math.nan), "q_star"),
+    (lambda: boundary.LinearReadout(beta=[1.0, math.nan]), "beta"),
+    (lambda: boundary.LinearReadout(beta=[1.0, 2.0], beta0=math.nan), "beta0"),
+], ids=["c_map-nan", "c_map-inf", "weight_chaos_theory-nan", "autocorrelation-nan",
+        "chi1-negative", "chi2-negative", "chi2-nan", "readout-beta-nan", "readout-beta0-nan"])
+def test_non_finite_inputs_are_refused_by_name(call, name):
+    with pytest.raises(ValueError, match=rf"\b{name}\b"):
+        call()
 
 
 def test_c_map_against_dense_grid():

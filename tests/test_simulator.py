@@ -154,6 +154,24 @@ def test_layer_stream_stopped_early():
     assert _digest(sim.sample_network(STREAM_WIDTHS, CHAOTIC, seed=31)) == _digest(net)
 
 
+def test_layer_stream_holds_two_layers_whatever_the_core_count(monkeypatch):
+    # the layer in use and the one being drawn, on a box of any size, for a
+    # caller that drops each layer before asking for the next
+    monkeypatch.setattr(sim, "_cores", lambda: 4)
+    widths, layer_bytes = (300,) * 13, 300 * 300 * 8
+    # the first draw in a process starts the pool's threads, whose own
+    # allocations are no layer's
+    list(sim._network_layers(widths[:3], CHAOTIC, 4))
+    tracemalloc.start()
+    try:
+        for w, b in sim._network_layers(widths, CHAOTIC, 4):
+            del w, b
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * layer_bytes
+
+
 @pytest.mark.parametrize("widths, message", [
     ((10,), "depth >= 1"),
     ((0, 10, 10), "all widths must be >= 1"),
@@ -317,6 +335,21 @@ def test_jet_matches_unstacked_oracle_on_uneven_widths(name, acceleration):
                  + ([(rec.a, a)] if acceleration else []))
         for got, want in pairs:
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("nl", [TANH, LINEAR], ids=["tanh", "linear"])
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_layer_step_into_its_own_blocks_keeps_the_bytes(order, nl):
+    # weight chaos advances each block over its own memory; linear's phi is
+    # h itself, so there the product's operand overlaps its output
+    rng = np.random.default_rng(order)
+    n, width = 9, 60
+    w, b = rng.normal(size=(width, width)), rng.normal(size=width)
+    stacked = rng.normal(size=((order + 1) * n, width))
+    expected = sim._advance(np.split(stacked.copy(), order + 1), w, b, nl)
+    got = sim._advance(np.split(stacked, order + 1), w, b, nl, out=stacked)
+    assert all(np.shares_memory(block, stacked) for block in got)
+    assert all(np.array_equal(g, e) for g, e in zip(got, expected))
 
 
 def test_jet_acceleration_requires_smooth_activation():
@@ -527,8 +560,7 @@ def test_shared_draws_match_each_case_alone():
 
 def test_one_sigma_w_is_scaled_in_place():
     # with one sigma_w, W^l is Z^l scaled in place: the stream's arrays only
-    # (the one in use and min(cores, depth) + 1 drawn or being drawn), no
-    # buffer of its own
+    # (the one in use and the one being drawn), no buffer of its own
     depth, width = 12, 300
     rule = mf.build_rule(201)
     # the first draw in a process starts the pool's threads, whose own
@@ -540,7 +572,7 @@ def test_one_sigma_w_is_scaled_in_place():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < (min(sim._cores(), depth) + 2.5) * width * width * 8
+    assert peak < 2.5 * width * width * 8
 
 
 def test_curvature_agreement_holds_a_few_jets_not_the_network():
