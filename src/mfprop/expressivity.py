@@ -251,12 +251,16 @@ def weight_chaos_empirical(
     Delta; the reference network (Delta = 0) is one more block when the
     grid lacks it.  Layer 2 is linear in its weights, so h^2(Delta) =
     sqrt(1-|Delta|) x^1 W^T + sqrt(|Delta|) x^1 dW^T + b^2 for every Delta
-    comes from two products.  Each deeper layer advances one block at a
-    time with `_advance`, the step of every other propagation, writing the
-    product over the block itself (into a new family only where the width
-    changes), so a layer holds the family, phi of one block and two layers.
-    At the CLI defaults (width 1000, depth 10, 11 deltas, 256 angles) a
-    call's traced peak is 41 MB.
+    comes from two products, made in two of the family's blocks and
+    combined through one scaled copy.  Each deeper layer advances one block
+    at a time with `_advance`, the step of every other propagation, writing
+    the product over the family's own memory: one buffer, the widest
+    layer's family, serves every width.  So a call holds the widest family
+    and, beside it, at most one block (x^1, a scaled copy or phi of a
+    block) and two layers.  At the CLI defaults (width 1000, depth 10, 11
+    deltas, 256 angles) a call's traced peak is 40.7 MB, and with the
+    width stepping from 1000 to 1500 at layer 5 it is 73.0 MB: the 1500-wide
+    family, one block and two 1500-wide layers.
     """
     delta_grid = np.asarray(delta_grid, dtype=float)
     if not np.all(np.abs(delta_grid) <= 1.0):
@@ -274,24 +278,41 @@ def weight_chaos_empirical(
     ref = int(np.flatnonzero(deltas == 0.0)[0])
     x1 = params.nonlinearity.value(circle.h1())
 
-    dw_rng = np.random.default_rng(np.random.SeedSequence(dw_seed))
-    d_weights = dw_rng.normal(0.0, params.sigma_w / math.sqrt(widths[1]),
-                              size=(widths[2], widths[1]))
-    x1_dw = x1 @ d_weights.T
-    del d_weights
+    # the families of all layers share one buffer, the widest's size
+    size = deltas.size * n_theta
+    buffer = np.empty(size * max(widths[2:]))
+    family = buffer[:size * widths[2]].reshape(size, widths[2])
+    blocks = np.split(family, deltas.size)
+    others = [k for k in range(deltas.size) if k != ref]
+    if others:    # x1 dW^T is made in the last other Delta's block
+        dw_rng = np.random.default_rng(np.random.SeedSequence(dw_seed))
+        d_weights = dw_rng.normal(0.0, params.sigma_w / math.sqrt(widths[1]),
+                                  size=(widths[2], widths[1]))
+        x1_dw = np.matmul(x1, d_weights.T, out=blocks[others[-1]])
+        del d_weights
     layers = _network_layers(widths, params, net_seed, first=2)
     w2, b2 = next(layers)
-    x1_w = x1 @ w2.T
+    x1_w = np.matmul(x1, w2.T, out=blocks[ref])
     del w2, x1
-    family = np.empty((deltas.size * n_theta, widths[2]))
-    for block, d in zip(np.split(family, deltas.size), deltas):
-        np.multiply(x1_w, math.sqrt(1.0 - abs(d)), out=block)
-        block += math.sqrt(abs(d)) * x1_dw
-        block += b2
-    del x1_w, x1_dw
+    scaled = np.empty_like(x1_w)
+    for k in others[:-1]:
+        np.multiply(x1_w, math.sqrt(1.0 - abs(deltas[k])), out=blocks[k])
+        blocks[k] += np.multiply(x1_dw, math.sqrt(abs(deltas[k])), out=scaled)
+    if others:    # the sum in the other order, the same bytes
+        np.multiply(x1_w, math.sqrt(1.0 - abs(deltas[others[-1]])), out=scaled)
+        x1_dw *= math.sqrt(abs(deltas[others[-1]]))
+        x1_dw += scaled
+    del scaled
+    # Delta = 0 leaves x1 W^T in its block: 0 x1 dW^T adds a signed zero,
+    # which adding b^2 (never -0.0, see `_scaled`) removes
+    family += b2
     for w, b in layers:
-        out = family if w.shape[0] == family.shape[1] else np.empty((family.shape[0], w.shape[0]))
-        for block, into in zip(np.split(family, deltas.size), np.split(out, deltas.size)):
+        out = buffer[:size * w.shape[0]].reshape(size, w.shape[0])
+        pairs = list(zip(np.split(family, deltas.size), np.split(out, deltas.size)))
+        # block k of a wider layer lies over this layer's blocks k and later,
+        # of a narrower one over blocks k and earlier: read each block before
+        # any is written over it
+        for block, into in (pairs[::-1] if out.shape[1] > family.shape[1] else pairs):
             _advance([block], w, b, params.nonlinearity, out=into)
         family = out
         del w, b

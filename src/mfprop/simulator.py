@@ -170,11 +170,18 @@ def _draw_layers(widths: Sequence[int], seed: int, first: int = 1,
     caller's products on earlier layers.  `ahead` layers are drawn or being
     drawn beyond the one last yielded, and the stream keeps no reference
     to a layer it has yielded, so a caller that releases each layer before
-    asking for the next holds ahead + 1 layers, not D.  A stream read once,
-    layer by layer, takes ahead = 1: one draw overlaps the caller's work on
-    the layer before.  `sample_network`, which keeps every layer anyway,
-    takes ahead = D and draws them all in parallel.  A caller that stops
-    early leaves at most `ahead` draws to finish.
+    asking for the next holds ahead + 1 layers, not D, and a caller that
+    stops early leaves at most `ahead` draws to finish.  A stream read
+    once, layer by layer, takes ahead = 1: the next layer is submitted
+    before the caller waits on this one, so one draw overlaps the caller's
+    work on the layer before and at most two workers are busy, whatever
+    the core count; on a box with more than two cores such a stream may be
+    slower than one that keeps every core busy, which is not measured.
+    `sample_network`, which keeps every layer anyway, takes ahead = D and
+    draws them all in parallel: on perfbench's ensemble-sim workload
+    (2-core box, 10 alternating pairs, seeds 951-960, BENCH_sample_ahead.json)
+    ahead = 1 there made every run slower, wall time 17.4 -> 19.8 s and the
+    median operation 145 -> 157 ms (medians), at the same peak RSS.
 
     The arrays are allocated here, on the consumer's thread, and the tasks
     only fill them.  An array a worker allocates comes from that worker's
@@ -278,7 +285,7 @@ def sample_network(widths: Sequence[int], params: EnsembleParams, seed: int) -> 
     """Draw one realization; deterministic for a given seed.
 
     The layers are `_network_layers(widths, params, seed)`, collected, all
-    asked for at once.
+    asked for at once (see `_draw_layers` for why).
     """
     weights, biases = zip(*_network_layers(widths, params, seed, ahead=len(widths) - 1))
     return NetworkRealization(
@@ -347,6 +354,7 @@ def _propagate(layers: Iterable[tuple[np.ndarray, np.ndarray]], nonlinearity: No
     blocks = first
     yield LayerRecord(1, *blocks)
     l = 1
+    # not enumerate: its cached result tuple would keep the previous layer
     for W, b in layers:
         l += 1
         blocks = _advance(blocks, W, b, nonlinearity)

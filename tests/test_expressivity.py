@@ -326,13 +326,27 @@ def test_weight_chaos_multiplies_the_batch_in_place():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the 11 blocks; while they are built, x1 W^T, x1 dW^T, one scaled copy
-    # (three Delta blocks) and W^3 being drawn; then one block's phi, the
-    # layer in use and the one being drawn.  phi of the whole family would
-    # be 11 blocks more
-    building = 3 * delta_bytes + layer_bytes
-    advancing = delta_bytes + 2 * layer_bytes
-    assert peak < block_bytes + max(building, advancing) + 100_000
+    # the 11 blocks, x1 W^T and x1 dW^T made in two of them; beside them
+    # x1 and two layers, then one scaled copy and one layer, then one
+    # block's phi and two layers.  phi of the whole family would be 11
+    # blocks more
+    assert peak < block_bytes + delta_bytes + 2 * layer_bytes + 100_000
+
+
+def test_weight_chaos_family_changes_width_in_its_own_buffer():
+    # a wider layer's family is written over the narrower one's, not beside
+    # it: one buffer of the widest family, one block's phi and two layers
+    deltas, n_theta, widths = np.linspace(0.0, 0.5, 11), 512, (200, 200, 200, 300, 200)
+    widest = deltas.size * n_theta * 300 * 8
+    delta_bytes, layer_bytes = n_theta * 300 * 8, 300 * 200 * 8
+    tracemalloc.start()
+    try:
+        ex.weight_chaos_empirical(CHAOTIC, widths, deltas, 3, n_theta=n_theta, rule=RULE)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the narrower family beside the wider one would be 7.3 blocks more
+    assert peak < widest + delta_bytes + 2 * layer_bytes + 100_000
 
 
 def test_weight_chaos_rejects_bad_delta():

@@ -166,10 +166,16 @@ def test_layer_stream_holds_two_layers_whatever_the_core_count(monkeypatch):
     try:
         for w, b in sim._network_layers(widths, CHAOTIC, 4):
             del w, b
-        peak = tracemalloc.get_traced_memory()[1]
+        dropped = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        layers = sim._network_layers(widths, CHAOTIC, 4, first=2)
+        for record in sim._propagate(layers, TANH, [np.ones((1, 300))]):
+            del record
+        propagated = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2.5 * layer_bytes
+    assert dropped < 2.5 * layer_bytes
+    assert propagated < 2.5 * layer_bytes
 
 
 @pytest.mark.parametrize("widths, message", [
