@@ -381,6 +381,7 @@ def _advance(blocks: list[np.ndarray], W: np.ndarray, b: np.ndarray,
         if order == 2:
             stacked[2 * n:] = d[2] * jet[0] * jet[0] + d[1] * jet[1]
     out = np.matmul(stacked, W.T, out=out)
+    del d, stacked    # numpy takes a buffer to add b; phi need not be held beside it
     blocks = [out[k * n:(k + 1) * n] for k in range(order + 1)]
     blocks[0] += b
     return blocks

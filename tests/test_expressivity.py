@@ -320,6 +320,8 @@ def test_weight_chaos_multiplies_the_batch_in_place():
     deltas, n_theta, width = np.linspace(0.0, 0.5, 11), 512, 200
     block_bytes = deltas.size * n_theta * width * 8
     delta_bytes, layer_bytes = n_theta * width * 8, width * width * 8
+    # start the draw pool, whose threads' own allocations are no layer's
+    ex.weight_chaos_empirical(CHAOTIC, (width,) * 3, deltas, 3, n_theta=4, rule=RULE)
     tracemalloc.start()
     try:
         ex.weight_chaos_empirical(CHAOTIC, (width,) * 5, deltas, 3, n_theta=n_theta, rule=RULE)
@@ -339,6 +341,7 @@ def test_weight_chaos_family_changes_width_in_its_own_buffer():
     deltas, n_theta, widths = np.linspace(0.0, 0.5, 11), 512, (200, 200, 200, 300, 200)
     widest = deltas.size * n_theta * 300 * 8
     delta_bytes, layer_bytes = n_theta * 300 * 8, 300 * 200 * 8
+    ex.weight_chaos_empirical(CHAOTIC, widths[:3], deltas, 3, n_theta=4, rule=RULE)  # the pool
     tracemalloc.start()
     try:
         ex.weight_chaos_empirical(CHAOTIC, widths, deltas, 3, n_theta=n_theta, rule=RULE)
