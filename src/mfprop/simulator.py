@@ -180,7 +180,7 @@ def _draw_layers(widths: Sequence[int], seed: int, first: int = 1,
     `sample_network`, which keeps every layer anyway, takes ahead = D and
     draws them all in parallel: on perfbench's ensemble-sim workload
     (2-core box, 10 alternating pairs, seeds 951-960, BENCH_sample_ahead.json)
-    ahead = 1 there made every run slower, wall time 17.4 -> 19.8 s and the
+    ahead = 1 there was slower in every pair, wall time 17.4 -> 19.8 s and the
     median operation 145 -> 157 ms (medians), at the same peak RSS.
 
     The arrays are allocated here, on the consumer's thread, and the tasks
