@@ -6,6 +6,9 @@ theory next to the measured arrays: the CLI formats them, the acceptance
 suite applies thresholds to them and the scripts write them.
 
 Realization k of an ensemble with base seed s is the network of seed s + k.
+Its layers come from `simulator._layers`, drawn once per realization and
+shared by every case of a call (common random numbers), and each layer is
+dropped before the next is drawn.
 Inputs come from streams derived from the network seed:
 
 * length inputs: SeedSequence(seed, spawn_key=(101,));
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -78,39 +82,9 @@ def _from_first_layer(params: EnsembleParams, depth: int, width: int, seed: int,
     (three) on the network of `seed`, streamed: each layer 2..depth is drawn
     as it is needed, each record is yielded when its product is done, and
     W^1, b^1 are never drawn."""
-    layers = sim._network_layers((width,) * (depth + 1), params, seed, first=2)
+    # a `map`, not a generator, so no frame keeps (W, b) while the next is drawn
+    layers = map(itemgetter(2, 3), sim._layers((width,) * (depth + 1), [params], seed, first=2))
     return sim._propagate(layers, params.nonlinearity, first)
-
-
-def _shared_layers(params: Sequence[EnsembleParams], normals: Iterator,
-                   first: int) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
-    """(l, k, W^l, b^l) at params[k], for each layer l = first, first + 1, ...
-    of the standard-normal stream `normals` (`sim._draw_layers`) and each k.
-
-    Each layer's normals are drawn once and scaled once per distinct
-    sigma_w: the last sigma_w in place, since Z^l is not read after it, and
-    the others into one buffer that they and every layer reuse, so a single
-    sigma_w holds no array beyond the stream's.  A caller is done with W^l
-    and drops it before it reads the next item, so that Z^l is freed before
-    the next layer is drawn.  The bytes are those of the network drawn at
-    each params alone (common random numbers)."""
-    by_sigma_w: dict[float, list[int]] = {}
-    for k, p in enumerate(params):
-        by_sigma_w.setdefault(p.sigma_w, []).append(k)
-    last = len(by_sigma_w) - 1
-    buf = None
-    l = first
-    for z, z_b in normals:
-        for i, (sigma_w, ks) in enumerate(by_sigma_w.items()):
-            scale = sigma_w / math.sqrt(z.shape[1])
-            if i < last:
-                w = buf = sim._scaled(z, scale, out=buf)
-            else:
-                w = sim._scaled(z, scale, out=z)
-            for k in ks:
-                yield l, k, w, sim._scaled(z_b, params[k].sigma_b)
-        l += 1
-        z = z_b = w = None    # Z^l is freed before the next layer is drawn
 
 
 def length_agreement(cases: Sequence[tuple[EnsembleParams, float]], depth: int, width: int,
@@ -122,11 +96,11 @@ def length_agreement(cases: Sequence[tuple[EnsembleParams, float]], depth: int, 
     theories = [length_trajectory(q0, depth, p, rule) for p, q0 in cases]
     acc = np.zeros((len(cases), depth))
     for s in seeds:
-        normals = sim._draw_layers((width,) * (depth + 1), s)
+        layers = sim._layers((width,) * (depth + 1), params, s)
         rng = np.random.default_rng(np.random.SeedSequence(entropy=s, spawn_key=(101,)))
         g = rng.normal(size=width)
         h = [g[None] * (math.sqrt(width * q0) / np.linalg.norm(g)) for _, q0 in cases]
-        for l, k, w, b in _shared_layers(params, normals, first=1):
+        for l, k, w, b in layers:
             if l == 1:    # the input enters through W^1 without phi
                 h[k] = h[k] @ w.T + b
             else:
@@ -153,14 +127,14 @@ def correlation_agreement(cases: Sequence[tuple[EnsembleParams, float]], depth: 
             acc[k, l - 1] += sim.empirical_correlation(h[2 * orient], h[2 * orient + 1])[3]
 
     for s in seeds:
-        normals = sim._draw_layers((width,) * (depth + 1), s, first=2)
+        layers = sim._layers((width,) * (depth + 1), params, s, first=2)
         h = [np.concatenate([
             sim.pair_at_correlation(width, t.chi.q_star, c0, seed=1_000_000 * (orient + 1) + s)
             for orient in range(N_ORIENTATIONS)
         ]) for (_, c0), t in zip(cases, theories)]
         for k in range(len(cases)):
             measure(k, 1, h[k])
-        for l, k, w, b in _shared_layers(params, normals, first=2):
+        for l, k, w, b in layers:
             h[k], = sim._advance([h[k]], w, b, params[k].nonlinearity)
             del w, b
             measure(k, l, h[k])
@@ -191,6 +165,8 @@ def boundary_curvature(params: EnsembleParams, depth: int, width: int, n_points:
     sqrt((q* - sigma_b^2) / sigma_w^2) per coordinate, pushed through the
     network prefix, so each start carries its layer's activity statistics.
     """
+    if n_points < 1:
+        raise ValueError(f"boundary curvature needs n_points >= 1, got {n_points}")
     # refuse an activation without phi'' before the q* solve, which fails
     # first (expansive map) for a kinked phi at large sigma_w
     params.nonlinearity.derivatives(np.zeros(1), 2)

@@ -35,7 +35,7 @@ from .meanfield import (
     length_fixed_point,
 )
 from .quadrature import QuadratureRule
-from .simulator import CircleManifold, _advance, _network_layers
+from .simulator import CircleManifold, _advance, _layers
 
 
 @dataclass(frozen=True)
@@ -263,6 +263,8 @@ def weight_chaos_empirical(
     family, one block and two 1500-wide layers.
     """
     delta_grid = np.asarray(delta_grid, dtype=float)
+    if delta_grid.size == 0:
+        raise ValueError("weight chaos needs at least one Delta in delta_grid")
     if not np.all(np.abs(delta_grid) <= 1.0):
         raise ValueError(f"all deltas must lie in [-1, 1], got {delta_grid}")
     widths = tuple(int(n) for n in widths)
@@ -290,8 +292,8 @@ def weight_chaos_empirical(
                                   size=(widths[2], widths[1]))
         x1_dw = np.matmul(x1, d_weights.T, out=blocks[others[-1]])
         del d_weights
-    layers = _network_layers(widths, params, net_seed, first=2)
-    w2, b2 = next(layers)
+    layers = _layers(widths, [params], net_seed, first=2)
+    _, _, w2, b2 = next(layers)
     x1_w = np.matmul(x1, w2.T, out=blocks[ref])
     del w2, x1
     scaled = np.empty_like(x1_w)
@@ -306,7 +308,7 @@ def weight_chaos_empirical(
     # Delta = 0 leaves x1 W^T in its block: 0 x1 dW^T adds a signed zero,
     # which adding b^2 (never -0.0, see `_scaled`) removes
     family += b2
-    for w, b in layers:
+    for _, _, w, b in layers:
         out = buffer[:size * w.shape[0]].reshape(size, w.shape[0])
         pairs = list(zip(np.split(family, deltas.size), np.split(out, deltas.size)))
         # block k of a wider layer lies over this layer's blocks k and later,

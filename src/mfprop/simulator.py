@@ -18,20 +18,20 @@ activation once, as `derivatives(h, k)`, multiplies W with the stacked rows
 [phi; phi' v; phi'' v v + phi' a] in one product, and yields the layer's
 record.  `forward`, `forward_from_first` and `forward_jet` collect it.
 
-Each layer draws standard normals from an independent child of the
-realization seed, so truncating the depth never changes shallower layers,
-and scales them by sigma_w / sqrt(fan_in) and sigma_b, which gives the
-bytes of Generator.normal.  Layers are drawn as a stream, in order, on a
-process-wide thread pool with one worker per available core, into arrays
-the consumer allocates (see `_draw_layers`); the bytes are identical to
-drawing them one after another.  A network used for one pass (weight
-chaos, the experiments) is propagated from that stream without being held
-whole: one layer is drawn ahead of the one in use, and the stream keeps no
-layer it has yielded, so a consumer that drops each layer before asking for
-the next holds two.  The experiments reduce each layer's record before the
-next is made; the length and correlation experiments scale one draw for
-every sigma_w they run.  `sample_network` keeps every layer, so it asks
-for all of them at once and they are drawn in parallel.
+Every layer comes from one stream, `_layers`: it draws standard normals
+from an independent child of the realization seed, so truncating the depth
+never changes shallower layers, and scales them by sigma_w / sqrt(fan_in)
+and sigma_b, which gives the bytes of Generator.normal.  Layers are drawn
+in order on a process-wide thread pool with one worker per available core,
+into arrays the consumer allocates; the bytes are identical to drawing them
+one after another.  A network used for one pass (weight chaos, the
+experiments) is propagated from that stream without being held whole: one
+layer is drawn ahead of the one in use, and the stream keeps no layer it
+has yielded, so a consumer that drops each layer before asking for the next
+holds two.  The experiments reduce each layer's record before the next is
+made; the length and correlation experiments draw each layer once for
+all their cases.  `sample_network` keeps every layer, so it asks for all
+of them at once and they are drawn in parallel.
 """
 
 from __future__ import annotations
@@ -154,46 +154,49 @@ def _new_pool() -> ThreadPoolExecutor:
 _POOL = _new_pool()
 
 
-def _draw_layers(widths: Sequence[int], seed: int, first: int = 1,
-                 ahead: int = 1) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield the standard normals (Z^l, z_b^l) of layers l = first..D, in
-    order; deterministic for a given seed.
+def _layers(widths: Sequence[int], cases: Sequence[EnsembleParams], seed: int, first: int = 1,
+            ahead: int = 1) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
+    """Yield (l, k, W^l, b^l) of the network of `seed` at each cases[k], for
+    layers l = first..D in order; deterministic for a given seed.
 
-    Layer l fills Z^l, then z_b^l, from child l - 1 of SeedSequence(seed),
-    so the bytes of a layer depend on neither `first` nor the depth.  The
-    ensemble's layer is W^l = Z^l sigma_w / sqrt(N_{l-1}), b^l = z_b^l sigma_b
-    (`_scaled`), so one stream serves every sigma_w and sigma_b.
+    Layer l fills standard normals Z^l, then z_b^l, from child l - 1 of
+    SeedSequence(seed), so the bytes of a layer depend on neither `first`
+    nor the depth, and are scaled to W^l = Z^l sigma_w / sqrt(N_{l-1}) and
+    b^l = z_b^l sigma_b (`_scaled`).  Each layer is drawn once for all the
+    cases (common random numbers) and scaled once per distinct sigma_w: the
+    last sigma_w in place, since Z^l is not read after it, and the others
+    into one buffer that they and every layer of their shape reuse; the
+    layer's last b^l is z_b^l scaled in place.  So a single case holds no
+    array beyond the draws, and every case gets the bytes of its network
+    drawn alone.
 
     The draws run on a process-wide thread pool with one worker per core
     this process may run on; numpy's Generator fills arrays without holding
     the GIL, so independent streams are drawn in parallel, and beside the
     caller's products on earlier layers.  `ahead` layers are drawn or being
     drawn beyond the one last yielded, and the stream keeps no reference
-    to a layer it has yielded, so a caller that releases each layer before
-    asking for the next holds ahead + 1 layers, not D, and a caller that
-    stops early leaves at most `ahead` draws to finish.  A stream read
-    once, layer by layer, takes ahead = 1: the next layer is submitted
-    before the caller waits on this one, so one draw overlaps the caller's
-    work on the layer before and at most two workers are busy, whatever
-    the core count; on a box with more than two cores such a stream may be
-    slower than one that keeps every core busy, which is not measured.
-    `sample_network`, which keeps every layer anyway, takes ahead = D and
-    draws them all in parallel: on perfbench's ensemble-sim workload
-    (2-core box, 10 alternating pairs, seeds 951-960, BENCH_sample_ahead.json)
-    ahead = 1 there was slower in every pair, wall time 17.4 -> 19.8 s and the
-    median operation 145 -> 157 ms (medians), at the same peak RSS.
+    to a layer it has yielded once the next is asked for, so a caller that
+    releases each layer before asking for the next holds ahead + 1 layers,
+    not D, and a caller that stops early leaves at most `ahead` draws to
+    finish.  A stream read once, layer by layer, takes ahead = 1: the next
+    layer is submitted before the caller waits on this one, so one draw
+    overlaps the caller's work on the layer before and at most two workers
+    are busy, whatever the core count; on a box with more than two cores
+    such a stream may be slower than one that keeps every core busy, which
+    is not measured.  `sample_network`, which keeps every layer anyway,
+    takes ahead = D and draws them all in parallel: on perfbench's
+    ensemble-sim workload (2-core box, 10 alternating pairs, seeds 951-960,
+    BENCH_sample_ahead.json) ahead = 1 there was slower in every pair, wall
+    time 17.4 -> 19.8 s and the median operation 145 -> 157 ms (medians), at
+    the same peak RSS.
 
     The arrays are allocated here, on the consumer's thread, and the tasks
     only fill them.  An array a worker allocates comes from that worker's
     malloc arena, and once freed it goes back there, where the consumer's
     next allocation cannot reuse it, so the process's peak grows by those
-    arenas.  On perfbench's manifold-probe workload (2-core box, three runs
-    each), allocating here alone took the peak RSS from 327-333 MB to
-    309-313 MB.  The price is page faults: the consumer's arena hands
-    freed layers back to the system more often, and ensemble-sim, which
-    drops a whole network after each operation, took 730-755 thousand
-    minor faults and 3.0-3.5 s of system time per run (three runs) against
-    350-430 thousand and 1.3-1.6 s with worker-allocated layers (two runs).
+    arenas.  The price is page faults: the consumer's arena hands freed
+    layers back to the system more often.  README gives both, and
+    BENCH_two_layers.json the peak RSS of each perfbench workload.
 
     The pool lives for the whole process.  A pool made per call starts its
     threads again on every `sample_network`, and on perfbench's ensemble-sim
@@ -215,16 +218,23 @@ def _draw_layers(widths: Sequence[int], seed: int, first: int = 1,
         raise ValueError("widths must list N_0..N_D with depth >= 1")
     if any(n < 1 for n in widths):
         raise ValueError(f"all widths must be >= 1, got {widths}")
+    if not cases:
+        raise ValueError("cases must list at least one ensemble, got none")
     depth = len(widths) - 1
     children = np.random.SeedSequence(seed).spawn(depth)
+    by_sigma_w: dict[float, list[int]] = {}
+    for k, p in enumerate(cases):
+        by_sigma_w.setdefault(p.sigma_w, []).append(k)
+    groups = list(by_sigma_w.items())
+    last = groups[-1][1][-1]    # the case whose b^l is the layer's last
 
-    def fill(l: int, z: np.ndarray, z_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def fill(l: int, z: np.ndarray, z_b: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
         rng = np.random.default_rng(children[l - 1])
         rng.standard_normal(out=z)
         rng.standard_normal(out=z_b)
-        return z, z_b
+        return l, z, z_b
 
-    def layers() -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    def layers() -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
         pool = _POOL
 
         def submit(l: int):
@@ -233,16 +243,29 @@ def _draw_layers(widths: Sequence[int], seed: int, first: int = 1,
 
         todo = iter(range(first, depth + 1))
         in_flight = deque(submit(l) for l in islice(todo, ahead))
+        buf = None
         try:
             while in_flight:
                 in_flight.extend(submit(l) for l in islice(todo, 1))
-                # no name here keeps the layer once it is yielded
-                yield in_flight.popleft().result()
+                l, z, z_b = in_flight.popleft().result()
+                fan_in = math.sqrt(z.shape[1])
+                for i, (sigma_w, ks) in enumerate(groups):
+                    if i == len(groups) - 1:    # Z^l is not read after this
+                        w = _scaled(z, sigma_w / fan_in, out=z)
+                    else:
+                        if buf is None or buf.shape != z.shape:
+                            buf = np.empty_like(z)
+                        w = _scaled(z, sigma_w / fan_in, out=buf)
+                    for k in ks:
+                        b = _scaled(z_b, cases[k].sigma_b, out=z_b if k == last else None)
+                        yield l, k, w, b
+                # no name here keeps the layer while the next one is drawn
+                z = z_b = w = b = None
         finally:
             for future in in_flight:
                 future.cancel()
 
-    # the widths above are checked at the call, before the first layer is read
+    # the arguments above are checked at the call, before the first layer is read
     return layers()
 
 
@@ -255,19 +278,6 @@ def _scaled(z: np.ndarray, scale: float, out: Optional[np.ndarray] = None) -> np
     out = np.multiply(z, scale, out=out)
     out += 0.0
     return out
-
-
-def _network_layers(widths: Sequence[int], params: EnsembleParams, seed: int,
-                    first: int = 1, ahead: int = 1) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(W^l, b^l) for l = first..D: `_draw_layers`, scaled in place.
-
-    A `map`, not a generator, so no yielded layer stays referenced here
-    while the next is drawn."""
-    def scale(layer: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-        z, z_b = layer
-        return (_scaled(z, params.sigma_w / math.sqrt(z.shape[1]), out=z),
-                _scaled(z_b, params.sigma_b, out=z_b))
-    return map(scale, _draw_layers(widths, seed, first, ahead))
 
 
 def _forget_pool() -> None:
@@ -284,10 +294,10 @@ if hasattr(os, "register_at_fork"):
 def sample_network(widths: Sequence[int], params: EnsembleParams, seed: int) -> NetworkRealization:
     """Draw one realization; deterministic for a given seed.
 
-    The layers are `_network_layers(widths, params, seed)`, collected, all
-    asked for at once (see `_draw_layers` for why).
+    The layers are `_layers(widths, [params], seed)`, collected, all asked
+    for at once (see `_layers` for why).
     """
-    weights, biases = zip(*_network_layers(widths, params, seed, ahead=len(widths) - 1))
+    _, _, weights, biases = zip(*_layers(widths, [params], seed, ahead=len(widths) - 1))
     return NetworkRealization(
         widths=tuple(int(n) for n in widths),
         weights=weights,

@@ -265,6 +265,15 @@ def test_boundary_refuses_bad_sizes(tmp_path, capsys, argv, message):
     assert not out.exists()
 
 
+def test_boundary_refuses_no_points_before_sampling(tmp_path, monkeypatch):
+    # n_points = 0 is refused before the network is drawn
+    submitted = []
+    monkeypatch.setattr(sim._POOL, "submit", lambda *args: submitted.append(args))
+    assert run(["boundary", "--sw", "4", "--sb", "0.3", "--width", "20", "--depth", "3",
+                "--n-points", "0", "-o", str(tmp_path / "bd.csv")]) == 1
+    assert submitted == []
+
+
 @pytest.mark.parametrize("argv, message", [
     (["--n-trials", "0", "--n-hidden", "10"], "n_trials must be >= 1"),
     (["--n-trials", "2", "--n-hidden", "0"], "n_hidden must be >= 1"),

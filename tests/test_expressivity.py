@@ -359,3 +359,12 @@ def test_weight_chaos_rejects_bad_delta():
         with pytest.raises(ValueError, match="deltas must"):
             ex.weight_chaos_empirical(CHAOTIC, (50,) * 4, np.array([0.0, 2 * bad]), seed=15,
                                       rule=RULE)
+
+
+def test_weight_chaos_refuses_an_empty_delta_grid(monkeypatch):
+    # refused before any layer or dW is drawn
+    submitted = []
+    monkeypatch.setattr(sim._POOL, "submit", lambda *args: submitted.append(args))
+    with pytest.raises(ValueError, match="delta_grid"):
+        ex.weight_chaos_empirical(CHAOTIC, (200,) * 6, [], seed=15, rule=RULE)
+    assert submitted == []

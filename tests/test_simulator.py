@@ -126,30 +126,30 @@ def test_truncating_depth_preserves_shallow_layers():
 STREAM_WIDTHS = tuple(10 + 3 * l for l in range(sim._cores() + 5))
 
 
-def _assert_scales_to(layer, net, l):
-    # the standard normals of layer l, scaled, are the network's W^l and b^l
-    z, z_b = layer
-    w = sim._scaled(z, CHAOTIC.sigma_w / math.sqrt(net.widths[l - 1]))
+def _assert_is_layer(layer, net, l):
+    # the stream's layer l at its one case is the network's W^l and b^l
+    l_yielded, k, w, b = layer
+    assert (l_yielded, k) == (l, 0)
     assert np.array_equal(w, net.weights[l - 1])
-    assert np.array_equal(sim._scaled(z_b, CHAOTIC.sigma_b), net.biases[l - 1])
+    assert np.array_equal(b, net.biases[l - 1])
 
 
 @pytest.mark.parametrize("first", [1, 2, 5])
 def test_layer_stream_matches_whole_network(first):
     net = sim.sample_network(STREAM_WIDTHS, CHAOTIC, seed=31)
-    layers = list(sim._draw_layers(STREAM_WIDTHS, 31, first=first))
+    layers = list(sim._layers(STREAM_WIDTHS, [CHAOTIC], 31, first=first))
     assert len(layers) == net.depth - first + 1
     for layer, l in zip(layers, range(first, net.depth + 1)):
-        _assert_scales_to(layer, net, l)
+        _assert_is_layer(layer, net, l)
 
 
 def test_layer_stream_stopped_early():
     net = sim.sample_network(STREAM_WIDTHS, CHAOTIC, seed=31)
-    stream = sim._draw_layers(STREAM_WIDTHS, 31, first=2)
+    stream = sim._layers(STREAM_WIDTHS, [CHAOTIC], 31, first=2)
     taken = list(itertools.islice(stream, 2))
     stream.close()
     for layer, l in zip(taken, (2, 3)):
-        _assert_scales_to(layer, net, l)
+        _assert_is_layer(layer, net, l)
     # the draws left behind do not disturb the next caller
     assert _digest(sim.sample_network(STREAM_WIDTHS, CHAOTIC, seed=31)) == _digest(net)
 
@@ -161,15 +161,15 @@ def test_layer_stream_holds_two_layers_whatever_the_core_count(monkeypatch):
     widths, layer_bytes = (300,) * 13, 300 * 300 * 8
     # the first draw in a process starts the pool's threads, whose own
     # allocations are no layer's
-    list(sim._network_layers(widths[:3], CHAOTIC, 4))
+    list(sim._layers(widths[:3], [CHAOTIC], 4))
     tracemalloc.start()
     try:
-        for w, b in sim._network_layers(widths, CHAOTIC, 4):
+        for _, _, w, b in sim._layers(widths, [CHAOTIC], 4):
             del w, b
         dropped = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
-        layers = sim._network_layers(widths, CHAOTIC, 4, first=2)
-        for record in sim._propagate(layers, TANH, [np.ones((1, 300))]):
+        # W^2..W^12 streamed into `_propagate`, as the experiments read them
+        for record in xp._from_first_layer(CHAOTIC, 12, 300, 4, [np.ones((1, 300))]):
             del record
         propagated = tracemalloc.get_traced_memory()[1]
     finally:
@@ -187,8 +187,39 @@ def test_layer_stream_checks_widths_at_the_call(monkeypatch, widths, message):
     submitted = []
     monkeypatch.setattr(sim._POOL, "submit", lambda *args: submitted.append(args))
     with pytest.raises(ValueError, match=message):
-        sim._draw_layers(widths, 31)
+        sim._layers(widths, [CHAOTIC], 31)
     assert submitted == []
+
+
+@pytest.mark.parametrize("agreement", [xp.length_agreement, xp.correlation_agreement])
+def test_agreements_refuse_an_empty_case_list(monkeypatch, agreement):
+    # no case is a usage error, refused before any layer is drawn
+    submitted = []
+    monkeypatch.setattr(sim._POOL, "submit", lambda *args: submitted.append(args))
+    with pytest.raises(ValueError, match="cases"):
+        agreement([], 3, 20, 5, 3, mf.build_rule(201))
+    assert submitted == []
+
+
+def test_zero_scales_keep_positive_zeros_in_the_shared_buffer():
+    # sigma_w = 0 is not the last sigma_w, so its W^l is scaled into the
+    # reused buffer (which changes shape at layers 2 and 4); sigma_b = 0
+    # is scaled into a new array for case 0 and in place for case 1.  A
+    # zero scale must give +0.0, which array_equal and == 0.0 do not tell
+    # from -0.0
+    widths = (10, 12, 12, 12, 7)
+    cases = [mf.EnsembleParams(0.0, 0.0, TANH), mf.EnsembleParams(1.5, 0.0, TANH),
+             mf.EnsembleParams(0.0, 0.3, TANH)]
+    nets = [sim.sample_network(widths, params, seed=8) for params in cases]
+    seen = []
+    for l, k, w, b in sim._layers(widths, cases, 8):
+        seen.append((l, k))
+        assert w.tobytes() == nets[k].weights[l - 1].tobytes()
+        assert b.tobytes() == nets[k].biases[l - 1].tobytes()
+        for x, scale in ((w, cases[k].sigma_w), (b, cases[k].sigma_b)):
+            if scale == 0.0:
+                assert not np.signbit(x).any()
+    assert seen == [(l, k) for l in range(1, 5) for k in (0, 2, 1)]
 
 
 def test_zero_weight_scale_gives_zero_weights():
