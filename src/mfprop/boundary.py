@@ -35,7 +35,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConvergenceError, DegenerateGeometryError
+from .errors import ConvergenceError, DegenerateGeometryError, _require_count
 from .simulator import NetworkRealization, forward
 
 # Boundary membership: |G| below this multiple of |beta| counts as "on the
@@ -269,10 +269,8 @@ def curvature_vs_depth(
     layer's activity statistics.  Layers where no point converges are
     reported with n_converged = 0 and NaN summaries; the sweep continues.
     """
-    if net.depth < 2:
-        raise ValueError("curvature-vs-depth needs depth >= 2")
-    if n_points < 1:
-        raise ValueError(f"curvature-vs-depth needs n_points >= 1, got {n_points}")
+    _require_count("depth", net.depth, 2)
+    _require_count("n_points", n_points)
     summaries = []
     for layer in range(net.depth - 1, -1, -1):
         field = readout_field(net, readout, layer)

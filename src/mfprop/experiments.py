@@ -30,14 +30,13 @@ import numpy as np
 from . import boundary as bd
 from . import expressivity as ex
 from . import simulator as sim
-from .errors import DegenerateGeometryError
+from .errors import DegenerateGeometryError, _require_count, _require_positive_q_star
 from .geometry import CurveJet, curve_geometry
 from .meanfield import (
     CorrelationTrajectory,
     CurvatureTrajectory,
     EnsembleParams,
     LengthTrajectory,
-    _require_positive_q_star,
     correlation_trajectory,
     curvature_trajectory,
     length_fixed_point,
@@ -71,8 +70,7 @@ class CurvatureAgreement:
 
 
 def _realization_seeds(seed: int, n_seeds: int) -> list[int]:
-    if n_seeds < 1:
-        raise ValueError(f"need at least one network realization, got {n_seeds}")
+    _require_count("n_seeds", n_seeds)
     return [seed + k for k in range(n_seeds)]
 
 
@@ -165,8 +163,9 @@ def boundary_curvature(params: EnsembleParams, depth: int, width: int, n_points:
     sqrt((q* - sigma_b^2) / sigma_w^2) per coordinate, pushed through the
     network prefix, so each start carries its layer's activity statistics.
     """
-    if n_points < 1:
-        raise ValueError(f"boundary curvature needs n_points >= 1, got {n_points}")
+    # curvature_vs_depth's size rules, checked before the network is drawn
+    _require_count("depth", depth, 2)
+    _require_count("n_points", n_points)
     # refuse an activation without phi'' before the q* solve, which fails
     # first (expansive map) for a kinked phi at large sigma_w
     params.nonlinearity.derivatives(np.zeros(1), 2)

@@ -25,15 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnsupportedActivationError
+from .errors import UnsupportedActivationError, _require_count, _require_positive_q_star
 from .geometry import periodic_trapezoid
-from .meanfield import (
-    EnsembleParams,
-    _require_positive_q_star,
-    _weighted_moment,
-    c_map,
-    length_fixed_point,
-)
+from .meanfield import EnsembleParams, _weighted_moment, c_map, length_fixed_point
 from .quadrature import QuadratureRule
 from .simulator import CircleManifold, _advance, _layers
 
@@ -76,10 +70,8 @@ def verify_shallow_bound(
         raise UnsupportedActivationError(
             f"the length bound needs a bounded dynamic range; {nl.name!r} is unbounded"
         )
-    if n_trials < 1:
-        raise ValueError(f"n_trials must be >= 1, got {n_trials}")
-    if n_hidden < 1:
-        raise ValueError("n_hidden must be >= 1")
+    _require_count("n_trials", n_trials)
+    _require_count("n_hidden", n_hidden)
     if not nl.dynamic_range > 0:
         raise ValueError("dynamic_range must be positive")
     bound = n_hidden * 2 * nl.dynamic_range
@@ -115,8 +107,7 @@ class FourierProbe:
     n_theta: int
 
     def __post_init__(self):
-        if self.omega_max < 1:
-            raise ValueError("omega_max must be >= 1")
+        _require_count("omega_max", self.omega_max)
         if self.n_theta <= 2 * self.omega_max + 1:
             raise ValueError(
                 f"{self.n_theta} theta samples cannot resolve omega_max={self.omega_max}"
@@ -214,8 +205,7 @@ def weight_chaos_theory(
     """
     if not abs(delta) <= 1.0:
         raise ValueError(f"delta must lie in [-1, 1], got {delta!r}")
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
+    _require_count("depth", depth)
     _require_positive_q_star(q_star, "the weight-chaos recursion")
     out = np.empty(depth)
     out[0] = 1.0
@@ -268,8 +258,7 @@ def weight_chaos_empirical(
     if not np.all(np.abs(delta_grid) <= 1.0):
         raise ValueError(f"all deltas must lie in [-1, 1], got {delta_grid}")
     widths = tuple(int(n) for n in widths)
-    if len(widths) < 3:
-        raise ValueError("weight chaos needs depth >= 2 (widths N_0..N_D)")
+    _require_count("depth", len(widths) - 1, 2)
     q_star = _require_positive_q_star(length_fixed_point(params, rule), "weight chaos")
 
     net_seed, dw_seed, circle_seed = (

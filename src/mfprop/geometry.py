@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateGeometryError
+from .errors import DegenerateGeometryError, _require_count
 
 # Tolerance for Cauchy-Schwarz violations of the curvature radicand that
 # are attributable to roundoff (relative to the product (v.v)(a.a)).
@@ -96,9 +96,7 @@ def periodic_trapezoid(values: np.ndarray, thetas: np.ndarray) -> float:
 
 def curve_geometry(jet: CurveJet) -> CurveGeometry:
     """Metric, curvature and lengths of a sampled closed curve."""
-    n = jet.thetas.size
-    if n < 8:
-        raise ValueError(f"need at least 8 theta samples, got {n}")
+    _require_count("len(thetas)", jet.thetas.size, 8)
     vv = np.einsum("ij,ij->i", jet.v, jet.v)
     aa = np.einsum("ij,ij->i", jet.a, jet.a)
     va = np.einsum("ij,ij->i", jet.v, jet.a)

@@ -43,7 +43,8 @@ from typing import Optional
 import numpy as np
 
 from .activations import Nonlinearity
-from .errors import ConvergenceError, DegenerateGeometryError
+from .errors import (ConvergenceError, DegenerateGeometryError, _require_count, _require_length,
+                     _require_positive_q_star)
 from .quadrature import QuadratureRule, expect1, expect2_product
 
 # Solver budgets.  q* and c* are roots of V(q) - q and c_map(c) - c, each
@@ -138,13 +139,6 @@ class PhaseGrid:
 
 # ---------------------------------------------------------------------------
 # length map
-
-
-def _require_length(name: str, q: float) -> float:
-    """q itself, or ValueError naming it unless it is finite and >= 0 (NaN fails)."""
-    if not (math.isfinite(q) and q >= 0):
-        raise ValueError(f"{name} must be a finite nonnegative real, got {q!r}")
-    return q
 
 
 def length_map(q: float, params: EnsembleParams, rule: QuadratureRule) -> float:
@@ -289,8 +283,7 @@ def length_trajectory(
     layer l <= depth with |q^l - q*| <= 0.01 q* (absolute 1e-8 when
     q* = 0), or None when no layer up to `depth` is that close.
     """
-    if depth < 1:
-        raise ValueError(f"depth must be >= 1, got {depth}")
+    _require_count("depth", depth)
     _require_length("q0", q0)
     q_star = length_fixed_point(params, rule)
 
@@ -317,16 +310,6 @@ def length_trajectory(
 
 # ---------------------------------------------------------------------------
 # correlation map
-
-
-def _require_positive_q_star(q_star: float, what: str) -> float:
-    """q_star itself; DegenerateGeometryError when q* = 0, and ValueError
-    naming q_star when it is not a finite positive real (NaN fails)."""
-    if q_star == 0.0:
-        raise DegenerateGeometryError(f"{what} needs q* > 0, got q* = {q_star!r}")
-    if not (math.isfinite(q_star) and q_star > 0.0):
-        raise ValueError(f"{what} needs a finite q_star > 0, got q_star = {q_star!r}")
-    return q_star
 
 
 def c_map(
@@ -422,8 +405,7 @@ def correlation_trajectory(
     rule: QuadratureRule,
 ) -> CorrelationTrajectory:
     """Layerwise c^1..c^depth under the c-map, starting at c^1 = c0."""
-    if depth < 1:
-        raise ValueError(f"depth must be >= 1, got {depth}")
+    _require_count("depth", depth)
     if not abs(c0) <= 1.0:
         raise ValueError(f"c0 must lie in [-1, 1], got {c0!r}")
     q_star = length_fixed_point(params, rule)
@@ -451,8 +433,7 @@ def curvature_trajectory(
     Needs chi2, so an activation without a smooth phi'' is refused with
     UnsupportedActivationError, before the q* solve.
     """
-    if depth < 1:
-        raise ValueError(f"depth must be >= 1, got {depth}")
+    _require_count("depth", depth)
     params.nonlinearity.derivatives(np.zeros(1), 2)
     q_star = _require_positive_q_star(length_fixed_point(params, rule),
                                       "the curvature recursion")
@@ -549,8 +530,8 @@ def phase_grid(
     """
     sw_axis = np.asarray(sigma_w_axis, dtype=float)
     sb_axis = np.asarray(sigma_b_axis, dtype=float)
-    if sw_axis.size < 2 or sb_axis.size < 2:
-        raise ValueError("phase grid needs at least 2 samples per axis")
+    _require_count("len(sigma_w_axis)", sw_axis.size, 2)
+    _require_count("len(sigma_b_axis)", sb_axis.size, 2)
     if np.any(np.diff(sw_axis) <= 0) or np.any(np.diff(sb_axis) <= 0):
         raise ValueError("grid axes must be strictly increasing")
 

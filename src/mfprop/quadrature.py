@@ -53,7 +53,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, _require_count, _require_length
 
 #: Default of the CLI's `--order` flags.  Its error grows fast with q (see
 #: the accuracy note above): chi1 is off by 3e-3 relative at the
@@ -78,8 +78,7 @@ class QuadratureRule:
         weights = np.asarray(self.weights, dtype=float)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
-        if self.order < 2:
-            raise ValueError(f"quadrature order must be >= 2, got {self.order}")
+        _require_count("order", self.order, 2)
         if nodes.shape != (self.order,) or weights.shape != (self.order,):
             raise ValueError("nodes/weights must be 1-D arrays of length `order`")
         if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(weights))):
@@ -100,9 +99,7 @@ def build_rule(order: int) -> QuadratureRule:
     """
     if isinstance(order, bool) or int(order) != order:
         raise ValueError(f"order must be an integer, got {order!r}")
-    order = int(order)
-    if order < 2:
-        raise ValueError(f"order must be >= 2, got {order}")
+    order = _require_count("order", int(order), 2)
     x = _initial_roots(order)
     if order % 2:
         x = np.concatenate(([0.0], x))      # He_order(0) = 0 exactly
@@ -253,8 +250,7 @@ def expect2_product(
     """
     if not np.isfinite(c) or abs(c) > 1.0 + _CORRELATION_SLACK:
         raise ValueError(f"correlation must lie in [-1, 1], got {c!r}")
-    if q < 0:
-        raise ValueError(f"variance must be nonnegative, got q={q!r}")
+    _require_length("q", q)
     c = min(1.0, max(-1.0, float(c)))
     z = rule.nodes
     s = np.sqrt(max(0.0, 1.0 - c * c))

@@ -47,6 +47,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .activations import Nonlinearity
+from .errors import _require_count, _require_length, _require_positive_q_star
 from .meanfield import EnsembleParams
 
 
@@ -93,8 +94,7 @@ class CircleManifold:
     thetas: np.ndarray
 
     def __post_init__(self):
-        if not (math.isfinite(self.q) and self.q >= 0):
-            raise ValueError(f"q must be a finite nonnegative real, got {self.q!r}")
+        _require_length("q", self.q)
         for u in (self.u0, self.u1):
             if u.shape != (self.width,):
                 raise ValueError("basis vectors must have shape (width,)")
@@ -106,10 +106,8 @@ class CircleManifold:
     @classmethod
     def sample(cls, width: int, q: float, n_theta: int, seed: int) -> "CircleManifold":
         """Orthonormalize two Gaussian vectors (rotation-invariant choice)."""
-        if width < 2:
-            raise ValueError("circle needs ambient width >= 2")
-        if n_theta < 1:
-            raise ValueError("n_theta must be >= 1")
+        _require_count("width", width, 2)
+        _require_count("n_theta", n_theta)
         rng = np.random.default_rng(np.random.SeedSequence(seed))
         g0, g1 = rng.normal(size=(2, width))
         u0 = g0 / np.linalg.norm(g0)
@@ -184,11 +182,9 @@ def _layers(widths: Sequence[int], cases: Sequence[EnsembleParams], seed: int, f
     are busy, whatever the core count; on a box with more than two cores
     such a stream may be slower than one that keeps every core busy, which
     is not measured.  `sample_network`, which keeps every layer anyway,
-    takes ahead = D and draws them all in parallel: on perfbench's
-    ensemble-sim workload (2-core box, 10 alternating pairs, seeds 951-960,
-    BENCH_sample_ahead.json) ahead = 1 there was slower in every pair, wall
-    time 17.4 -> 19.8 s and the median operation 145 -> 157 ms (medians), at
-    the same peak RSS.
+    takes ahead = D and draws them all in parallel: ahead = 1 there made
+    perfbench's ensemble-sim slower in every pair of BENCH_sample_ahead.json
+    (README).
 
     The arrays are allocated here, on the consumer's thread, and the tasks
     only fill them.  An array a worker allocates comes from that worker's
@@ -199,11 +195,9 @@ def _layers(widths: Sequence[int], cases: Sequence[EnsembleParams], seed: int, f
     BENCH_two_layers.json the peak RSS of each perfbench workload.
 
     The pool lives for the whole process.  A pool made per call starts its
-    threads again on every `sample_network`, and on perfbench's ensemble-sim
-    workload (2-core box, alternating pairs against this pool) that raised
-    the median operation from 165.9 to 186.1 ms in one set of 10 pairs
-    (slower in 10/10) and from 187.7 to 194.8 ms in another set of 5
-    (slower in 5/5), with no lower wall time in either set.
+    threads again on every `sample_network`, which made perfbench's
+    ensemble-sim operations slower in every one of 15 alternating pairs,
+    with no lower wall time.
 
     Rules for the pool's tasks:
     * a task must not submit work to this pool itself: a task waiting on a
@@ -214,8 +208,7 @@ def _layers(widths: Sequence[int], cases: Sequence[EnsembleParams], seed: int, f
       worker threads would corrupt.
     """
     widths = tuple(int(n) for n in widths)
-    if len(widths) < 2:
-        raise ValueError("widths must list N_0..N_D with depth >= 1")
+    _require_count("depth", len(widths) - 1)
     if any(n < 1 for n in widths):
         raise ValueError(f"all widths must be >= 1, got {widths}")
     if not cases:
@@ -441,10 +434,9 @@ def autocorrelation(h: np.ndarray, q_star: float) -> tuple[np.ndarray, np.ndarra
 
     `h` has shape (n_theta, N) on a uniform theta grid.  Returns
     (delta_thetas, c) where c[k] averages (1/N) h(theta).h(theta+dtheta_k)
-    over theta, normalized by q_star.
+    over theta, normalized by q_star; q* = 0 raises DegenerateGeometryError.
     """
-    if not (math.isfinite(q_star) and q_star > 0.0):
-        raise ValueError(f"q_star must be a finite positive real, got {q_star!r}")
+    _require_positive_q_star(q_star, "the autocorrelation")
     h = np.asarray(h, dtype=float)
     if h.ndim != 2 or h.shape[0] < 1:
         raise ValueError("h must have shape (n_theta, N)")
@@ -471,8 +463,7 @@ def singular_spectrum(h: np.ndarray, top_k: int = 5) -> SpectrumResult:
     (the transpose when n_theta < N); the singular values are the same, and
     its wide-matrix path is the slower one.
     """
-    if top_k < 1:
-        raise ValueError(f"top_k must be >= 1, got {top_k!r}")
+    _require_count("top_k", top_k)
     h = np.asarray(h, dtype=float)
     if h.ndim != 2 or h.shape[0] < 2:
         raise ValueError("need at least 2 theta samples")

@@ -1,18 +1,21 @@
 """Independent reference computations used to check the library's paths.
 
 Everything here is deliberately dumb and slow: dense trapezoid grids,
-bisection, triple-loop matrix products.  None of it shares code with the
-package beyond numpy itself, except the whole-network experiments, which
-hold every layer of a `sample_network` realization and run the public
-`forward*` passes on it: the path the experiments' layer streams must
-reproduce byte for byte.
+bisection, triple-loop matrix products, closed forms.  None of it shares
+code with the package beyond numpy and scipy, except the erf activation,
+a `Nonlinearity` for the library's theory to integrate, and the
+whole-network experiments, which hold every layer of a `sample_network`
+realization and run the public `forward*` passes on it: the path the
+experiments' layer streams must reproduce byte for byte.
 """
 
 import math
 
 import numpy as np
+from scipy.special import erf
 
 from mfprop import simulator as sim
+from mfprop.activations import Nonlinearity
 
 
 def gauss_expect_trapezoid(f, n=10**6, lim=12.0):
@@ -228,6 +231,47 @@ def hermite_rule_extended(nodes, order, iterations=2):
     x_all = np.concatenate((-x[mirror][::-1], x))
     w_all = np.concatenate((w[mirror][::-1], w))
     return x_all, w_all / w_all.sum()
+
+
+# ---------------------------------------------------------------------------
+# erf: a smooth, saturating phi whose mean-field theory is closed-form
+# (Williams 1997, "Computing with infinite networks").  For (u1, u2) of
+# variance q and correlation c, E[erf(u1) erf(u2)] = (2/pi) arcsin(2qc/(1 + 2q)),
+# E[erf'(u)^2] = (4/pi) / sqrt(1 + 4q) and E[erf''(u)^2] = (16 q/pi) (1 + 4q)^(-3/2).
+
+
+def _erf_derivatives(h, order):
+    h = np.asarray(h, dtype=float)
+    d1 = (2.0 / math.sqrt(math.pi)) * np.exp(-h * h)
+    return (erf(h), d1, -2.0 * h * d1)[:order + 1]
+
+
+ERF = Nonlinearity(name="erf", derivatives=_erf_derivatives, monotone_nondecreasing=True,
+                   dynamic_range=2.0)
+
+
+def erf_length_map(q, sigma_w, sigma_b):
+    return sigma_w**2 * (2.0 / math.pi) * math.asin(2.0 * q / (1.0 + 2.0 * q)) + sigma_b**2
+
+
+def erf_c_map(c, q_star, sigma_w, sigma_b):
+    moment = (2.0 / math.pi) * math.asin(2.0 * q_star * c / (1.0 + 2.0 * q_star))
+    return (sigma_w**2 * moment + sigma_b**2) / q_star
+
+
+def erf_chi1(q_star, sigma_w):
+    return sigma_w**2 * (4.0 / math.pi) / math.sqrt(1.0 + 4.0 * q_star)
+
+
+def erf_chi2(q_star, sigma_w):
+    return sigma_w**2 * (16.0 * q_star / math.pi) * (1.0 + 4.0 * q_star) ** -1.5
+
+
+def erf_q_star(sigma_w, sigma_b):
+    """The fixed point of erf_length_map for sigma_b > 0, bisected to the ulp:
+    V(0) = sigma_b^2 > 0 and V(q) < sigma_w^2 + sigma_b^2 for every q."""
+    return bisect_root(lambda q: erf_length_map(q, sigma_w, sigma_b) - q,
+                       0.0, sigma_w**2 + sigma_b**2 + 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -338,8 +338,8 @@ def test_curvature_vs_depth_zero_weights_reports_missing_layers():
 def test_curvature_vs_depth_refuses_bad_sizes():
     net = sim.sample_network((8, 8, 8), CHAOTIC, seed=28)
     readout = bd.LinearReadout(beta=np.ones(8))
-    with pytest.raises(ValueError, match="n_points >= 1"):
+    with pytest.raises(ValueError, match="n_points must be >= 1"):
         bd.curvature_vs_depth(net, readout, n_points=0, seed=29, init_scale=1.0)
     shallow = sim.sample_network((8, 8), CHAOTIC, seed=28)
-    with pytest.raises(ValueError, match="depth >= 2"):
+    with pytest.raises(ValueError, match="depth must be >= 2"):
         bd.curvature_vs_depth(shallow, readout, n_points=1, seed=29, init_scale=1.0)

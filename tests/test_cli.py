@@ -8,6 +8,7 @@ import pytest
 
 from mfprop import cli
 from mfprop import experiments as xp
+from mfprop import expressivity as ex
 from mfprop import simulator as sim
 from mfprop.activations import builtin
 from mfprop.cli import run
@@ -254,8 +255,8 @@ def test_boundary_refuses_activation_without_smooth_second_derivative(tmp_path, 
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["--depth", "3", "--n-points", "0"], "n_points >= 1"),
-    (["--depth", "1", "--n-points", "2"], "depth >= 2"),
+    (["--depth", "3", "--n-points", "0"], "n_points must be >= 1"),
+    (["--depth", "1", "--n-points", "2"], "depth must be >= 2"),
 ])
 def test_boundary_refuses_bad_sizes(tmp_path, capsys, argv, message):
     out = tmp_path / "bd.csv"
@@ -265,13 +266,63 @@ def test_boundary_refuses_bad_sizes(tmp_path, capsys, argv, message):
     assert not out.exists()
 
 
-def test_boundary_refuses_no_points_before_sampling(tmp_path, monkeypatch):
+def test_boundary_refuses_no_points_before_sampling(tmp_path, no_draws):
     # n_points = 0 is refused before the network is drawn
-    submitted = []
-    monkeypatch.setattr(sim._POOL, "submit", lambda *args: submitted.append(args))
     assert run(["boundary", "--sw", "4", "--sb", "0.3", "--width", "20", "--depth", "3",
                 "--n-points", "0", "-o", str(tmp_path / "bd.csv")]) == 1
-    assert submitted == []
+    assert no_draws == []
+
+
+_CHAOTIC = EnsembleParams(4.0, 0.3, builtin("tanh"))
+_RULE = build_rule(DEFAULT_ORDER)
+
+
+# Each experiment entry point, called with one bad size, and the words of the
+# ValueError that name it; an argv is run through the CLI, which exits 1
+_BAD_SIZES = {
+    "length-depth": (lambda: xp.length_agreement([(_CHAOTIC, 1.0)], 0, 20, 0, 1, _RULE),
+                     "depth must be >= 1"),
+    "length-n_seeds": (lambda: xp.length_agreement([(_CHAOTIC, 1.0)], 3, 20, 0, 0, _RULE),
+                       "n_seeds must be >= 1"),
+    "correlation-n_seeds": (
+        lambda: xp.correlation_agreement([(_CHAOTIC, 0.5)], 3, 20, 0, 0, _RULE),
+        "n_seeds must be >= 1"),
+    "curvature-depth": (lambda: xp.curvature_agreement(_CHAOTIC, 0, 20, 16, 0, _RULE),
+                        "depth must be >= 1"),
+    "curvature-width": (lambda: xp.curvature_agreement(_CHAOTIC, 3, 1, 16, 0, _RULE),
+                        "width must be >= 2"),
+    "curvature-n_theta": (lambda: xp.curvature_agreement(_CHAOTIC, 3, 20, 0, 0, _RULE),
+                          "n_theta must be >= 1"),
+    "boundary-depth": (lambda: xp.boundary_curvature(_CHAOTIC, 1, 20, 2, 0, _RULE),
+                       "depth must be >= 2"),
+    "boundary-n_points": (lambda: xp.boundary_curvature(_CHAOTIC, 3, 20, 0, 0, _RULE),
+                          "n_points must be >= 1"),
+    "circle-depth": (lambda: xp.circle_at_fixed_point(_CHAOTIC, 0, 20, 16, _RULE, 0),
+                     "depth must be >= 1"),
+    "circle-n_theta": (lambda: xp.circle_at_fixed_point(_CHAOTIC, 3, 20, 0, _RULE, 0),
+                       "n_theta must be >= 1"),
+    "fourier-depths": (lambda: xp.fourier_errors(_CHAOTIC, [0], 20, 4, 16, 0, _RULE), "depths"),
+    "fourier-omega_max": (lambda: xp.fourier_errors(_CHAOTIC, [2], 20, 0, 16, 0, _RULE),
+                          "omega_max must be >= 1"),
+    "weight_chaos-depth": (
+        lambda: ex.weight_chaos_empirical(_CHAOTIC, (20, 20), [0.1], 0, rule=_RULE),
+        "depth must be >= 2"),
+    "cli-boundary-depth": (["boundary", "--sw", "4", "--sb", "0.3", "--width", "20",
+                            "--depth", "1", "--n-points", "2"], "depth must be >= 2"),
+}
+
+
+@pytest.mark.parametrize("call, named", _BAD_SIZES.values(), ids=_BAD_SIZES.keys())
+def test_experiments_refuse_bad_sizes_before_any_draw(tmp_path, capsys, no_draws, call, named):
+    if isinstance(call, list):
+        out = tmp_path / "out.csv"
+        assert run(call + ["-o", str(out)]) == 1
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+    else:
+        with pytest.raises(ValueError, match=named):
+            call()
+    assert no_draws == []
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -416,10 +467,10 @@ def test_numerical_failure_exits_2(tmp_path, capsys):
 # Arguments refused with a ValueError before any work, and the words of its
 # message that name what was refused
 _REFUSALS = [
-    (["phase-grid", "--sw", "1:1:1"], "2 samples per axis"),
+    (["phase-grid", "--sw", "1:1:1"], "len(sigma_w_axis) must be >= 2"),
     (["phase-grid", "--sw", "4:0.1:5"], "strictly increasing"),
     (["weight-chaos", "--sw", "4", "--sb", "0.3", "--deltas", "0:2:3"], "deltas"),
-    (["weight-chaos", "--sw", "4", "--sb", "0.3", "--depth", "1"], "depth >= 2"),
+    (["weight-chaos", "--sw", "4", "--sb", "0.3", "--depth", "1"], "depth must be >= 2"),
     (["simulate", "--width", "0"], "widths"),
     (["simulate", "--depth", "0"], "depth"),
     (["simulate", "--q0", "-1"], "q0"),
@@ -454,7 +505,7 @@ _REFUSALS = [
 
 @pytest.mark.parametrize("argv, named",
                          [pytest.param(argv, named, id=" ".join(argv)) for argv, named in _REFUSALS])
-def test_library_refusals_are_usage_errors(tmp_path, capsys, argv, named):
+def test_library_refusals_are_usage_errors(tmp_path, capsys, no_draws, argv, named):
     out = tmp_path / "out.csv"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -462,6 +513,7 @@ def test_library_refusals_are_usage_errors(tmp_path, capsys, argv, named):
     err = capsys.readouterr().err
     assert err.startswith("usage error: ") and named in err
     assert not out.exists()
+    assert no_draws == []
 
 
 def test_degenerate_curvature_recursion_exits_2(tmp_path, capsys):
@@ -529,7 +581,7 @@ def test_simulate_refuses_zero_seeds(tmp_path, capsys):
         warnings.simplefilter("error")
         assert run(["simulate", "--sw", "2", "--sb", "0.3", "--depth", "2",
                     "--width", "20", "--seeds", "0", "-o", str(out)]) == 1
-    assert "realization" in capsys.readouterr().err
+    assert "n_seeds must be >= 1" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -297,14 +297,13 @@ def test_weight_chaos_batch_matches_per_delta_loop(widths, deltas):
     assert np.max(np.abs(family.c_empirical - expected)) < 1e-13
 
 
-def test_weight_chaos_holds_a_few_layers_not_the_network():
+def test_weight_chaos_holds_a_few_layers_not_the_network(warm_pool):
     # a short circle and two deltas keep the batch small beside one layer
     widths, layer_bytes = (300,) * 11, 300 * 300 * 8
-    args = (CHAOTIC, widths, np.array([0.0, 0.3]), 3)
-    ex.weight_chaos_empirical(*args, n_theta=16, rule=RULE)    # start the draw pool
     tracemalloc.start()
     try:
-        ex.weight_chaos_empirical(*args, n_theta=16, rule=RULE)
+        ex.weight_chaos_empirical(CHAOTIC, widths, np.array([0.0, 0.3]), 3, n_theta=16,
+                                  rule=RULE)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -313,15 +312,13 @@ def test_weight_chaos_holds_a_few_layers_not_the_network():
     assert peak < 2 * layer_bytes + 500_000
 
 
-def test_weight_chaos_multiplies_the_batch_in_place():
+def test_weight_chaos_multiplies_the_batch_in_place(warm_pool):
     # a wide family of Delta blocks dwarfs the layers: each layer replaces
     # one block at a time with its product, so neither a fresh family per
     # layer nor phi of the whole family is ever held
     deltas, n_theta, width = np.linspace(0.0, 0.5, 11), 512, 200
     block_bytes = deltas.size * n_theta * width * 8
     delta_bytes, layer_bytes = n_theta * width * 8, width * width * 8
-    # start the draw pool, whose threads' own allocations are no layer's
-    ex.weight_chaos_empirical(CHAOTIC, (width,) * 3, deltas, 3, n_theta=4, rule=RULE)
     tracemalloc.start()
     try:
         ex.weight_chaos_empirical(CHAOTIC, (width,) * 5, deltas, 3, n_theta=n_theta, rule=RULE)
@@ -335,13 +332,12 @@ def test_weight_chaos_multiplies_the_batch_in_place():
     assert peak < block_bytes + delta_bytes + 2 * layer_bytes + 100_000
 
 
-def test_weight_chaos_family_changes_width_in_its_own_buffer():
+def test_weight_chaos_family_changes_width_in_its_own_buffer(warm_pool):
     # a wider layer's family is written over the narrower one's, not beside
     # it: one buffer of the widest family, one block's phi and two layers
     deltas, n_theta, widths = np.linspace(0.0, 0.5, 11), 512, (200, 200, 200, 300, 200)
     widest = deltas.size * n_theta * 300 * 8
     delta_bytes, layer_bytes = n_theta * 300 * 8, 300 * 200 * 8
-    ex.weight_chaos_empirical(CHAOTIC, widths[:3], deltas, 3, n_theta=4, rule=RULE)  # the pool
     tracemalloc.start()
     try:
         ex.weight_chaos_empirical(CHAOTIC, widths, deltas, 3, n_theta=n_theta, rule=RULE)
@@ -361,10 +357,8 @@ def test_weight_chaos_rejects_bad_delta():
                                       rule=RULE)
 
 
-def test_weight_chaos_refuses_an_empty_delta_grid(monkeypatch):
+def test_weight_chaos_refuses_an_empty_delta_grid(no_draws):
     # refused before any layer or dW is drawn
-    submitted = []
-    monkeypatch.setattr(sim._POOL, "submit", lambda *args: submitted.append(args))
     with pytest.raises(ValueError, match="delta_grid"):
         ex.weight_chaos_empirical(CHAOTIC, (200,) * 6, [], seed=15, rule=RULE)
-    assert submitted == []
+    assert no_draws == []

@@ -162,7 +162,7 @@ def test_grid_refinement_converges_quadratically_or_better():
 
 
 def test_too_few_samples_rejected():
-    with pytest.raises(ValueError, match="at least 8"):
+    with pytest.raises(ValueError, match=r"len\(thetas\) must be >= 8"):
         curve_geometry(ellipse_jet(2.0, 1.0, 4))
 
 

@@ -12,9 +12,15 @@ from mfprop import expressivity
 from mfprop import simulator
 from mfprop.errors import ConvergenceError, DegenerateGeometryError, UnsupportedActivationError
 from mfprop.meanfield import _c_star
+from mfprop.quadrature import expect2_product
 
 from oracles import (
+    ERF,
     bisect_root,
+    erf_c_map,
+    erf_chi1,
+    erf_chi2,
+    erf_q_star,
     fd_second_derivative_at_one,
     fd_slope_at_one,
     gauss_expect2_grid,
@@ -249,7 +255,7 @@ def test_c_map_undefined_at_zero_length():
 
 
 # a NaN fails each check (it compares false), and the refusal names the
-# argument; q* = 0 stays a DegenerateGeometryError (above)
+# argument, a count's too; q* = 0 stays a DegenerateGeometryError (above)
 @pytest.mark.parametrize("call, name", [
     (lambda: mf.c_map(0.5, CHAOTIC, RULE, q_star=math.nan), "q_star"),
     (lambda: mf.c_map(0.5, CHAOTIC, RULE, q_star=math.inf), "q_star"),
@@ -261,11 +267,36 @@ def test_c_map_undefined_at_zero_length():
     (lambda: mf.chi2(CHAOTIC, RULE, q_star=math.nan), "q_star"),
     (lambda: boundary.LinearReadout(beta=[1.0, math.nan]), "beta"),
     (lambda: boundary.LinearReadout(beta=[1.0, 2.0], beta0=math.nan), "beta0"),
+    (lambda: expect2_product(np.tanh, 0.5, math.nan, RULE), "q"),
+    (lambda: mf.length_trajectory(1.0, math.nan, CHAOTIC, RULE), "depth"),
+    (lambda: simulator.singular_spectrum(np.ones((4, 3)), top_k=math.nan), "top_k"),
 ], ids=["c_map-nan", "c_map-inf", "weight_chaos_theory-nan", "autocorrelation-nan",
-        "chi1-negative", "chi2-negative", "chi2-nan", "readout-beta-nan", "readout-beta0-nan"])
+        "chi1-negative", "chi2-negative", "chi2-nan", "readout-beta-nan", "readout-beta0-nan",
+        "expect2_product-nan", "length_trajectory-depth-nan", "singular_spectrum-top_k-nan"])
 def test_non_finite_inputs_are_refused_by_name(call, name):
     with pytest.raises(ValueError, match=rf"\b{name}\b"):
         call()
+
+
+# erf's theory is closed-form (tests/oracles.py).  The rule reproduces it to
+# rounding where it resolves erf's integrands: every sigma_w <= 4 at order
+# 1601, and sigma_w = 1.5 at order 201.  At larger sigma_w it does not (the
+# erf table in CHANGES.md), so no such case is pinned here.
+@pytest.mark.parametrize("sigma_w, order, c", [
+    (0.5, 1601, -0.5), (1.5, 1601, 0.5), (4.0, 1601, 0.9), (1.5, 201, 0.5),
+])
+def test_erf_theory_matches_its_closed_forms(sigma_w, order, c):
+    rule = mf.build_rule(order)
+    params = mf.EnsembleParams(sigma_w, 0.3, ERF)
+    q_star = erf_q_star(sigma_w, 0.3)
+    assert mf.length_fixed_point(params, rule) == pytest.approx(q_star, rel=1e-13, abs=0)
+    # each map at the exact q*, so that it is checked apart from the q* solve
+    assert mf.chi1(params, rule, q_star=q_star) == pytest.approx(
+        erf_chi1(q_star, sigma_w), rel=1e-13, abs=0)
+    assert mf.chi2(params, rule, q_star=q_star) == pytest.approx(
+        erf_chi2(q_star, sigma_w), rel=1e-13, abs=0)
+    assert mf.c_map(c, params, rule, q_star=q_star) == pytest.approx(
+        erf_c_map(c, q_star, sigma_w, 0.3), rel=0, abs=1e-13)
 
 
 def test_c_map_against_dense_grid():

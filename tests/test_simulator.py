@@ -16,7 +16,7 @@ import mfprop as mf
 from mfprop import experiments as xp
 from mfprop import geometry as geo
 from mfprop import simulator as sim
-from mfprop.errors import UnsupportedActivationError
+from mfprop.errors import DegenerateGeometryError, UnsupportedActivationError
 
 from oracles import (circle_whole_network, correlation_whole_network, gram_singular_values,
                      jet_three_gemm, length_whole_network, naive_matmul)
@@ -154,14 +154,11 @@ def test_layer_stream_stopped_early():
     assert _digest(sim.sample_network(STREAM_WIDTHS, CHAOTIC, seed=31)) == _digest(net)
 
 
-def test_layer_stream_holds_two_layers_whatever_the_core_count(monkeypatch):
+def test_layer_stream_holds_two_layers_whatever_the_core_count(monkeypatch, warm_pool):
     # the layer in use and the one being drawn, on a box of any size, for a
     # caller that drops each layer before asking for the next
     monkeypatch.setattr(sim, "_cores", lambda: 4)
     widths, layer_bytes = (300,) * 13, 300 * 300 * 8
-    # the first draw in a process starts the pool's threads, whose own
-    # allocations are no layer's
-    list(sim._layers(widths[:3], [CHAOTIC], 4))
     tracemalloc.start()
     try:
         for _, _, w, b in sim._layers(widths, [CHAOTIC], 4):
@@ -179,26 +176,22 @@ def test_layer_stream_holds_two_layers_whatever_the_core_count(monkeypatch):
 
 
 @pytest.mark.parametrize("widths, message", [
-    ((10,), "depth >= 1"),
+    ((10,), "depth must be >= 1"),
     ((0, 10, 10), "all widths must be >= 1"),
 ])
-def test_layer_stream_checks_widths_at_the_call(monkeypatch, widths, message):
+def test_layer_stream_checks_widths_at_the_call(no_draws, widths, message):
     # a bad width is refused before any layer is asked for or drawn
-    submitted = []
-    monkeypatch.setattr(sim._POOL, "submit", lambda *args: submitted.append(args))
     with pytest.raises(ValueError, match=message):
         sim._layers(widths, [CHAOTIC], 31)
-    assert submitted == []
+    assert no_draws == []
 
 
 @pytest.mark.parametrize("agreement", [xp.length_agreement, xp.correlation_agreement])
-def test_agreements_refuse_an_empty_case_list(monkeypatch, agreement):
+def test_agreements_refuse_an_empty_case_list(no_draws, agreement):
     # no case is a usage error, refused before any layer is drawn
-    submitted = []
-    monkeypatch.setattr(sim._POOL, "submit", lambda *args: submitted.append(args))
     with pytest.raises(ValueError, match="cases"):
         agreement([], 3, 20, 5, 3, mf.build_rule(201))
-    assert submitted == []
+    assert no_draws == []
 
 
 def test_zero_scales_keep_positive_zeros_in_the_shared_buffer():
@@ -452,8 +445,12 @@ def test_autocorrelation_of_circle_is_cosine():
 
 
 def test_autocorrelation_needs_positive_qstar():
-    with pytest.raises(ValueError):
+    # q* = 0 is a degenerate ensemble, as on every other path; a negative
+    # q* is a bad argument
+    with pytest.raises(DegenerateGeometryError, match=r"q\* > 0"):
         sim.autocorrelation(np.ones((4, 3)), q_star=0.0)
+    with pytest.raises(ValueError, match="q_star"):
+        sim.autocorrelation(np.ones((4, 3)), q_star=-1.0)
 
 
 def test_autocorrelation_decays_with_depth_in_chaos():
@@ -595,14 +592,11 @@ def test_shared_draws_match_each_case_alone():
             params, theory.chi.q_star, c0, depth, width, seeds))
 
 
-def test_one_sigma_w_is_scaled_in_place():
+def test_one_sigma_w_is_scaled_in_place(warm_pool):
     # with one sigma_w, W^l is Z^l scaled in place: the stream's arrays only
     # (the one in use and the one being drawn), no buffer of its own
     depth, width = 12, 300
     rule = mf.build_rule(201)
-    # the first draw in a process starts the pool's threads, whose own
-    # allocations are no layer's
-    xp.length_agreement([(CHAOTIC, 0.5)], 2, width, 5, 1, rule)
     tracemalloc.start()
     try:
         xp.length_agreement([(CHAOTIC, 0.5)], depth, width, 5, 2, rule)
