@@ -78,8 +78,9 @@ def _from_first_layer(params: EnsembleParams, depth: int, width: int, seed: int,
                       first: list[np.ndarray]) -> Iterator[sim.LayerRecord]:
     """The records of `forward_from_first` (one block) or `forward_jet`
     (three) on the network of `seed`, streamed: each layer 2..depth is drawn
-    as it is needed, each record is yielded when its product is done, and
-    W^1, b^1 are never drawn."""
+    as it is needed and dropped before the next is drawn (one layer is held
+    at a time), each record is yielded when its product is done, and W^1,
+    b^1 are never drawn."""
     # a `map`, not a generator, so no frame keeps (W, b) while the next is drawn
     layers = map(itemgetter(2, 3), sim._layers((width,) * (depth + 1), [params], seed, first=2))
     return sim._propagate(layers, params.nonlinearity, first)

@@ -234,8 +234,8 @@ def weight_chaos_empirical(
     is W^2; the base network, the perturbation, and the circle draw from
     independent child seeds of `seed`.  W^1 and b^1 are never drawn.  dW is
     drawn, used for x^1 dW^T and dropped before the layer stream starts;
-    W^2..W^D are then streamed, one drawn ahead of the one in use, and each
-    is dropped after its products, before the next is asked for.
+    W^2..W^D are then streamed, each drawn when it is asked for and dropped
+    after its products, before the next is asked for.
 
     The family is one (n_delta n_theta, N) array of row blocks, one per
     Delta; the reference network (Delta = 0) is one more block when the
@@ -247,10 +247,10 @@ def weight_chaos_empirical(
     the product over the family's own memory: one buffer, the widest
     layer's family, serves every width.  So a call holds the widest family
     and, beside it, at most one block (x^1, a scaled copy or phi of a
-    block) and two layers.  At the CLI defaults (width 1000, depth 10, 11
-    deltas, 256 angles) a call's traced peak is 40.7 MB, and with the
-    width stepping from 1000 to 1500 at layer 5 it is 73.0 MB: the 1500-wide
-    family, one block and two 1500-wide layers.
+    block) and one layer.  At the CLI defaults (width 1000, depth 10, 11
+    deltas, 256 angles) a call's traced peak is 32.6 MB, and with the
+    width stepping from 1000 to 1500 at layer 5 it is 54.9 MB: the 1500-wide
+    family, one block and one 1500-wide layer.
     """
     delta_grid = np.asarray(delta_grid, dtype=float)
     if delta_grid.size == 0:

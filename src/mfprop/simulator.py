@@ -18,30 +18,26 @@ activation once, as `derivatives(h, k)`, multiplies W with the stacked rows
 [phi; phi' v; phi'' v v + phi' a] in one product, and yields the layer's
 record.  `forward`, `forward_from_first` and `forward_jet` collect it.
 
-Every layer comes from one stream, `_layers`: it draws standard normals
-from an independent child of the realization seed, so truncating the depth
-never changes shallower layers, and scales them by sigma_w / sqrt(fan_in)
-and sigma_b, which gives the bytes of Generator.normal.  Layers are drawn
-in order on a process-wide thread pool with one worker per available core,
-into arrays the consumer allocates; the bytes are identical to drawing them
-one after another.  A network used for one pass (weight chaos, the
-experiments) is propagated from that stream without being held whole: one
-layer is drawn ahead of the one in use, and the stream keeps no layer it
-has yielded, so a consumer that drops each layer before asking for the next
-holds two.  The experiments reduce each layer's record before the next is
-made; the length and correlation experiments draw each layer once for
-all their cases.  `sample_network` keeps every layer, so it asks for all
-of them at once and they are drawn in parallel.
+Every layer is drawn by one function, `_fill`: standard normals from an
+independent child of the realization seed, so truncating the depth never
+changes shallower layers, later scaled by sigma_w / sqrt(fan_in) and
+sigma_b, which gives the bytes of Generator.normal.  A network used for one
+pass (weight chaos, the experiments) is propagated from a stream, `_layers`,
+without being held whole: each layer is drawn when it is asked for, and the
+stream keeps no layer it has yielded, so a consumer that drops each layer
+before asking for the next holds one.  The experiments reduce each layer's
+record before the next is made; the length and correlation experiments
+draw each layer once for all their cases.  `sample_network` keeps every
+layer, so it draws all of them at once on a process-wide thread pool; the
+bytes are identical to drawing them one after another.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from itertools import islice
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -152,111 +148,84 @@ def _new_pool() -> ThreadPoolExecutor:
 _POOL = _new_pool()
 
 
-def _layers(widths: Sequence[int], cases: Sequence[EnsembleParams], seed: int, first: int = 1,
-            ahead: int = 1) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
-    """Yield (l, k, W^l, b^l) of the network of `seed` at each cases[k], for
-    layers l = first..D in order; deterministic for a given seed.
+def _forget_pool() -> None:
+    # A forked child inherits the pool object but none of its threads; it
+    # would wait forever on its first task, so it gets a pool of its own.
+    global _POOL
+    _POOL = _new_pool()
 
-    Layer l fills standard normals Z^l, then z_b^l, from child l - 1 of
-    SeedSequence(seed), so the bytes of a layer depend on neither `first`
-    nor the depth, and are scaled to W^l = Z^l sigma_w / sqrt(N_{l-1}) and
-    b^l = z_b^l sigma_b (`_scaled`).  Each layer is drawn once for all the
-    cases (common random numbers) and scaled once per distinct sigma_w: the
-    last sigma_w in place, since Z^l is not read after it, and the others
-    into one buffer that they and every layer of their shape reuse; the
-    layer's last b^l is z_b^l scaled in place.  So a single case holds no
-    array beyond the draws, and every case gets the bytes of its network
-    drawn alone.
 
-    The draws run on a process-wide thread pool with one worker per core
-    this process may run on; numpy's Generator fills arrays without holding
-    the GIL, so independent streams are drawn in parallel, and beside the
-    caller's products on earlier layers.  `ahead` layers are drawn or being
-    drawn beyond the one last yielded, and the stream keeps no reference
-    to a layer it has yielded once the next is asked for, so a caller that
-    releases each layer before asking for the next holds ahead + 1 layers,
-    not D, and a caller that stops early leaves at most `ahead` draws to
-    finish.  A stream read once, layer by layer, takes ahead = 1: the next
-    layer is submitted before the caller waits on this one, so one draw
-    overlaps the caller's work on the layer before and at most two workers
-    are busy, whatever the core count; on a box with more than two cores
-    such a stream may be slower than one that keeps every core busy, which
-    is not measured.  `sample_network`, which keeps every layer anyway,
-    takes ahead = D and draws them all in parallel: ahead = 1 there made
-    perfbench's ensemble-sim slower in every pair of BENCH_sample_ahead.json
-    (README).
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
 
-    The arrays are allocated here, on the consumer's thread, and the tasks
-    only fill them.  An array a worker allocates comes from that worker's
-    malloc arena, and once freed it goes back there, where the consumer's
-    next allocation cannot reuse it, so the process's peak grows by those
-    arenas.  The price is page faults: the consumer's arena hands freed
-    layers back to the system more often.  README gives both, and
-    BENCH_two_layers.json the peak RSS of each perfbench workload.
 
-    The pool lives for the whole process.  A pool made per call starts its
-    threads again on every `sample_network`, which made perfbench's
-    ensemble-sim operations slower in every one of 15 alternating pairs,
-    with no lower wall time.
-
-    Rules for the pool's tasks:
-    * a task must not submit work to this pool itself: a task waiting on a
-      nested task can deadlock a pool with as few workers as cores;
-    * a task calls only numpy, never a public function of quadrature,
-      meanfield, simulator, geometry, boundary or expressivity, whose
-      callers may trace them on a single per-process span stack that
-      worker threads would corrupt.
-    """
+def _seeded(widths: Sequence[int],
+            seed: int) -> tuple[tuple[int, ...], list[np.random.SeedSequence]]:
+    """The checked widths and, for each layer l, the seed of its draw:
+    child l - 1 of SeedSequence(seed)."""
     widths = tuple(int(n) for n in widths)
     _require_count("depth", len(widths) - 1)
     if any(n < 1 for n in widths):
         raise ValueError(f"all widths must be >= 1, got {widths}")
+    return widths, np.random.SeedSequence(seed).spawn(len(widths) - 1)
+
+
+def _fill(child: np.random.SeedSequence, z: np.ndarray, z_b: np.ndarray) -> None:
+    """Fill z = Z^l, then z_b = z_b^l, with standard normals from `child`,
+    the seed of layer l alone, so a layer's bytes depend on neither the
+    layers drawn before it nor the depth.  Every layer is drawn here."""
+    rng = np.random.default_rng(child)
+    rng.standard_normal(out=z)
+    rng.standard_normal(out=z_b)
+
+
+def _layers(widths: Sequence[int], cases: Sequence[EnsembleParams], seed: int,
+            first: int = 1) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
+    """Yield (l, k, W^l, b^l) of the network of `seed` at each cases[k], for
+    layers l = first..D in order; deterministic for a given seed.
+
+    Layer l is drawn (`_fill`) when it is asked for, on the caller's thread,
+    and scaled to W^l = Z^l sigma_w / sqrt(N_{l-1}) and b^l = z_b^l sigma_b
+    (`_scaled`).  Each layer is drawn once for all the cases (common random
+    numbers) and scaled once per distinct sigma_w: the last sigma_w in
+    place, since Z^l is not read after it, and the others into one buffer
+    that they and every layer of their shape reuse; the layer's last b^l is
+    z_b^l scaled in place.  So a single case holds no array beyond the
+    draws, and every case gets the bytes of its network drawn alone.
+
+    The stream keeps no reference to a layer it has yielded once the next
+    is asked for, so a caller that releases each layer before asking for
+    the next holds one layer, not D.  Drawing the next layer on a thread
+    pool while the caller worked on this one held two layers and was no
+    faster on perfbench's manifold-probe (README).
+    """
+    widths, children = _seeded(widths, seed)
     if not cases:
         raise ValueError("cases must list at least one ensemble, got none")
-    depth = len(widths) - 1
-    children = np.random.SeedSequence(seed).spawn(depth)
     by_sigma_w: dict[float, list[int]] = {}
     for k, p in enumerate(cases):
         by_sigma_w.setdefault(p.sigma_w, []).append(k)
     groups = list(by_sigma_w.items())
     last = groups[-1][1][-1]    # the case whose b^l is the layer's last
 
-    def fill(l: int, z: np.ndarray, z_b: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
-        rng = np.random.default_rng(children[l - 1])
-        rng.standard_normal(out=z)
-        rng.standard_normal(out=z_b)
-        return l, z, z_b
-
     def layers() -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
-        pool = _POOL
-
-        def submit(l: int):
-            return pool.submit(fill, l, np.empty((widths[l], widths[l - 1])),
-                               np.empty(widths[l]))
-
-        todo = iter(range(first, depth + 1))
-        in_flight = deque(submit(l) for l in islice(todo, ahead))
         buf = None
-        try:
-            while in_flight:
-                in_flight.extend(submit(l) for l in islice(todo, 1))
-                l, z, z_b = in_flight.popleft().result()
-                fan_in = math.sqrt(z.shape[1])
-                for i, (sigma_w, ks) in enumerate(groups):
-                    if i == len(groups) - 1:    # Z^l is not read after this
-                        w = _scaled(z, sigma_w / fan_in, out=z)
-                    else:
-                        if buf is None or buf.shape != z.shape:
-                            buf = np.empty_like(z)
-                        w = _scaled(z, sigma_w / fan_in, out=buf)
-                    for k in ks:
-                        b = _scaled(z_b, cases[k].sigma_b, out=z_b if k == last else None)
-                        yield l, k, w, b
-                # no name here keeps the layer while the next one is drawn
-                z = z_b = w = b = None
-        finally:
-            for future in in_flight:
-                future.cancel()
+        for l in range(first, len(widths)):
+            z, z_b = np.empty((widths[l], widths[l - 1])), np.empty(widths[l])
+            _fill(children[l - 1], z, z_b)
+            fan_in = math.sqrt(widths[l - 1])
+            for i, (sigma_w, ks) in enumerate(groups):
+                if i == len(groups) - 1:    # Z^l is not read after this
+                    w = _scaled(z, sigma_w / fan_in, out=z)
+                else:
+                    if buf is None or buf.shape != z.shape:
+                        buf = np.empty_like(z)
+                    w = _scaled(z, sigma_w / fan_in, out=buf)
+                for k in ks:
+                    b = _scaled(z_b, cases[k].sigma_b, out=z_b if k == last else None)
+                    yield l, k, w, b
+            # no name here keeps the layer while the next one is drawn
+            z = z_b = w = b = None
 
     # the arguments above are checked at the call, before the first layer is read
     return layers()
@@ -273,26 +242,48 @@ def _scaled(z: np.ndarray, scale: float, out: Optional[np.ndarray] = None) -> np
     return out
 
 
-def _forget_pool() -> None:
-    # A forked child inherits the pool object but none of its threads; it
-    # would wait forever on its first task, so it gets a pool of its own.
-    global _POOL
-    _POOL = _new_pool()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
 def sample_network(widths: Sequence[int], params: EnsembleParams, seed: int) -> NetworkRealization:
     """Draw one realization; deterministic for a given seed.
 
-    The layers are `_layers(widths, [params], seed)`, collected, all asked
-    for at once (see `_layers` for why).
+    The layers are those `_layers(widths, [params], seed)` yields, each
+    scaled in place, but all drawn at once on a process-wide thread pool
+    with one worker per core this process may run on; numpy's Generator
+    fills arrays without holding the GIL, so the layers are drawn in
+    parallel, with the bytes of drawing them one after another.  Drawing
+    them one ahead of the one in use instead made perfbench's ensemble-sim
+    slower in every pair of BENCH_sample_ahead.json (README).
+
+    The arrays are allocated here, on the caller's thread, and the tasks
+    only fill them.  An array a worker allocates comes from that worker's
+    malloc arena, and once freed it goes back there, where the caller's
+    next allocation cannot reuse it, so the process's peak grows by those
+    arenas.  The price is page faults: the caller's arena hands freed
+    layers back to the system more often.  README gives both, and
+    BENCH_two_layers.json the peak RSS of each perfbench workload.
+
+    The pool lives for the whole process.  A pool made per call starts its
+    threads again on every call, which made perfbench's ensemble-sim
+    operations slower in every one of 15 alternating pairs, with no lower
+    wall time.
+
+    Rules for the pool's tasks:
+    * a task must not submit work to this pool itself: a task waiting on a
+      nested task can deadlock a pool with as few workers as cores;
+    * a task calls only numpy, never a public function of quadrature,
+      meanfield, simulator, geometry, boundary or expressivity, whose
+      callers may trace them on a single per-process span stack that
+      worker threads would corrupt.
     """
-    _, _, weights, biases = zip(*_layers(widths, [params], seed, ahead=len(widths) - 1))
+    widths, children = _seeded(widths, seed)
+    draws = [(np.empty((m, n)), np.empty(m)) for n, m in zip(widths, widths[1:])]
+    futures = [_POOL.submit(_fill, child, *draw) for child, draw in zip(children, draws)]
+    for future, (z, z_b) in zip(futures, draws):
+        future.result()    # each layer is scaled while the later ones are drawn
+        _scaled(z, params.sigma_w / math.sqrt(z.shape[1]), out=z)
+        _scaled(z_b, params.sigma_b, out=z_b)
+    weights, biases = zip(*draws)
     return NetworkRealization(
-        widths=tuple(int(n) for n in widths),
+        widths=widths,
         weights=weights,
         biases=biases,
         nonlinearity=params.nonlinearity,
@@ -352,7 +343,7 @@ def _propagate(layers: Iterable[tuple[np.ndarray, np.ndarray]], nonlinearity: No
     each record is yielded as soon as its product is done: a consumer that
     reduces one record before asking for the next holds one layer's arrays,
     not the network's.  A layer of `layers` is released before the record
-    is yielded, so a stream of draws holds two layers, not three.
+    is yielded, so a stream of draws holds one layer, not two.
     """
     blocks = first
     yield LayerRecord(1, *blocks)
@@ -465,7 +456,9 @@ def singular_spectrum(h: np.ndarray, top_k: int = 5) -> SpectrumResult:
     """
     _require_count("top_k", top_k)
     h = np.asarray(h, dtype=float)
-    if h.ndim != 2 or h.shape[0] < 2:
+    if h.ndim != 2:
+        raise ValueError("h must have shape (n_theta, N)")
+    if h.shape[0] < 2:
         raise ValueError("need at least 2 theta samples")
     centered = h - h.mean(axis=0)
     tall = centered if centered.shape[0] >= centered.shape[1] else centered.T

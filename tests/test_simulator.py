@@ -122,7 +122,7 @@ def test_truncating_depth_preserves_shallow_layers():
         assert np.array_equal(deep.biases[l], shallow.biases[l])
 
 
-# deeper than the draw pool has workers, so layers are drawn as they are asked for
+# deeper than the draw pool has workers, so `sample_network` queues some draws
 STREAM_WIDTHS = tuple(10 + 3 * l for l in range(sim._cores() + 5))
 
 
@@ -150,14 +150,13 @@ def test_layer_stream_stopped_early():
     stream.close()
     for layer, l in zip(taken, (2, 3)):
         _assert_is_layer(layer, net, l)
-    # the draws left behind do not disturb the next caller
+    # a stream closed early does not disturb the next caller
     assert _digest(sim.sample_network(STREAM_WIDTHS, CHAOTIC, seed=31)) == _digest(net)
 
 
-def test_layer_stream_holds_two_layers_whatever_the_core_count(monkeypatch, warm_pool):
-    # the layer in use and the one being drawn, on a box of any size, for a
-    # caller that drops each layer before asking for the next
-    monkeypatch.setattr(sim, "_cores", lambda: 4)
+def test_layer_stream_holds_one_layer(warm_draws):
+    # the layer in use, for a caller that drops each layer before asking
+    # for the next
     widths, layer_bytes = (300,) * 13, 300 * 300 * 8
     tracemalloc.start()
     try:
@@ -171,8 +170,14 @@ def test_layer_stream_holds_two_layers_whatever_the_core_count(monkeypatch, warm
         propagated = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert dropped < 2.5 * layer_bytes
-    assert propagated < 2.5 * layer_bytes
+    assert dropped < 1.5 * layer_bytes
+    assert propagated < 1.5 * layer_bytes
+
+
+def test_no_draws_sees_a_streams_first_draw(no_draws):
+    # the refusal tests below rely on it: asking for a layer draws it
+    next(sim._layers(STREAM_WIDTHS, [CHAOTIC], 31, first=2))
+    assert len(no_draws) == 1
 
 
 @pytest.mark.parametrize("widths, message", [
@@ -491,10 +496,14 @@ def test_singular_spectrum_tall_input_matches_gram_oracle():
     assert np.allclose(spec.singular_values, oracle, atol=1e-8)
 
 
-@pytest.mark.parametrize("top_k", [0, -1])
-def test_singular_spectrum_rejects_nonpositive_top_k(top_k):
-    h = np.random.default_rng(29).normal(size=(8, 5))
-    with pytest.raises(ValueError, match="top_k"):
+@pytest.mark.parametrize("h, top_k, message", [
+    (np.ones((8, 5)), 0, "top_k"),
+    (np.ones((8, 5)), -1, "top_k"),
+    (np.ones(5), 5, r"h must have shape \(n_theta, N\)"),
+    (np.ones((1, 5)), 5, "need at least 2 theta samples"),
+], ids=["top_k-0", "top_k-negative", "one-dimensional", "one-row"])
+def test_singular_spectrum_refuses_bad_arguments(h, top_k, message):
+    with pytest.raises(ValueError, match=message):
         sim.singular_spectrum(h, top_k=top_k)
 
 
@@ -592,9 +601,9 @@ def test_shared_draws_match_each_case_alone():
             params, theory.chi.q_star, c0, depth, width, seeds))
 
 
-def test_one_sigma_w_is_scaled_in_place(warm_pool):
-    # with one sigma_w, W^l is Z^l scaled in place: the stream's arrays only
-    # (the one in use and the one being drawn), no buffer of its own
+def test_one_sigma_w_is_scaled_in_place(warm_draws):
+    # with one sigma_w, W^l is Z^l scaled in place: the layer in use only,
+    # no buffer of its own
     depth, width = 12, 300
     rule = mf.build_rule(201)
     tracemalloc.start()
@@ -603,7 +612,7 @@ def test_one_sigma_w_is_scaled_in_place(warm_pool):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2.5 * width * width * 8
+    assert peak < 1.5 * width * width * 8
 
 
 def test_curvature_agreement_holds_a_few_jets_not_the_network():
