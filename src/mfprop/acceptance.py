@@ -291,24 +291,11 @@ def criterion_9(c: CriterionResult) -> None:
 @_criterion(10, "jet correctness", 30.0)
 def criterion_10(c: CriterionResult) -> None:
     """Forward-propagated jets against finite differences in theta."""
-    params = EnsembleParams(4.0, 0.3, TANH)
-    rule = build_rule(401)
-    q_star = length_fixed_point(params, rule)
-    net = sim.sample_network((1000,) * 11, params, SEED)
     thetas = np.sort(np.random.default_rng(123).uniform(0.0, 2.0 * math.pi, 50))
-    circle = sim.CircleManifold.sample(1000, q_star, 8, seed=77).at(thetas)
-    records = sim.forward_jet(net, circle)
-    delta = 1e-5
-    plus = sim.forward_from_first(net, circle.at(thetas + delta).h1())
-    minus = sim.forward_from_first(net, circle.at(thetas - delta).h1())
+    errors = xp.jet_errors(EnsembleParams(4.0, 0.3, TANH), (1000,) * 11, thetas, 1e-5, SEED, 77,
+                           build_rule(401))
     for layer in (1, 5, 10):
-        rec = records[layer - 1]
-        v_fd = (plus[layer - 1].h - minus[layer - 1].h) / (2.0 * delta)
-        a_fd = (plus[layer - 1].h - 2.0 * rec.h + minus[layer - 1].h) / delta**2
-        v_err = float(np.max(np.linalg.norm(v_fd - rec.v, axis=1)
-                             / np.linalg.norm(rec.v, axis=1)))
-        a_err = float(np.max(np.linalg.norm(a_fd - rec.a, axis=1)
-                             / np.linalg.norm(rec.a, axis=1)))
+        v_err, a_err = errors[layer - 1]
         c.check(v_err <= 1e-4, f"layer {layer}: velocity FD error {v_err:.1e} <= 1e-4")
         c.check(a_err <= 1e-4, f"layer {layer}: acceleration FD error {a_err:.1e} <= 1e-4")
 

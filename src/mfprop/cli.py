@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from typing import Callable
 
@@ -155,7 +156,10 @@ def _resolve_config(command: str, args: argparse.Namespace) -> dict:
         if value is None:
             value = default
         cfg[dest] = value
-    # write_table would refuse a bad format only after the handler's work
+    # open() and write_table would refuse a bad path or format only after the handler's work
+    out = cfg["out"]
+    if out and (os.path.isdir(out) or not os.path.isdir(os.path.dirname(out) or ".")):
+        raise UsageError(f"output path {out!r} is a directory or in one that does not exist")
     if "format" in cfg and cfg["format"] not in ("csv", "json"):
         raise UsageError(f"unknown output format {cfg['format']!r}; choose csv or json")
     return cfg

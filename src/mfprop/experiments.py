@@ -13,7 +13,7 @@ Inputs come from streams derived from the network seed:
 
 * length inputs: SeedSequence(seed, spawn_key=(101,));
 * correlated pairs: orientation o = 0..7 at seed 1_000_000 (o + 1) + seed;
-* circles at q*: seed + 50;
+* circles at q*: seed + 50 (the jet check takes its circle's seed);
 * boundary readouts: SeedSequence(seed, spawn_key=(202,)), with searches
   started from seed + 5.
 """
@@ -154,6 +154,30 @@ def curvature_agreement(params: EnsembleParams, depth: int, width: int, n_theta:
         kappa_sq[l] = (geom.kappa_norm**2).mean()
         lg[l] = geom.LG
     return CurvatureAgreement(theory=theory, gE_bar=gE_bar, kappa_sq=kappa_sq, LG=lg)
+
+
+def jet_errors(params: EnsembleParams, widths: Sequence[int], thetas: np.ndarray, delta: float,
+               seed: int, circle_seed: int, rule: QuadratureRule) -> np.ndarray:
+    """[velocity, acceleration] error per layer: max over `thetas` of |fd - jet| / |jet| for the
+    jets of a circle at q* and central differences fd of step `delta`, read off one layer stream."""
+    layers = sim._layers(widths, [params], seed, first=2)
+    q_star = _require_positive_q_star(length_fixed_point(params, rule), "jets of a circle at q*")
+    circle = sim.CircleManifold.sample(widths[1], q_star, len(thetas), circle_seed).at(thetas)
+    jet = [circle.h1(), circle.v1(), circle.a1()]
+    plus, minus = circle.at(circle.thetas + delta).h1(), circle.at(circle.thetas - delta).h1()
+
+    def errors() -> list[float]:
+        fds = (plus - minus) / (2.0 * delta), (plus - 2.0 * jet[0] + minus) / delta**2
+        return [np.max(np.linalg.norm(fd - x, axis=1) / np.linalg.norm(x, axis=1))
+                for fd, x in zip(fds, jet[1:])]
+
+    measured = [errors()]
+    for _, _, w, b in layers:
+        jet, [plus], [minus] = (sim._advance(x, w, b, params.nonlinearity)
+                                for x in (jet, [plus], [minus]))
+        del w, b
+        measured.append(errors())
+    return np.array(measured)
 
 
 def boundary_curvature(params: EnsembleParams, depth: int, width: int, n_points: int,

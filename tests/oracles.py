@@ -313,3 +313,19 @@ def circle_whole_network(params, q_star, depth, width, n_theta, seed, jets):
     if jets:
         return circle, sim.forward_jet(net, circle)
     return circle, sim.forward_from_first(net, circle.h1())
+
+
+def jet_errors_whole_network(params, q_star, widths, thetas, delta, seed, circle_seed):
+    """jet_errors' [velocity, acceleration] error per layer, from forward_jet
+    and forward_from_first on the whole network of `seed`."""
+    net = sim.sample_network(widths, params, seed)
+    circle = sim.CircleManifold.sample(widths[1], q_star, len(thetas), circle_seed).at(thetas)
+    plus = sim.forward_from_first(net, circle.at(circle.thetas + delta).h1())
+    minus = sim.forward_from_first(net, circle.at(circle.thetas - delta).h1())
+    errors = []
+    for rec, p, m in zip(sim.forward_jet(net, circle), plus, minus):
+        v_fd = (p.h - m.h) / (2.0 * delta)
+        a_fd = (p.h - 2.0 * rec.h + m.h) / delta**2
+        errors.append([np.max(np.linalg.norm(fd - exact, axis=1) / np.linalg.norm(exact, axis=1))
+                       for fd, exact in ((v_fd, rec.v), (a_fd, rec.a))])
+    return np.array(errors)

@@ -304,6 +304,8 @@ _BAD_SIZES = {
     "fourier-depths": (lambda: xp.fourier_errors(_CHAOTIC, [0], 20, 4, 16, 0, _RULE), "depths"),
     "fourier-omega_max": (lambda: xp.fourier_errors(_CHAOTIC, [2], 20, 0, 16, 0, _RULE),
                           "omega_max must be >= 1"),
+    "jet-n_theta": (lambda: xp.jet_errors(_CHAOTIC, (20, 20, 20), [], 1e-5, 0, 0, _RULE),
+                    "n_theta must be >= 1"),
     "weight_chaos-depth": (
         lambda: ex.weight_chaos_empirical(_CHAOTIC, (20, 20), [0.1], 0, rule=_RULE),
         "depth must be >= 2"),
@@ -456,6 +458,17 @@ def test_every_readme_cli_line_parses():
     assert {argv[0] for argv in lines} == set(cli._COMMANDS)
 
 
+def test_readme_library_example_runs(capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    start = readme.index("```python\n", readme.index("## Library example")) + len("```python\n")
+    block = readme[start:readme.index("```\n", start)]
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    theory_lg, measured_lg = map(float, capsys.readouterr().out.split()[:2])
+    assert theory_lg == namespace["run"].theory.LG[-1] and measured_lg == namespace["run"].LG[-1]
+    assert abs(measured_lg / theory_lg - 1.0) < 0.1
+
+
 def test_numerical_failure_exits_2(tmp_path, capsys):
     # c-map is undefined at q* = 0
     assert run(["c-map", "--sw", "0.5", "--sb", "0",
@@ -513,6 +526,22 @@ def test_library_refusals_are_usage_errors(tmp_path, capsys, no_draws, argv, nam
     err = capsys.readouterr().err
     assert err.startswith("usage error: ") and named in err
     assert not out.exists()
+    assert no_draws == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["length-map", "--sw", "4", "--sb", "0.3"],
+    ["simulate", "--width", "20", "--depth", "2", "--seeds", "1"],
+    ["validate-all", "--only", "2"],
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("kind", ["missing-directory", "directory"])
+def test_unwritable_out_is_a_usage_error_before_any_work(tmp_path, capsys, no_draws, argv, kind):
+    out = tmp_path / "no-such-dir" / "out.csv" if kind == "missing-directory" else tmp_path
+    assert run(argv + ["-o", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage error: ") and repr(str(out)) in captured.err
+    assert "Traceback" not in captured.out + captured.err
+    assert "criterion" not in captured.out
     assert no_draws == []
 
 

@@ -19,7 +19,8 @@ from mfprop import simulator as sim
 from mfprop.errors import DegenerateGeometryError, UnsupportedActivationError
 
 from oracles import (circle_whole_network, correlation_whole_network, gram_singular_values,
-                     jet_three_gemm, length_whole_network, naive_matmul)
+                     jet_errors_whole_network, jet_three_gemm, length_whole_network,
+                     naive_matmul)
 
 TANH = mf.builtin("tanh")
 LINEAR = mf.builtin("linear")
@@ -575,6 +576,28 @@ def test_streamed_experiments_match_whole_network_oracles():
     assert np.array_equal(curv.LG, [g.LG for g in geoms])
 
 
+# uneven widths: W^1 (8 -> 30) is never drawn by the stream, and the jets
+# change width at every later layer
+JET_WIDTHS = (8, 30, 22, 35, 17, 26)
+
+
+def test_jet_errors_match_the_whole_network_oracle(monkeypatch):
+    rule = mf.build_rule(201)
+    thetas = np.sort(np.random.default_rng(3).uniform(0.0, 2.0 * math.pi, 12))
+    drawn, fill = [], sim._fill
+    monkeypatch.setattr(sim, "_fill", lambda child, z, z_b: (drawn.append(z.shape),
+                                                             fill(child, z, z_b)))
+    errors = xp.jet_errors(CHAOTIC, JET_WIDTHS, thetas, 1e-5, 9, 77, rule)
+    monkeypatch.undo()
+    # W^2..W^D, each drawn once; W^1 never
+    assert drawn == [(m, n) for n, m in zip(JET_WIDTHS[1:], JET_WIDTHS[2:])]
+    oracle = jet_errors_whole_network(CHAOTIC, mf.length_fixed_point(CHAOTIC, rule),
+                                      JET_WIDTHS, thetas, 1e-5, 9, 77)
+    assert np.array_equal(errors, oracle)
+    # the errors are those of a correct jet, not of two equal wrong ones
+    assert errors.max() < 1e-4
+
+
 def test_shared_draws_match_each_case_alone():
     # 2 sigma_w x 2 inputs, listed so that the sigma_w alternate: each case
     # gets the bytes of its own whole-network run, as if drawn alone
@@ -613,6 +636,27 @@ def test_one_sigma_w_is_scaled_in_place(warm_draws):
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * width * width * 8
+
+
+def test_jet_errors_hold_one_layer_not_the_network(warm_draws):
+    # the layer in use and a few row blocks (n_theta x width); the
+    # whole-network oracle holds every one of the 11 layers
+    widths, n_theta = (300,) * 12, 8
+    layer_bytes, block_bytes = 300 * 300 * 8, n_theta * 300 * 8
+    rule = mf.build_rule(201)
+    q_star = mf.length_fixed_point(CHAOTIC, rule)
+    thetas = np.linspace(0.0, 2.0 * math.pi, n_theta, endpoint=False)
+    tracemalloc.start()
+    try:
+        xp.jet_errors(CHAOTIC, widths, thetas, 1e-5, 5, 77, rule)
+        streamed = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        jet_errors_whole_network(CHAOTIC, q_star, widths, thetas, 1e-5, 5, 77)
+        whole = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert streamed < 1.5 * layer_bytes + 20 * block_bytes
+    assert whole > 10 * layer_bytes
 
 
 def test_curvature_agreement_holds_a_few_jets_not_the_network():
